@@ -38,7 +38,7 @@ from .generic import (
     stability_check,
     virtual_generic_decomposition,
 )
-from .laurent import LaurentPoly, canonical_serialize, denominator_vector, laurent_arith, monomial, parse_laurent
+from .laurent import LaurentPoly, canonical_serialize, denominator_vector, monomial, parse_laurent
 from .linalg import GF, QQ
 from .quiver import (
     EulerData,

@@ -8,13 +8,12 @@ characteristics with exponents read off the (antisymmetrized) Euler form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
 from .errors import GenericityUncertified, NotPolynomialCount, SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial
-from .quiver import EulerData, Quiver, antisym_form_simple, euler_form, euler_matrix
+from .quiver import Quiver, antisym_form_simple, et_map, euler_data, euler_form, vertex_vector
 from .replab import (
     Representation,
     generic_representation,
@@ -23,16 +22,7 @@ from .replab import (
     representation_from_json,
     zero_representation,
 )
-from .seeds import mix_seed
-
-
-@lru_cache(maxsize=64)
-def _euler_data_cached(key: str, n: int, arrows: tuple) -> EulerData:
-    return euler_matrix(Quiver(n, arrows))
-
-
-def euler_data(q: Quiver) -> EulerData:
-    return _euler_data_cached(q.key(), q.n, q.arrows)
+from .seeds import certify, mix_seed
 
 
 @dataclass(frozen=True)
@@ -57,12 +47,8 @@ class ClusterObject:
 
     def dimension_vector(self) -> tuple[int, ...]:
         """dim in the cluster category: dim(module) - E^{-t}·shifted."""
-        ed = euler_data(self.quiver)
-        n = self.quiver.n
-        return tuple(
-            self.module.dims[i] - sum(ed.Etinv[i][j] * self.shifted[j] for j in range(n))
-            for i in range(n)
-        )
+        back = et_map(self.quiver, self.shifted, inverse=True)
+        return tuple(d - b for d, b in zip(self.module.dims, back))
 
     def to_json(self) -> dict:
         return {"module": self.module.to_json(), "shifted": list(self.shifted)}
@@ -108,10 +94,7 @@ def cc_object(x: ClusterObject, cap: int = 5_000_000, max_offset: int = 24) -> L
 
 def index_of(x: ClusterObject) -> tuple[int, ...]:
     """E^t·dim(module) - shifted."""
-    ed = euler_data(x.quiver)
-    n = x.quiver.n
-    d = x.module.dims
-    return tuple(sum(ed.E[j][i] * d[j] for j in range(n)) - x.shifted[i] for i in range(n))
+    return tuple(a - s for a, s in zip(et_map(x.quiver, x.module.dims), x.shifted))
 
 
 def coindex_of(x: ClusterObject) -> tuple[int, ...]:
@@ -125,9 +108,8 @@ def coindex_of(x: ClusterObject) -> tuple[int, ...]:
 def g_vector_of_index(q: Quiver, gamma: Sequence[int]) -> tuple[int, ...]:
     """C^{-1}·gamma = -E·E^{-t}·gamma (valid when the generic cone of gamma is a module)."""
     ed = euler_data(q)
-    n = q.n
-    v = [sum(ed.Etinv[i][j] * gamma[j] for j in range(n)) for i in range(n)]
-    return tuple(-sum(ed.E[i][j] * v[j] for j in range(n)) for i in range(n))
+    v = et_map(q, gamma, inverse=True)
+    return tuple(-sum(ed.E[i][j] * v[j] for j in range(q.n)) for i in range(q.n))
 
 
 def cc_generic(
@@ -143,17 +125,10 @@ def cc_generic(
 
     Five independently sampled representatives must give equal characters.
     """
-    alpha = tuple(int(a) for a in alpha)
-    last = "no attempt"
-    for attempt in range(retries):
-        try:
-            values = []
-            for s in range(5):
-                m, _ = generic_representation(q, alpha, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
-                values.append(cc_module(m, cap=cap, max_offset=max_offset))
-            if all(v == values[0] for v in values[1:]):
-                return values[0]
-            last = "seed disagreement"
-        except (NotPolynomialCount, GenericityUncertified) as exc:
-            last = f"{type(exc).__name__}: {exc}"
-    raise GenericityUncertified(f"CC({alpha}) failed to certify after {retries} rounds ({last})")
+    alpha = vertex_vector(q, alpha, "alpha")
+
+    def draw(attempt: int, s: int) -> LaurentPoly:
+        m, _ = generic_representation(q, alpha, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
+        return cc_module(m, cap=cap, max_offset=max_offset)
+
+    return certify(draw, retries, (NotPolynomialCount, GenericityUncertified), f"CC({alpha})")

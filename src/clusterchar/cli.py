@@ -106,24 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
     config = load_config(getattr(args, "config", None))
-    if getattr(args, "rng_seed", None) is not None:
-        config.rng_seed = args.rng_seed
-    if getattr(args, "sample_bound", None) is not None:
-        config.sample_bound = args.sample_bound
-    if getattr(args, "retries", None) is not None:
-        config.retries = args.retries
-    if getattr(args, "cap", None) is not None:
-        config.enumeration_cap = args.cap
-    if getattr(args, "cache", None) is not None:
-        config.cache_path = args.cache
+    for option, key in (("rng_seed", "rng_seed"), ("sample_bound", "sample_bound"), ("retries", "retries"),
+                        ("cap", "enumeration_cap"), ("cache", "cache_path")):
+        if getattr(args, option, None) is not None:
+            setattr(config, key, getattr(args, option))
     if getattr(args, "json", False):
         config.output = "json"
     return config
 
 
 def _run(args: argparse.Namespace, config: RunConfig) -> int:
+    q = _load_quiver(args.file)
     if args.command == "quiver":
-        q = _load_quiver(args.file)
         if config.output == "json":
             print(json.dumps({"valid": True, **q.to_dict()}, sort_keys=True))
         else:
@@ -131,7 +125,6 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "cc":
-        q = _load_quiver(args.file)
         if args.dim is not None:
             alpha = _int_vector(args.dim, q.n, "--dim")
             value = cc_generic(
@@ -146,7 +139,6 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "genchar":
-        q = _load_quiver(args.file)
         gamma = _int_vector(args.gamma, q.n, "--gamma")
         cache = CharacterCache(config.cache_path)
         value = generic_character(
@@ -157,7 +149,6 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "gendecomp":
-        q = _load_quiver(args.file)
         d = _int_vector(args.dim, q.n, "--dim")
         betas = generic_decomposition(q, d, rng_seed=config.rng_seed, bound=config.sample_bound, retries=config.retries)
         if config.output == "json":
@@ -167,7 +158,6 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "vgendecomp":
-        q = _load_quiver(args.file)
         alpha = _int_vector(args.alpha, q.n, "--alpha")
         betas, shift = virtual_generic_decomposition(
             q, alpha, rng_seed=config.rng_seed, bound=config.sample_bound, retries=config.retries
@@ -181,7 +171,6 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "mutate":
-        q = _load_quiver(args.file)
         try:
             seq = [int(x) for x in args.at.replace(",", " ").split()]
         except ValueError:
@@ -198,7 +187,6 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "enumerate":
-        q = _load_quiver(args.file)
         result = enumerate_seeds(q, limit=args.limit)
         if config.output == "json":
             print(json.dumps(result.to_json(), sort_keys=True))
@@ -211,7 +199,6 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0 if result.closed else 1
 
     if args.command == "verify":
-        q = _load_quiver(args.file)
         report = run_suite(args.suite, q, config)
         if config.output == "json":
             print(json.dumps(report.to_json(), sort_keys=True))

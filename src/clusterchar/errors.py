@@ -40,7 +40,6 @@ DecompositionUncertified = _make("DecompositionUncertified")
 CapExceeded = _make("CapExceeded")
 SubdimensionOutOfRange = _make("SubdimensionOutOfRange")
 NotPolynomialCount = _make("NotPolynomialCount")
-BadReduction = _make("BadReduction")
 
 # generic
 KernelNotProjectiveShape = _make("KernelNotProjectiveShape", internal=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .characters import ClusterObject, cc_module, euler_data
+from .characters import ClusterObject, cc_module
 from .errors import (
     CapExceeded,
     DecompositionUncertified,
@@ -31,18 +31,19 @@ from .errors import (
 )
 from .laurent import LaurentPoly, monomial
 from .linalg import QQ
-from .quiver import Quiver, is_dynkin, positive_roots
+from .quiver import Quiver, et_map, is_dynkin, positive_roots, vertex_vector
 from .replab import (
     Representation,
     decompose,
-    ext_dim,
+    first_ext_pair,
     generic_representation,
     hom_dim,
     indecomposable_for_root,
     projective_representation,
     direct_sum_all,
+    split_non_brick,
 )
-from .seeds import mix_seed
+from .seeds import Reject, certify, mix_seed
 
 IntVec = tuple[int, ...]
 
@@ -105,7 +106,7 @@ def projective_module(q: Quiver, gamma: Sequence[int]) -> tuple[Representation, 
     Basis order at v: (i, copy, path i->v) for i ascending, copies ascending,
     paths in canonical order, matching the direct-sum construction.
     """
-    g = tuple(int(x) for x in gamma)
+    g = vertex_vector(q, gamma, "projective multiplicities")
     if any(x < 0 for x in g):
         raise SubdimensionOutOfRange("projective multiplicities must be nonnegative")
     parts = []
@@ -171,7 +172,7 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
         if d0 == 0:
             reducers.append(([], []))
             coker_coords.append([])
-            ker_dims.append(d1 - (0 if d1 == 0 else linalg.rank(mat, QQ) if mat else 0))
+            ker_dims.append(d1)
             continue
         image_rows = [[mat[r][c] for r in range(d0)] for c in range(d1)]
         red, pivots = linalg.rref(image_rows, QQ) if image_rows else ([], [])
@@ -179,7 +180,6 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
         reducers.append((red[:rank], pivots))
         coker_coords.append([c for c in range(d0) if c not in set(pivots)])
         ker_dims.append(d1 - rank)
-    field = QQ
 
     def quotient(v: int, vec: list) -> list:
         red, pivots = reducers[v]
@@ -202,13 +202,11 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
             tuple(cols[ci][ri] for ci in range(len(cols))) for ri in range(coker_dims[t - 1])
         )
         maps.append(rows)
-    coker = Representation(q, field, coker_dims, tuple(maps))
-    ed = euler_data(q)
-    shifted = tuple(sum(ed.E[j][i] * ker_dims[j] for j in range(n)) for i in range(n))
+    coker = Representation(q, QQ, coker_dims, tuple(maps))
+    shifted = et_map(q, ker_dims)
     if any(x < 0 for x in shifted):
         raise KernelNotProjectiveShape(f"kernel dims {tuple(ker_dims)} not a projective shape")
-    back = tuple(sum(ed.Etinv[i][j] * shifted[j] for j in range(n)) for i in range(n))
-    if back != tuple(ker_dims):
+    if et_map(q, shifted, inverse=True) != tuple(ker_dims):
         raise KernelNotProjectiveShape(f"multiplicity solve failed for {tuple(ker_dims)}")
     return ClusterObject(module=coker, shifted=shifted)
 
@@ -220,16 +218,23 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
 class ConePattern:
     """Certified generic cone of an index: brick parts plus shifted multiplicities."""
 
-    gamma: IntVec
     parts: list[Representation]
     shifted: IntVec
     refined: bool
 
 
-def _index_of_dims(q: Quiver, dims: Sequence[int]) -> IntVec:
-    ed = euler_data(q)
-    n = q.n
-    return tuple(sum(ed.E[j][i] * dims[j] for j in range(n)) for i in range(n))
+def sample_cone(
+    q: Quiver, dec: ProjDecomposition, map_seed: int, decompose_seed: int, bound: int
+) -> tuple[list[Representation], IntVec]:
+    """Summands and shifted multiplicities of the cone of one sampled P(gamma1) -> P(gamma0)."""
+    cone = cone_of_proj_map(sample_generic_proj_map(q, dec, map_seed, bound))
+    return decompose(cone.module, rng_seed=decompose_seed), cone.shifted
+
+
+def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
+    """Sorted summand dimension vectors and shifted part: what agreeing samples share."""
+    parts, shifted = cone
+    return sorted(p.dims for p in parts), shifted
 
 
 def _certify_pattern(q: Quiver, gamma: IntVec, parts: list[Representation], shifted: IntVec) -> None:
@@ -237,15 +242,14 @@ def _certify_pattern(q: Quiver, gamma: IntVec, parts: list[Representation], shif
     for x in parts:
         if supp_shift & {i for i, d in enumerate(x.dims) if d}:
             raise SupportNotDisjoint(f"summand {x.dims} meets the shifted support {shifted}")
-    for i, x in enumerate(parts):
-        for j, y in enumerate(parts):
-            if i != j and ext_dim(x, y) != 0:
-                raise GenericityUncertified(f"Ext({x.dims},{y.dims}) nonzero on the sample")
+    pair = first_ext_pair(parts)
+    if pair is not None:
+        raise GenericityUncertified(f"Ext({pair[0].dims},{pair[1].dims}) nonzero on the sample")
     total = [0] * q.n
     for x in parts:
         for k in range(q.n):
             total[k] += x.dims[k]
-    recon = tuple(a - b for a, b in zip(_index_of_dims(q, total), shifted))
+    recon = tuple(a - b for a, b in zip(et_map(q, total), shifted))
     if recon != gamma:
         raise GenericityUncertified(f"index reconstruction {recon} != {gamma}")
 
@@ -262,59 +266,40 @@ def _cone_pattern_once(
     last = "unsampled"
     for round_no in range(rounds):
         seed0 = mix_seed(rng_seed, round_no)
-        parts: list[Representation] = []
-        parts_per_block: list[list[Representation]] = []
-        shifts: list[IntVec] = []
         try:
-            for k, gb in enumerate(blocks):
-                f = sample_generic_proj_map(q, min_proj_decomposition(gb), mix_seed(seed0, k), bound)
-                cone = cone_of_proj_map(f)
-                pk = decompose(cone.module, rng_seed=mix_seed(seed0, 500, k))
-                parts_per_block.append(pk)
-                shifts.append(cone.shifted)
-                parts.extend(pk)
+            cones = [
+                sample_cone(q, min_proj_decomposition(gb), mix_seed(seed0, k), mix_seed(seed0, 500, k), bound)
+                for k, gb in enumerate(blocks)
+            ]
         except DecompositionUncertified as exc:
             last = str(exc)
             continue
-        shifted = tuple(sum(s[i] for s in shifts) for i in range(q.n))
-        bad = None
-        for k, pk in enumerate(parts_per_block):
-            for x in pk:
-                if hom_dim(x, x) != 1:
-                    bad = (k, x)
-                    break
-            if bad:
-                break
-        if bad is not None:
-            k, x = bad
-            m_end = hom_dim(x, x)
-            if all(v % m_end == 0 for v in x.dims):
-                sub_idx = _index_of_dims(q, tuple(v // m_end for v in x.dims))
-                new_blocks = blocks[:k] + blocks[k + 1 :]
-                new_blocks += [_index_of_dims(q, p.dims) for p in parts_per_block[k] if p is not x]
-                new_blocks += [sub_idx] * m_end
-                if shifts[k] != (0,) * q.n:
-                    new_blocks.append(tuple(-s for s in shifts[k]))
-                blocks = new_blocks
-                refined = True
-                last = f"split non-brick summand {x.dims}"
+        split = split_non_brick([pk for pk, _ in cones])
+        if split is not None:
+            k, x, m_end, dims = split
+            if dims is None:
+                last = f"non-brick summand {x.dims} with End dim {m_end}"
                 continue
-            last = f"non-brick summand {x.dims} with End dim {m_end}"
+            blocks = blocks[:k] + blocks[k + 1 :] + [et_map(q, d) for d in dims]
+            if any(cones[k][1]):
+                blocks.append(tuple(-s for s in cones[k][1]))
+            refined = True
+            last = f"split non-brick summand {x.dims}"
             continue
+        parts = [x for pk, _ in cones for x in pk]
+        shifted = tuple(sum(sh[i] for _, sh in cones) for i in range(q.n))
         try:
             _certify_pattern(q, gamma, parts, shifted)
         except (SupportNotDisjoint, GenericityUncertified) as exc:
             last = str(exc)
             continue
-        return ConePattern(gamma=gamma, parts=parts, shifted=shifted, refined=refined)
+        return ConePattern(parts=parts, shifted=shifted, refined=refined)
     raise GenericityUncertified(f"no certified cone pattern for index {gamma} ({last})")
 
 
-def _pattern_value(p: ConePattern, cap: int, max_offset: int) -> LaurentPoly:
-    q = p.parts[0].quiver if p.parts else None
-    n = len(p.shifted)
-    value = monomial(n, p.shifted)
-    for part in p.parts:
+def _pattern_value(parts: Sequence[Representation], shifted: IntVec, cap: int, max_offset: int) -> LaurentPoly:
+    value = monomial(len(shifted), shifted)
+    for part in parts:
         value = value * cc_module(part, cap=cap, max_offset=max_offset)
     return value
 
@@ -383,28 +368,19 @@ def generic_character(
     cache: CharacterCache | None = None,
 ) -> LaurentPoly:
     """X(gamma): certified by agreement of five independently seeded evaluations."""
-    g = tuple(int(x) for x in gamma)
-    if len(g) != q.n:
-        raise SubdimensionOutOfRange(f"index must have length {q.n}")
+    g = vertex_vector(q, gamma, "index")
     store = cache if cache is not None else _DEFAULT_CACHE
     hit = store.get(q, g)
     if hit is not None:
         return hit
-    last = "no attempt"
-    for attempt in range(retries):
-        try:
-            values = []
-            for s in range(5):
-                pattern = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound)
-                values.append(_pattern_value(pattern, cap, max_offset))
-        except (GenericityUncertified, NotPolynomialCount, DecompositionUncertified) as exc:
-            last = f"{type(exc).__name__}: {exc}"
-            continue
-        if all(v == values[0] for v in values[1:]):
-            store.put(q, g, values[0])
-            return values[0]
-        last = "value disagreement across seeds"
-    raise GenericityUncertified(f"X({g}) failed to certify after {retries} rounds ({last})")
+
+    def draw(attempt: int, s: int) -> LaurentPoly:
+        pattern = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound)
+        return _pattern_value(pattern.parts, pattern.shifted, cap, max_offset)
+
+    value = certify(draw, retries, (GenericityUncertified, NotPolynomialCount, DecompositionUncertified), f"X({g})")
+    store.put(q, g, value)
+    return value
 
 
 def generic_decomposition(
@@ -420,27 +396,20 @@ def generic_decomposition(
     Ext-vanishing between the canonical indecomposables; other acyclic quivers use
     the certified generic-sample decomposition.
     """
-    dv = tuple(int(x) for x in d)
-    if len(dv) != q.n or any(x < 0 for x in dv):
+    dv = vertex_vector(q, d, "dimension vector")
+    if any(x < 0 for x in dv):
         raise SubdimensionOutOfRange("dimension vector must be nonnegative")
     if all(x == 0 for x in dv):
         return []
     if is_dynkin(q):
         return _dynkin_decomposition(q, dv)
-    last = "no attempt"
-    for attempt in range(retries):
-        try:
-            sigs = []
-            for s in range(5):
-                _, parts = generic_representation(q, dv, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
-                sigs.append(sorted(p.dims for p in parts))
-        except (GenericityUncertified, DecompositionUncertified) as exc:
-            last = f"{type(exc).__name__}: {exc}"
-            continue
-        if all(sig == sigs[0] for sig in sigs[1:]):
-            return [tuple(b) for b in sigs[0]]
-        last = "pattern disagreement across seeds"
-    raise GenericityUncertified(f"generic decomposition of {dv} uncertified ({last})")
+
+    def draw(attempt: int, s: int) -> list[IntVec]:
+        _, parts = generic_representation(q, dv, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
+        return sorted(p.dims for p in parts)
+
+    sig = certify(draw, retries, (GenericityUncertified, DecompositionUncertified), f"generic decomposition of {dv}")
+    return [tuple(b) for b in sig]
 
 
 def _dynkin_decomposition(q: Quiver, d: IntVec) -> list[IntVec]:
@@ -450,11 +419,8 @@ def _dynkin_decomposition(q: Quiver, d: IntVec) -> list[IntVec]:
 
     def search(remaining: IntVec, start: int, chosen: list[IntVec]) -> None:
         if all(x == 0 for x in remaining):
-            for i, a in enumerate(chosen):
-                for j, b in enumerate(chosen):
-                    if i != j and ext_dim(reps[a], reps[b]) != 0:
-                        return
-            found.append(list(chosen))
+            if first_ext_pair([reps[a] for a in chosen]) is None:
+                found.append(list(chosen))
             return
         for k in range(start, len(roots)):
             beta = roots[k]
@@ -477,38 +443,28 @@ def virtual_generic_decomposition(
     retries: int = 8,
 ) -> tuple[list[IntVec], IntVec]:
     """(betas, gamma) with alpha = sum(betas) - E^{-t}·gamma, certified over 5 seeds."""
-    a = tuple(int(x) for x in alpha)
-    if len(a) != q.n:
-        raise SubdimensionOutOfRange(f"alpha must have length {q.n}")
-    ed = euler_data(q)
-    n = q.n
-    gamma_idx = tuple(sum(ed.E[j][i] * a[j] for j in range(n)) for i in range(n))
-    last = "no attempt"
-    for attempt in range(retries):
-        try:
-            results = []
-            for s in range(5):
-                p = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound=bound)
-                results.append((sorted(x.dims for x in p.parts), p.shifted))
-        except (GenericityUncertified, DecompositionUncertified, SupportNotDisjoint) as exc:
-            last = f"{type(exc).__name__}: {exc}"
-            continue
-        if all(r == results[0] for r in results[1:]):
-            betas = [tuple(b) for b in results[0][0]]
-            shift = results[0][1]
-            recon = tuple(
-                sum(b[i] for b in betas) - sum(ed.Etinv[i][j] * shift[j] for j in range(n))
-                for i in range(n)
-            )
-            if recon != a:
-                raise NoValidDecomposition(f"reconstruction {recon} != {a} (internal)")
-            if all(x >= 0 for x in a):
-                if any(shift) or sorted(betas) != sorted(generic_decomposition(q, a, rng_seed=rng_seed, bound=bound)):
-                    last = "positive alpha disagrees with the generic decomposition"
-                    continue
-            return betas, shift
-        last = "pattern disagreement across seeds"
-    raise GenericityUncertified(f"virtual generic decomposition of {a} uncertified ({last})")
+    a = vertex_vector(q, alpha, "alpha")
+    gamma_idx = et_map(q, a)
+
+    def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
+        p = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound=bound)
+        return cone_signature((p.parts, p.shifted))
+
+    def accept(result: tuple[list[IntVec], IntVec]) -> tuple[list[IntVec], IntVec]:
+        betas, shift = result
+        back = et_map(q, shift, inverse=True)
+        recon = tuple(sum(b[i] for b in betas) - back[i] for i in range(q.n))
+        if recon != a:
+            raise NoValidDecomposition(f"reconstruction {recon} != {a} (internal)")
+        if all(x >= 0 for x in a):
+            if any(shift) or sorted(betas) != sorted(generic_decomposition(q, a, rng_seed=rng_seed, bound=bound)):
+                raise Reject("positive alpha disagrees with the generic decomposition")
+        return betas, shift
+
+    return certify(
+        draw, retries, (GenericityUncertified, DecompositionUncertified, SupportNotDisjoint),
+        f"virtual generic decomposition of {a}", accept=accept,
+    )
 
 
 @dataclass
@@ -532,15 +488,12 @@ def check_multiplicativity(
 ) -> MultiplicativityReport:
     """Compare X(E^t·alpha) against prod_i X(E^t·beta_i) · X(-gamma), exactly."""
     a = tuple(int(x) for x in alpha)
-    ed = euler_data(q)
     n = q.n
-    gamma_idx = tuple(sum(ed.E[j][i] * a[j] for j in range(n)) for i in range(n))
-    lhs = generic_character(q, gamma_idx, rng_seed=rng_seed, bound=bound, retries=retries, cap=cap, cache=cache)
+    lhs = generic_character(q, et_map(q, a), rng_seed=rng_seed, bound=bound, retries=retries, cap=cap, cache=cache)
     betas, shift = virtual_generic_decomposition(q, a, rng_seed=mix_seed(rng_seed, 13), bound=bound, retries=retries)
     rhs = LaurentPoly.one(n)
     for beta in betas:
-        beta_idx = tuple(sum(ed.E[j][i] * beta[j] for j in range(n)) for i in range(n))
-        rhs = rhs * generic_character(q, beta_idx, rng_seed=mix_seed(rng_seed, 17), bound=bound, retries=retries, cap=cap, cache=cache)
+        rhs = rhs * generic_character(q, et_map(q, beta), rng_seed=mix_seed(rng_seed, 17), bound=bound, retries=retries, cap=cap, cache=cache)
     if any(shift):
         rhs = rhs * generic_character(
             q, tuple(-x for x in shift), rng_seed=mix_seed(rng_seed, 19), bound=bound, retries=retries, cap=cap, cache=cache
@@ -570,7 +523,7 @@ def stability_check(
 ) -> StabilityReport:
     """Sample in the padded (non-minimal) Hom space and compare with X(gamma)."""
     g = tuple(int(x) for x in gamma)
-    pd = tuple(int(x) for x in pad)
+    pd = vertex_vector(q, pad, "pad")
     if any(x < 0 for x in pd):
         raise SubdimensionOutOfRange("pad must be nonnegative")
     minimal = generic_character(q, g, rng_seed=rng_seed, bound=bound, retries=retries, cap=cap, cache=cache)
@@ -579,40 +532,27 @@ def stability_check(
         gamma0=tuple(a + b for a, b in zip(dec.gamma0, pd)),
         gamma1=tuple(a + b for a, b in zip(dec.gamma1, pd)),
     )
-    last = "no attempt"
-    for attempt in range(retries):
-        # certify the padded cone pattern across five samples with the same
-        # certificate as minimal cones (bricks, pairwise Ext vanishing, disjoint
-        # shifted support, stable summand dimensions); the character is an
-        # invariant of the certified pattern, so one counting pass suffices
-        try:
-            patterns = []
-            for s in range(5):
-                f = sample_generic_proj_map(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound)
-                cone = cone_of_proj_map(f)
-                parts = decompose(cone.module, rng_seed=mix_seed(rng_seed, 29, attempt, s))
-                patterns.append((parts, cone.shifted))
-        except (GenericityUncertified, NotPolynomialCount, DecompositionUncertified) as exc:
-            last = f"{type(exc).__name__}: {exc}"
-            continue
-        sig0 = (sorted(p.dims for p in patterns[0][0]), patterns[0][1])
-        if any((sorted(p.dims for p in parts), shift) != sig0 for parts, shift in patterns[1:]):
-            last = "padded cone pattern disagreement across seeds"
-            continue
-        parts, shift = patterns[0]
+
+    def draw(attempt: int, s: int) -> tuple[list[Representation], IntVec]:
+        return sample_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), mix_seed(rng_seed, 29, attempt, s), bound)
+
+    def accept(cone: tuple[list[Representation], IntVec]) -> LaurentPoly:
+        # the certificate of a minimal cone (bricks, Ext vanishing, disjoint shifted
+        # support) makes the character an invariant: one counting pass suffices
+        parts, shift = cone
         try:
             if any(hom_dim(x, x) != 1 for x in parts):
-                last = "padded cone has a non-brick summand"
-                continue
+                raise Reject("padded cone has a non-brick summand")
             _certify_pattern(q, g, parts, shift)
-            padded = monomial(q.n, shift)
-            for part in parts:
-                padded = padded * cc_module(part, cap=cap, max_offset=max_offset)
+            return _pattern_value(parts, shift, cap, max_offset)
         except (SupportNotDisjoint, GenericityUncertified, NotPolynomialCount, CapExceeded) as exc:
-            last = f"{type(exc).__name__}: {exc}"
-            continue
-        return StabilityReport(gamma=g, pad=pd, minimal=minimal, padded=padded, equal=padded == minimal)
-    raise GenericityUncertified(f"padded character for {g} + {pd} failed to certify ({last})")
+            raise Reject(f"{type(exc).__name__}: {exc}") from exc
+
+    padded = certify(
+        draw, retries, (GenericityUncertified, NotPolynomialCount, DecompositionUncertified),
+        f"padded character for {g} + {pd}", key=cone_signature, accept=accept,
+    )
+    return StabilityReport(gamma=g, pad=pd, minimal=minimal, padded=padded, equal=padded == minimal)
 
 
 def cone_pattern_is_plain(q: Quiver, gamma: Sequence[int], rng_seed: int = 0, bound: int = 10) -> bool:

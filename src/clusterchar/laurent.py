@@ -155,16 +155,6 @@ def monomial(nvars: int, exponents: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(nvars, {e: 1})
 
 
-def laurent_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def denominator_vector(p: LaurentPoly) -> tuple[int, ...]:
     """d with p*x^d a polynomial not divisible by any variable: d_i = -min exponent."""
     if p.is_zero():

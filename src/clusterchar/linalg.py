@@ -113,9 +113,6 @@ def GF(p: int) -> PrimeField:
     return _GF_CACHE[p]
 
 
-Matrix = list
-
-
 def rref(mat: Sequence[Sequence], field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     m = [list(row) for row in mat]
@@ -214,25 +211,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[list]:
             new.append(s)
         out.append(new)
     return out
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence, field) -> list:
-    return [
-        _dot(row, v, field)
-        for row in a
-    ]
-
-
-def _dot(row: Sequence, v: Sequence, field):
-    s = field.zero
-    for x, y in zip(row, v):
-        if not field.is_zero(x):
-            s = field.add(s, field.mul(x, y))
-    return s
-
-
-def identity_matrix(n: int, field) -> list[list]:
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
 def is_invertible(mat: Sequence[Sequence], field) -> bool:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import BadVertexIndex, CycleFound, DimensionMismatch, LoopFound, NotDynkin, TwoCycleFound
+from .errors import BadVertexIndex, CycleFound, DimensionMismatch, LoopFound, NotDynkin, SubdimensionOutOfRange, TwoCycleFound
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -131,16 +132,8 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _mat_vec(a: IntMatrix, v: Sequence[int]) -> IntVector:
-    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
-
-
 def _transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a))
-
-
-def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _int_inverse(a: IntMatrix) -> IntMatrix:
@@ -187,6 +180,30 @@ def euler_matrix(q: Quiver) -> EulerData:
     etinv = _transpose(einv)
     c = tuple(tuple(-x for x in row) for row in _mat_mul(et, einv))
     return EulerData(E=e, C=c, Einv=einv, Etinv=etinv)
+
+
+@lru_cache(maxsize=64)
+def euler_data(q: Quiver) -> EulerData:
+    """The Euler data of q, computed once per quiver."""
+    return euler_matrix(q)
+
+
+def vertex_vector(q: Quiver, v: Sequence[int], what: str = "vector") -> IntVector:
+    """v as a tuple of ints with one entry per vertex of q."""
+    out = tuple(int(x) for x in v)
+    if len(out) != q.n:
+        raise SubdimensionOutOfRange(f"{what} must have length {q.n}, got {len(out)}")
+    return out
+
+
+def et_map(q: Quiver, v: Sequence[int], inverse: bool = False) -> IntVector:
+    """E^t·v, the index of a module of dimension vector v; E^{-t}·v when inverse."""
+    v = vertex_vector(q, v)
+    ed = euler_data(q)
+    n = q.n
+    if inverse:
+        return tuple(sum(ed.Etinv[i][j] * v[j] for j in range(n)) for i in range(n))
+    return tuple(sum(ed.E[j][i] * v[j] for j in range(n)) for i in range(n))
 
 
 def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:

@@ -27,7 +27,7 @@ from .errors import (
     SubdimensionOutOfRange,
 )
 from .linalg import GF, QQ, PrimeField, RationalField
-from .quiver import Quiver, euler_form, positive_roots
+from .quiver import Quiver, euler_form, positive_roots, vertex_vector
 from .seeds import mix_seed
 
 Field = RationalField | PrimeField
@@ -112,7 +112,7 @@ def zero_representation(q: Quiver, field: Field = QQ) -> Representation:
 def random_representation(q: Quiver, d: Sequence[int], field: Field = QQ, rng_seed: int = 0, bound: int = 10) -> Representation:
     """Uniform entries: integers in [-bound, bound] over Q, all of F_p over a prime field."""
     rng = random.Random(rng_seed)
-    dims = tuple(int(x) for x in d)
+    dims = vertex_vector(q, d, "dimension vector")
     if any(x < 0 for x in dims):
         raise SubdimensionOutOfRange("dimension vector must be nonnegative")
     maps = []
@@ -134,9 +134,8 @@ def simple_representation(q: Quiver, i: int, field: Field = QQ) -> Representatio
     return Representation(q, field, dims, tuple(maps))
 
 
-def projective_representation(q: Quiver, i: int, field: Field = QQ) -> Representation:
-    """P_i: basis at v is the set of paths i -> v, arrows act by path extension."""
-    bases = {v: q.paths(i, v) for v in range(1, q.n + 1)}
+def _path_representation(q: Quiver, bases: dict, step, field: Field) -> Representation:
+    """Basis at v is bases[v]; arrow a sends a basis path p to step(p, a), or to 0 for None."""
     dims = tuple(len(bases[v]) for v in range(1, q.n + 1))
     maps = []
     for a, (s, t) in enumerate(q.arrows):
@@ -144,25 +143,23 @@ def projective_representation(q: Quiver, i: int, field: Field = QQ) -> Represent
         index = {p: k for k, p in enumerate(tgt)}
         m = [[field.zero] * len(src) for _ in range(len(tgt))]
         for c, p in enumerate(src):
-            m[index[p + (a,)]][c] = field.one
+            image = step(p, a)
+            if image is not None:
+                m[index[image]][c] = field.one
         maps.append(tuple(tuple(r) for r in m))
     return Representation(q, field, dims, tuple(maps))
+
+
+def projective_representation(q: Quiver, i: int, field: Field = QQ) -> Representation:
+    """P_i: basis at v is the set of paths i -> v, arrows act by path extension."""
+    bases = {v: q.paths(i, v) for v in range(1, q.n + 1)}
+    return _path_representation(q, bases, lambda p, a: p + (a,), field)
 
 
 def injective_representation(q: Quiver, i: int, field: Field = QQ) -> Representation:
     """I_i: basis at v is the set of paths v -> i, arrows strip their first step."""
     bases = {v: q.paths(v, i) for v in range(1, q.n + 1)}
-    dims = tuple(len(bases[v]) for v in range(1, q.n + 1))
-    maps = []
-    for a, (s, t) in enumerate(q.arrows):
-        src, tgt = bases[s], bases[t]
-        index = {p: k for k, p in enumerate(tgt)}
-        m = [[field.zero] * len(src) for _ in range(len(tgt))]
-        for c, p in enumerate(src):
-            if p and p[0] == a:
-                m[index[p[1:]]][c] = field.one
-        maps.append(tuple(tuple(r) for r in m))
-    return Representation(q, field, dims, tuple(maps))
+    return _path_representation(q, bases, lambda p, a: p[1:] if p and p[0] == a else None, field)
 
 
 def direct_sum(m1: Representation, m2: Representation) -> Representation:
@@ -196,12 +193,16 @@ def direct_sum_all(parts: Sequence[Representation], q: Quiver, field: Field = QQ
 
 
 def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, list[tuple[int, int, int]]]:
-    """Linear system for intertwiners f: M -> N (f_t M(a) = N(a) f_s).
+    """Linear system for intertwiners f: M -> N (f_t M(a) = N(a) f_s), over their field.
 
     Unknowns are the entries of the vertexwise maps f_v (shape n.dims[v] x m.dims[v]),
     laid out vertex by vertex, row-major. Returns (rows, #unknowns, layout) where
     layout[v] = (offset, rows_v, cols_v).
     """
+    if m.quiver != n.quiver:
+        raise QuiverMismatch("Hom over different quivers")
+    if m.field != n.field:
+        raise FieldMismatch("Hom over different fields")
     q = m.quiver
     layout = []
     off = 0
@@ -230,20 +231,15 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, 
                         row[off_s + k * cs + c] -= coeff
                 if any(x != 0 for x in row):
                     rows.append(row)
+    if m.field.p is not None:
+        rows = [[m.field.convert(x) for x in row] for row in rows]
     return rows, nun, layout
 
 
 def hom_basis(m: Representation, n: Representation) -> list[tuple[MatrixT, ...]]:
     """Basis of Hom(M, N) as tuples of vertexwise matrices."""
-    if m.quiver != n.quiver:
-        raise QuiverMismatch("Hom over different quivers")
-    if m.field != n.field:
-        raise FieldMismatch("Hom over different fields")
-    field = m.field
     rows, nun, layout = _hom_system(m, n)
-    if field.p is not None:
-        rows = [[field.convert(x) for x in row] for row in rows]
-    kernel = linalg.nullspace(rows, field, ncols=nun)
+    kernel = linalg.nullspace(rows, m.field, ncols=nun)
     out = []
     for vec in kernel:
         comps = []
@@ -255,15 +251,8 @@ def hom_basis(m: Representation, n: Representation) -> list[tuple[MatrixT, ...]]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    if m.quiver != n.quiver:
-        raise QuiverMismatch("Hom over different quivers")
-    if m.field != n.field:
-        raise FieldMismatch("Hom over different fields")
-    field = m.field
     rows, nun, _ = _hom_system(m, n)
-    if field.p is not None:
-        rows = [[field.convert(x) for x in row] for row in rows]
-    return nun - linalg.rank(rows, field)
+    return nun - linalg.rank(rows, m.field)
 
 
 def ext_dim(m: Representation, n: Representation) -> int:
@@ -275,6 +264,15 @@ def ext_dim(m: Representation, n: Representation) -> int:
     return val
 
 
+def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Representation] | None:
+    """The first ordered pair (X, Y) of distinct summands with Ext(X, Y) != 0, if any."""
+    for i, x in enumerate(parts):
+        for j, y in enumerate(parts):
+            if i != j and ext_dim(x, y) != 0:
+                return x, y
+    return None
+
+
 def is_isomorphic(m: Representation, n: Representation, rng_seed: int = 7, tries: int = 12) -> bool:
     """Exact iso test: look for an invertible element of Hom(M, N)."""
     if m.quiver != n.quiver or m.field != n.field or m.dims != n.dims:
@@ -284,25 +282,13 @@ def is_isomorphic(m: Representation, n: Representation, rng_seed: int = 7, tries
     basis = hom_basis(m, n)
     if not basis:
         return False
-    field = m.field
     rng = random.Random(rng_seed)
     for attempt in range(tries):
         if attempt < len(basis):
-            combo = basis[attempt]
-            comps = [list(map(list, c)) for c in combo]
+            comps = basis[attempt]
         else:
-            coeffs = [rng.randint(-5, 5) for _ in basis]
-            comps = []
-            for v in range(m.quiver.n):
-                r, c = n.dims[v], m.dims[v]
-                mat = [[field.zero] * c for _ in range(r)]
-                for cf, b in zip(coeffs, basis):
-                    if cf:
-                        for i in range(r):
-                            for j in range(c):
-                                mat[i][j] = field.add(mat[i][j], field.mul(cf, b[v][i][j]))
-                comps.append(mat)
-        if all(linalg.is_invertible(comps[v], field) for v in range(m.quiver.n)):
+            comps = _combine_endos(m, basis, [rng.randint(-5, 5) for _ in basis])
+        if all(linalg.is_invertible(comps[v], m.field) for v in range(m.quiver.n)):
             return True
     return False
 
@@ -411,6 +397,7 @@ def _thin_components(m: Representation) -> list[Representation]:
 
 
 def _combine_endos(m: Representation, endos, coeffs) -> list[MatrixT]:
+    """sum(coeffs[k] * endos[k]) for maps M -> N with dim N = dim M."""
     field = m.field
     phi = []
     for v in range(m.quiver.n):
@@ -495,6 +482,25 @@ def indecomposable_for_root(q: Quiver, beta: Sequence[int], bound: int = 10) -> 
 # --- certified generic representations ---
 
 
+def split_non_brick(parts_per_block: Sequence[Sequence[Representation]]) -> tuple | None:
+    """(k, X, m, dims) for the first summand X that is not a brick: X is in block k, m = dim End X.
+
+    X is geometrically m conjugate summands of dimension dim X / m, so dims, which
+    replaces block k, lists the other summands of block k and then m copies of
+    dim X / m; it is None when m does not divide dim X. None when all are bricks.
+    """
+    for k, parts in enumerate(parts_per_block):
+        for x in parts:
+            m = hom_dim(x, x)
+            if m == 1:
+                continue
+            if any(v % m for v in x.dims):
+                return k, x, m, None
+            sub = tuple(v // m for v in x.dims)
+            return k, x, m, [p.dims for p in parts if p is not x] + [sub] * m
+    return None
+
+
 def generic_representation(
     q: Quiver,
     d: Sequence[int],
@@ -512,7 +518,7 @@ def generic_representation(
     summands of dimension (dim X)/m, so its block is split and resampled; this is
     what makes e.g. twice an isotropic Schur root land on a split rational sample.
     """
-    d = tuple(int(x) for x in d)
+    d = vertex_vector(q, d, "dimension vector")
     if any(x < 0 for x in d):
         raise SubdimensionOutOfRange("dimension vector must be nonnegative")
     if all(x == 0 for x in d):
@@ -529,35 +535,15 @@ def generic_representation(
                 parts_per_block = [decompose(s, rng_seed=mix_seed(seed0, 99, k)) for k, s in enumerate(samples)]
             except DecompositionUncertified:
                 break
+            split = split_non_brick(parts_per_block)
+            if split is not None:
+                k, _, _, dims = split
+                if dims is None:
+                    break  # not an equal-dimension bundle: restart from scratch
+                blocks = blocks[:k] + blocks[k + 1 :] + dims
+                continue
             parts = [p for parts_k in parts_per_block for p in parts_k]
-            bad = None
-            for k, parts_k in enumerate(parts_per_block):
-                for x in parts_k:
-                    if hom_dim(x, x) != 1:
-                        bad = (k, x)
-                        break
-                if bad:
-                    break
-            if bad is not None:
-                k, x = bad
-                m_end = hom_dim(x, x)
-                if all(v % m_end == 0 for v in x.dims):
-                    sub = tuple(v // m_end for v in x.dims)
-                    new_blocks = blocks[:k] + blocks[k + 1 :]
-                    new_blocks += [p.dims for p in parts_per_block[k] if p is not x]
-                    new_blocks += [sub] * m_end
-                    blocks = new_blocks
-                    continue
-                break  # not an equal-dimension bundle: restart from scratch
-            ok = True
-            for i in range(len(parts)):
-                for j in range(len(parts)):
-                    if i != j and ext_dim(parts[i], parts[j]) != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if first_ext_pair(parts) is None:
                 return direct_sum_all(samples, q, QQ), parts
             break  # cross-part extensions: restart from scratch
     raise GenericityUncertified(f"could not certify a generic representative of {d}")
@@ -723,11 +709,7 @@ def reduce_mod(m: Representation, p: int) -> Representation:
     """Reduction of a rational representation mod p (denominators must be units)."""
     if m.field.p is not None:
         raise FieldMismatch("reduce_mod expects a rational representation")
-    field = GF(p)
-    maps = tuple(
-        tuple(tuple(field.convert(x) for x in row) for row in mat) for mat in m.maps
-    )
-    return Representation(m.quiver, field, m.dims, maps)
+    return make_representation(m.quiver, GF(p), m.dims, m.maps)
 
 
 def _denominator_lcm(m: Representation) -> int:

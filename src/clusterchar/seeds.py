@@ -1,6 +1,11 @@
-"""Deterministic integer seed derivation (no reliance on salted hashes)."""
+"""Deterministic integer seed derivation (no reliance on salted hashes), and the
+certification engine every certified computation runs through."""
 
 from __future__ import annotations
+
+from typing import Callable
+
+from .errors import GenericityUncertified
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -13,3 +18,42 @@ def mix_seed(seed: int, *tags: int) -> int:
     for t in tags:
         acc = (acc * _MULT + (t & _MASK) * _INC + 1) & _MASK
     return acc
+
+
+class Reject(Exception):
+    """Raised by an `accept` step of `certify`: the agreed samples do not certify."""
+
+
+def certify(
+    draw: Callable[[int, int], object],
+    retries: int,
+    retry_on: tuple[type[BaseException], ...],
+    what: str,
+    key: Callable[[object], object] | None = None,
+    accept: Callable[[object], object] | None = None,
+):
+    """The first sample (or accept(it)) of the first attempt whose five samples agree.
+
+    `draw(attempt, s)` gives sample s; an exception in `retry_on` ends the attempt.
+    Samples agree when their `key` (default: the sample) is equal. `accept` raises
+    Reject to spend the attempt. Other exceptions propagate; after `retries`
+    attempts GenericityUncertified names the last reason.
+    """
+    last = "no attempt"
+    for attempt in range(retries):
+        try:
+            samples = [draw(attempt, s) for s in range(5)]
+        except retry_on as exc:
+            last = f"{type(exc).__name__}: {exc}"
+            continue
+        keys = samples if key is None else [key(x) for x in samples]
+        if not all(k == keys[0] for k in keys[1:]):
+            last = "sample disagreement across seeds"
+            continue
+        if accept is None:
+            return samples[0]
+        try:
+            return accept(samples[0])
+        except Reject as exc:
+            last = str(exc)
+    raise GenericityUncertified(f"{what} failed to certify after {retries} rounds ({last})")

@@ -9,9 +9,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
-from .characters import ClusterObject, cc_generic, euler_data, index_of, coindex_of
+from .characters import ClusterObject, cc_generic, index_of, coindex_of
 from .cluster import cluster_monomials_up_to, initial_seed, is_cluster_monomial, mutate_seed
 from .config import RunConfig
 from .errors import ClusterCharError, GenericityUncertified
@@ -20,16 +20,16 @@ from .generic import (
     ProjDecomposition,
     _cone_pattern_once,
     check_multiplicativity,
-    cone_of_proj_map,
     cone_pattern_is_plain,
+    cone_signature,
     generic_character,
-    sample_generic_proj_map,
+    sample_cone,
     stability_check,
 )
 from .laurent import LaurentPoly, canonical_serialize, denominator_vector
-from .quiver import Quiver
-from .replab import decompose, direct_sum_all, injective_representation, is_isomorphic, projective_representation
-from .seeds import mix_seed
+from .quiver import Quiver, et_map, euler_data
+from .replab import direct_sum_all, injective_representation, is_isomorphic, projective_representation
+from .seeds import certify, mix_seed
 
 A3_KEY = "3;1-2,2-3"
 KRONECKER_KEY = "2;1-2,1-2"
@@ -79,30 +79,25 @@ class SuiteReport:
         }
 
 
-def _et(q: Quiver, v: Sequence[int]) -> tuple[int, ...]:
-    ed = euler_data(q)
-    n = q.n
-    return tuple(sum(ed.E[j][i] * v[j] for j in range(n)) for i in range(n))
-
-
-def _cache(config: RunConfig) -> CharacterCache:
-    return CharacterCache(config.cache_path)
+def _character(q: Quiver, gamma: tuple[int, ...], config: RunConfig, cache: CharacterCache) -> LaurentPoly:
+    """X(gamma) with the run's seed, sample bound, retries and enumeration cap."""
+    return generic_character(
+        q, gamma, rng_seed=config.rng_seed, bound=config.sample_bound,
+        retries=config.retries, cap=config.enumeration_cap, cache=cache,
+    )
 
 
 def suite_finite_type_equality(q: Quiver, config: RunConfig) -> SuiteReport:
     """X(gamma) over the index box [-2,2]^n: all cluster monomials, injectively,
     and every cluster monomial of degree <= 2 is hit."""
     report = SuiteReport("finite-type-equality", q.key())
-    cache = _cache(config)
+    cache = CharacterCache(config.cache_path)
     degree_bound = 2 * q.n  # max summand count over the box (2n at gamma = ±2·(1,…,1))
     box = sorted(product(range(-2, 3), repeat=q.n))
     values: dict[tuple[int, ...], LaurentPoly] = {}
     for gamma in box:
         try:
-            x = generic_character(
-                q, gamma, rng_seed=config.rng_seed, bound=config.sample_bound,
-                retries=config.retries, cap=config.enumeration_cap, cache=cache,
-            )
+            x = _character(q, gamma, config, cache)
             values[gamma] = x
             member = is_cluster_monomial(q, x, degree_bound)
             report.add(f"X{gamma} is a cluster monomial", member, x.to_text())
@@ -143,13 +138,10 @@ def suite_monomial_containment(q: Quiver, config: RunConfig) -> SuiteReport:
     if q.key() != KRONECKER_KEY:
         report.add("quiver is the Kronecker quiver (two arrows 1->2)", False, q.key())
         return report
-    cache = _cache(config)
+    cache = CharacterCache(config.cache_path)
     for beta, seq in KRONECKER_MUTATION_SEQUENCES.items():
         try:
-            lhs = generic_character(
-                q, _et(q, beta), rng_seed=config.rng_seed, bound=config.sample_bound,
-                retries=config.retries, cap=config.enumeration_cap, cache=cache,
-            )
+            lhs = _character(q, et_map(q, beta), config, cache)
             seed = initial_seed(q)
             for k in seq:
                 seed = mutate_seed(seed, k)
@@ -159,15 +151,18 @@ def suite_monomial_containment(q: Quiver, config: RunConfig) -> SuiteReport:
             report.add(f"X(ind {beta}) = mutation {list(seq)} variable", False, f"{exc.name}: {exc}")
     init = initial_seed(q)
     for i in (1, 2):
-        x = generic_character(q, tuple(-1 if k == i - 1 else 0 for k in range(2)), rng_seed=config.rng_seed, cache=cache)
-        report.add(f"X(P_{i}[1]) = x{i}", x == init.cluster[i - 1], x.to_text())
+        try:
+            x = _character(q, tuple(-1 if k == i - 1 else 0 for k in range(2)), config, cache)
+            report.add(f"X(P_{i}[1]) = x{i}", x == init.cluster[i - 1], x.to_text())
+        except ClusterCharError as exc:
+            report.add(f"X(P_{i}[1]) = x{i}", False, f"{exc.name}: {exc}")
     return report
 
 
 def suite_multiplicativity(q: Quiver, config: RunConfig, count: int = 50) -> SuiteReport:
     """50 pseudo-random alpha in [-3,3]^n: X(E^t a) = prod X(E^t b_i) · X(-gamma)."""
     report = SuiteReport("multiplicativity", q.key())
-    cache = _cache(config)
+    cache = CharacterCache(config.cache_path)
     rng = random.Random(mix_seed(config.rng_seed, 41, q.n, len(q.arrows)))
     for index in range(count):
         alpha = tuple(rng.randint(-3, 3) for _ in range(q.n))
@@ -187,13 +182,10 @@ def suite_multiplicativity(q: Quiver, config: RunConfig, count: int = 50) -> Sui
 def suite_cc_agreement(q: Quiver, config: RunConfig) -> SuiteReport:
     """X(E^t alpha) (cone path) equals CC(alpha) (direct sampling) on [0,2]^n."""
     report = SuiteReport("cc-agreement", q.key())
-    cache = _cache(config)
+    cache = CharacterCache(config.cache_path)
     for alpha in sorted(product(range(3), repeat=q.n)):
         try:
-            lhs = generic_character(
-                q, _et(q, alpha), rng_seed=config.rng_seed, bound=config.sample_bound,
-                retries=config.retries, cap=config.enumeration_cap, cache=cache,
-            )
+            lhs = _character(q, et_map(q, alpha), config, cache)
             rhs = cc_generic(
                 q, alpha, rng_seed=mix_seed(config.rng_seed, 47), bound=config.sample_bound,
                 retries=config.retries, cap=config.enumeration_cap,
@@ -225,7 +217,7 @@ def suite_gvectors(q: Quiver, config: RunConfig) -> SuiteReport:
     report = SuiteReport("gvectors", q.key())
     ed = euler_data(q)
     n = q.n
-    indices = set(product(range(-2, 3), repeat=n)) | {_et(q, a) for a in product(range(3), repeat=n)}
+    indices = set(product(range(-2, 3), repeat=n)) | {et_map(q, a) for a in product(range(3), repeat=n)}
     module_cones = 0
     for gamma in sorted(indices):
         try:
@@ -259,7 +251,7 @@ def suite_stability(q: Quiver, config: RunConfig, count: int = 50) -> SuiteRepor
     violation would surface as an unequal certified value, never as a skip.
     """
     report = SuiteReport("stability", q.key())
-    cache = _cache(config)
+    cache = CharacterCache(config.cache_path)
     rng = random.Random(mix_seed(config.rng_seed, 61, q.n, len(q.arrows)))
     checked = 0
     attempts = 0
@@ -301,24 +293,17 @@ def suite_cone_table_a3(q: Quiver, config: RunConfig) -> SuiteReport:
     for a in (1, 2, 3):
         for c in (1, 2, 3):
             name = f"P3^{a} -> P1^{c}"
+            dec = ProjDecomposition(gamma0=(c, 0, 0), gamma1=(0, 0, a))
+
+            def draw(attempt: int, s: int):
+                return sample_cone(
+                    q, dec, mix_seed(config.rng_seed, 73, a, c, attempt, s),
+                    mix_seed(config.rng_seed, 79, a, c, attempt, s), config.sample_bound,
+                )
+
             try:
-                sig = shifted = parts = None
-                for attempt in range(config.retries):
-                    patterns = []
-                    for s in range(5):
-                        f = sample_generic_proj_map(
-                            q, ProjDecomposition(gamma0=(c, 0, 0), gamma1=(0, 0, a)),
-                            mix_seed(config.rng_seed, 73, a, c, attempt, s), config.sample_bound,
-                        )
-                        cone = cone_of_proj_map(f)
-                        parts_s = decompose(cone.module, rng_seed=mix_seed(config.rng_seed, 79, a, c, attempt, s))
-                        patterns.append((sorted(p.dims for p in parts_s), cone.shifted, parts_s))
-                    if all(p[:2] == patterns[0][:2] for p in patterns):
-                        sig, shifted, parts = patterns[0]
-                        break
-                if sig is None:
-                    report.add(name, False, "no stable cone pattern across seeds")
-                    continue
+                parts, shifted = certify(draw, config.retries, (), f"cone of {name}", key=cone_signature)
+                sig = sorted(p.dims for p in parts)
                 want_sig = sorted([i2.dims] * min(a, c) + [p1.dims] * max(0, c - a))
                 want_shift = (0, 0, max(0, a - c))
                 iso = all(

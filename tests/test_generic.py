@@ -6,15 +6,18 @@ import pytest
 from clusterchar import (
     LaurentPoly,
     CharacterCache,
+    cc_generic,
     cc_module,
     check_multiplicativity,
     cone_of_proj_map,
     generic_character,
     generic_decomposition,
+    generic_representation,
     index_of,
     min_proj_decomposition,
     monomial,
     parse_laurent,
+    random_representation,
     sample_generic_proj_map,
     simple_representation,
     stability_check,
@@ -120,6 +123,25 @@ def test_generic_decomposition_examples(a2, kronecker):
     assert generic_decomposition(kronecker, (3, 2)) == [(3, 2)]
     with pytest.raises(SubdimensionOutOfRange):
         generic_decomposition(a2, (-1, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: cc_generic(q, (1, 1)),
+        lambda q: check_multiplicativity(q, (1, 1)),
+        lambda q: stability_check(q, (1, 0, 0), (1,)),
+        lambda q: generic_character(q, (1, 0)),
+        lambda q: virtual_generic_decomposition(q, (1, 0, 0, 0)),
+        lambda q: generic_representation(q, (1, 1)),
+        lambda q: random_representation(q, (1, 1)),
+    ],
+    ids=["cc_generic", "check_multiplicativity", "stability_pad", "generic_character", "virtual",
+         "generic_representation", "random_representation"],
+)
+def test_wrong_length_vectors_are_rejected(a3, call):
+    with pytest.raises(SubdimensionOutOfRange):
+        call(a3)
 
 
 def test_generic_decomposition_two_algorithms_agree(a2, a3):

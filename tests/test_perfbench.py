@@ -1,0 +1,15 @@
+"""The benchmark harness still binds every traced function of the library."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_selftest():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest ok" in proc.stdout

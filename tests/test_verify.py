@@ -1,0 +1,22 @@
+"""Suite plumbing: run settings reach every character, errors become FAIL cases."""
+
+from clusterchar import verify
+from clusterchar.config import RunConfig
+from clusterchar.errors import CapExceeded
+
+
+def test_monomial_containment_passes_settings_and_records_errors(kronecker, monkeypatch):
+    calls = []
+
+    def failing_character(q, gamma, **kwargs):
+        calls.append(kwargs)
+        raise CapExceeded("stub")
+
+    monkeypatch.setattr(verify, "generic_character", failing_character)
+    config = RunConfig(rng_seed=5, sample_bound=4, retries=3, enumeration_cap=99)
+    report = verify.suite_monomial_containment(kronecker, config)
+    assert len(report.cases) == 8  # six rigid indecomposables, then X(P_1[1]) and X(P_2[1])
+    assert all(not c.passed and c.detail == "CapExceeded: stub" for c in report.cases)
+    assert all(
+        (kw["rng_seed"], kw["bound"], kw["retries"], kw["cap"]) == (5, 4, 3, 99) for kw in calls
+    )
