@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from .errors import BadVertex, NotFiniteType
 from .laurent import LaurentPoly, canonical_serialize, denominator_vector, exact_divide, monomial
-from .quiver import Quiver
+from .quiver import Quiver, is_dynkin
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -129,9 +129,16 @@ _MONOMIAL_CACHE: dict[tuple[str, int, int], dict[bytes, LaurentPoly]] = {}
 
 
 def cluster_monomials_up_to(q: Quiver, degree_bound: int, limit: int = 20000) -> list[LaurentPoly]:
-    """All cluster monomials of total degree <= degree_bound (finite type only)."""
+    """All cluster monomials of total degree <= degree_bound (finite type only).
+
+    An acyclic quiver has finite cluster type iff it is Dynkin (Fomin-Zelevinsky),
+    so any other quiver raises NotFiniteType at once; `limit` bounds the mutation
+    closure of a Dynkin one.
+    """
     key = (q.key(), degree_bound, limit)
     if key not in _MONOMIAL_CACHE:
+        if not is_dynkin(q):
+            raise NotFiniteType(f"quiver {q.key()} is not Dynkin, so its cluster type is infinite")
         enum = enumerate_seeds(q, limit=limit)
         if not enum.closed:
             raise NotFiniteType(f"mutation closure exceeded {limit} seeds")

@@ -82,6 +82,8 @@ def sample_generic_proj_map(
     q: Quiver, dec: ProjDecomposition, rng_seed: int = 0, bound: int = 10
 ) -> ProjectiveMap:
     """Uniform integer path coefficients in [-bound, bound]; deterministic in the seed."""
+    gamma0 = vertex_vector(q, dec.gamma0, "gamma0")
+    gamma1 = vertex_vector(q, dec.gamma1, "gamma1")
     rng = random.Random(rng_seed)
     blocks: dict[tuple[int, int], tuple] = {}
     for i in range(1, q.n + 1):
@@ -90,14 +92,14 @@ def sample_generic_proj_map(
             if not paths:
                 continue
             rows = []
-            for _c0 in range(dec.gamma0[i - 1]):
+            for _c0 in range(gamma0[i - 1]):
                 row = []
-                for _c1 in range(dec.gamma1[j - 1]):
+                for _c1 in range(gamma1[j - 1]):
                     row.append(tuple(rng.randint(-bound, bound) for _ in paths))
                 rows.append(tuple(row))
             if rows and rows[0]:
                 blocks[(i, j)] = tuple(rows)
-    return ProjectiveMap(quiver=q, gamma1=dec.gamma1, gamma0=dec.gamma0, blocks=blocks)
+    return ProjectiveMap(quiver=q, gamma1=gamma1, gamma0=gamma0, blocks=blocks)
 
 
 def projective_module(q: Quiver, gamma: Sequence[int]) -> tuple[Representation, list[list[tuple]]]:

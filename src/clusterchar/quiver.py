@@ -58,7 +58,8 @@ class Quiver:
         return f"{self.n};" + ",".join(f"{s}-{t}" for s, t in self.arrows)
 
 
-def _topological_order(n: int, arrows: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+@lru_cache(maxsize=256)
+def _topological_order(n: int, arrows: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     indeg = [0] * (n + 1)
     out: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for s, t in arrows:
@@ -98,8 +99,9 @@ def validate_quiver(n: int, arrows: Iterable[Sequence[int]]) -> Quiver:
     for s, t in arrow_list:
         if (t, s) in pairs:
             raise TwoCycleFound(f"2-cycle between {s} and {t}")
-    _topological_order(n, arrow_list)
-    return Quiver(n=n, arrows=tuple(arrow_list))
+    arrow_tuple = tuple(arrow_list)
+    _topological_order(n, arrow_tuple)
+    return Quiver(n=n, arrows=arrow_tuple)
 
 
 def quiver_from_dict(data: dict) -> Quiver:

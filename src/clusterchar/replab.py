@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -552,6 +552,7 @@ def generic_representation(
 # --- subspace enumeration over prime fields ---
 
 
+@lru_cache(maxsize=4096)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -565,9 +566,12 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _subspaces(p: int, d: int, e: int) -> tuple:
-    """All e-dim subspaces of F_p^d as (rows, pivots) with rows in RREF."""
-    if e == 0:
-        return (((), ()),)
+    """All e-dim subspaces U of F_p^d as (rows, ann): rows span U in RREF, ann cuts it out.
+
+    ann holds one sparse functional per non-pivot column j, as (index, coefficient)
+    pairs: y[j] - sum_r rows[r][j] * y[pivot_r]. A vector lies in U iff every
+    functional vanishes on it.
+    """
     from itertools import combinations, product
 
     out = []
@@ -583,27 +587,66 @@ def _subspaces(p: int, d: int, e: int) -> tuple:
                 rows[r][pivots[r]] = 1
             for (r, c), val in zip(free_positions, values):
                 rows[r][c] = val
-            out.append((tuple(tuple(r) for r in rows), tuple(pivots)))
+            ann = tuple(
+                ((j, 1),) + tuple((pivots[r], p - rows[r][j]) for r in range(e) if rows[r][j])
+                for j in range(d)
+                if j not in pivots
+            )
+            out.append((tuple(tuple(r) for r in rows), ann))
     return tuple(out)
 
 
-def _reduce_against(vec: list[int], rows: tuple, pivots: tuple, p: int) -> bool:
-    """True iff vec lies in the row space described by (rows, pivots)."""
-    w = list(vec)
-    for r, c in zip(rows, pivots):
-        f = w[c] % p
-        if f:
-            for j in range(c, len(w)):
-                w[j] = (w[j] - f * r[j]) % p
-    return all(x % p == 0 for x in w)
+def _rank_mod(vectors: list[list[int]], p: int) -> int:
+    """Rank over F_p of vectors with entries in [0, p)."""
+    rows = list(vectors)
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+@lru_cache(maxsize=4096)
+def _closed_vertices(weights: tuple[tuple[int, int], ...], edges: frozenset) -> frozenset:
+    """The independent set of the graph `edges` whose complement has the smallest
+    product of weights (v, g_v); on a tie, the smaller set, so a vertex of weight 1
+    is never chosen."""
+    best_key, best = None, frozenset()
+    for mask in range(1 << len(weights)):
+        closed = frozenset(v for i, (v, _) in enumerate(weights) if mask >> i & 1)
+        if any(s in closed and t in closed for s, t in edges):
+            continue
+        cost = prod(g for v, g in weights if v not in closed)
+        if best_key is None or (cost, len(closed)) < best_key:
+            best_key, best = (cost, len(closed)), closed
+    return best
 
 
 def count_subreps(m: Representation, e: Sequence[int], cap: int = 5_000_000) -> int:
     """Number of subrepresentations of M with dimension vector e.
 
-    Enumerates echelon-form subspace representatives at the vertices touched by
-    an active arrow constraint; vertices with no constraint contribute their
-    subspace count (a Gaussian binomial) as a closed-form factor.
+    An arrow is active when its map is nonzero mod p, e is positive at its source
+    and below dim M at its target. A vertex touched by no active arrow contributes
+    its subspace count, the Gaussian binomial [d_v, e_v]_p, as a factor. Among the
+    touched vertices an independent set I of the active-arrow graph is closed: its
+    complement, a vertex cover, is enumerated in echelon form, and a vertex v in I
+    then has exactly [dim K - dim W, e_v - dim W]_p admissible subspaces U_v (0
+    unless W lies in K), where W is the sum of the images of the chosen subspaces
+    at its active in-neighbours and K the common preimage of the chosen subspaces
+    at its active out-neighbours. I is chosen to minimise the product of [d_v, e_v]_p
+    over the cover, closing fewer vertices on a tie. `cap` bounds that product, the
+    number of subspace tuples the enumeration may visit; CapExceeded above it.
     """
     field = m.field
     if field.p is None:
@@ -613,68 +656,84 @@ def count_subreps(m: Representation, e: Sequence[int], cap: int = 5_000_000) -> 
     if len(e) != m.quiver.n or any(x < 0 or x > d for x, d in zip(e, m.dims)):
         raise SubdimensionOutOfRange(f"need 0 <= {e} <= {m.dims}")
     q = m.quiver
+    dims = m.dims
     # an arrow constrains only if something maps somewhere it could escape
     active = [
         a
         for a, (s, t) in enumerate(q.arrows)
-        if e[s - 1] > 0
-        and e[t - 1] < m.dims[t - 1]
-        and any(x % p for row in m.maps[a] for x in row)
+        if e[s - 1] > 0 and e[t - 1] < dims[t - 1] and any(x % p for row in m.maps[a] for x in row)
     ]
-    touched = set()
-    for a in active:
-        touched.add(q.arrows[a][0])
-        touched.add(q.arrows[a][1])
-    factor = 1
-    for v in range(1, q.n + 1):
-        if v not in touched:
-            factor *= gaussian_binomial(m.dims[v - 1], e[v - 1], p)
-    if factor == 0:
-        return 0
-    cost = 1
-    for v in touched:
-        cost *= gaussian_binomial(m.dims[v - 1], e[v - 1], p)
+    touched = {v for a in active for v in q.arrows[a]}
+    factor = prod(gaussian_binomial(dims[v - 1], e[v - 1], p) for v in range(1, q.n + 1) if v not in touched)
+    if not active:
+        return factor
+    weights = tuple((v, gaussian_binomial(dims[v - 1], e[v - 1], p)) for v in sorted(touched))
+    closed = _closed_vertices(weights, frozenset(q.arrows[a] for a in active))
+    cost = prod(g for v, g in weights if v not in closed)
     if cost > cap:
         raise CapExceeded(f"enumeration cost {cost} exceeds cap {cap}")
-    if cost == 0:
-        return 0
-    order = [v for v in q.topological_order() if v in touched]
+    order = [v for v in q.topological_order() if v in touched and v not in closed]
     pos = {v: k for k, v in enumerate(order)}
-    checks: dict[int, list[int]] = {v: [] for v in order}
+    maps = {a: [[x % p for x in row] for row in m.maps[a]] for a in active}
+    # What the choice at each level of the walk checks and fixes: the arrows from
+    # earlier levels whose images must land in it, the arrows whose images and
+    # the arrows (from closed vertices) whose pullbacks it determines, and the
+    # closed vertices whose last neighbour it is.
+    checks: list[list[int]] = [[] for _ in order]
+    image_arrows: list[list[int]] = [[] for _ in order]
+    pull_arrows: list[list[int]] = [[] for _ in order]
+    finished: list[list[int]] = [[] for _ in order]
+    ins: dict[int, list[int]] = {v: [] for v in closed}
+    outs: dict[int, list[int]] = {v: [] for v in closed}
     for a in active:
         s, t = q.arrows[a]
-        later = t if pos[t] > pos[s] else s
-        checks[later].append(a)
-    choices = [_subspaces(p, m.dims[v - 1], e[v - 1]) for v in order]
-    chosen: dict[int, tuple] = {}
-    count = 0
+        if s in closed:
+            outs[s].append(a)
+            pull_arrows[pos[t]].append(a)
+        else:
+            image_arrows[pos[s]].append(a)
+            if t in closed:
+                ins[t].append(a)
+            else:
+                checks[pos[t]].append(a)
+    for v in closed:
+        finished[max([pos[q.arrows[a][0]] for a in ins[v]] + [pos[q.arrows[a][1]] for a in outs[v]])].append(v)
+    cands = [_subspaces(p, dims[v - 1], e[v - 1]) for v in order]
+    images: dict[int, list[list[int]]] = {}  # a -> vectors spanning M(a)(U_s), none zero
+    pullbacks: dict[int, list[list[int]]] = {}  # a -> functionals cutting out M(a)^-1(U_t)
 
-    def ok(a: int) -> bool:
-        s, t = q.arrows[a]
-        rows_s, _ = chosen[s]
-        rows_t, piv_t = chosen[t]
-        mat = m.maps[a]
-        dt = m.dims[t - 1]
-        for u in rows_s:
-            img = [sum(mat[i][j] * u[j] for j in range(len(u))) % p for i in range(dt)]
-            if not _reduce_against(img, rows_t, piv_t, p):
-                return False
-        return True
+    def closed_count(v: int) -> int:
+        w = [y for a in ins[v] for y in images[a]]
+        f = [x for a in outs[v] for x in pullbacks[a]]
+        if any(sum(i * j for i, j in zip(x, y)) % p for x in f for y in w):
+            return 0  # W is not inside K
+        dim_w = _rank_mod(w, p)
+        return gaussian_binomial(dims[v - 1] - _rank_mod(f, p) - dim_w, e[v - 1] - dim_w, p)
 
-    def walk(k: int) -> None:
-        nonlocal count
+    def walk(k: int) -> int:
         if k == len(order):
-            count += 1
-            return
-        v = order[k]
-        for sub in choices[k]:
-            chosen[v] = sub
-            if all(ok(a) for a in checks[v]):
-                walk(k + 1)
-        del chosen[v]
+            return 1
+        total = 0
+        for rows, ann in cands[k]:
+            if any(sum(c * y[i] for i, c in fn) % p for a in checks[k] for y in images[a] for fn in ann):
+                continue
+            for a in image_arrows[k]:
+                imgs = ([sum(x * y for x, y in zip(row, u)) % p for row in maps[a]] for u in rows)
+                images[a] = [y for y in imgs if any(y)]
+            for a in pull_arrows[k]:
+                mat = maps[a]
+                fns = ([sum(c * mat[i][col] for i, c in fn) % p for col in range(len(mat[0]))] for fn in ann)
+                pullbacks[a] = [x for x in fns if any(x)]
+            weight = 1
+            for v in finished[k]:
+                weight *= closed_count(v)
+                if not weight:
+                    break
+            if weight:
+                total += weight * walk(k + 1)
+        return total
 
-    walk(0)
-    return count * factor
+    return factor * walk(0)
 
 
 # --- Euler characteristics via counting + interpolation ---

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from clusterchar import (
@@ -96,6 +98,16 @@ def test_monomials_bounds(a2):
 def test_monomials_need_finite_type(kronecker):
     with pytest.raises(NotFiniteType):
         cluster_monomials_up_to(kronecker, 2, limit=25)
+
+
+def test_infinite_type_fails_fast(kronecker):
+    # with the default limit, mutating toward 20000 seeds would take minutes
+    start = time.perf_counter()
+    with pytest.raises(NotFiniteType):
+        cluster_monomials_up_to(kronecker, 2)
+    with pytest.raises(NotFiniteType):
+        is_cluster_monomial(kronecker, parse_laurent("x1", 2), 2)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_membership_examples(a2):

@@ -21,9 +21,10 @@ from clusterchar import (
     sample_generic_proj_map,
     simple_representation,
     stability_check,
+    validate_quiver,
     virtual_generic_decomposition,
 )
-from clusterchar.errors import SubdimensionOutOfRange
+from clusterchar.errors import GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import ProjDecomposition, ProjectiveMap, cone_pattern_is_plain
 from clusterchar.quiver import euler_matrix
 
@@ -135,13 +136,26 @@ def test_generic_decomposition_examples(a2, kronecker):
         lambda q: virtual_generic_decomposition(q, (1, 0, 0, 0)),
         lambda q: generic_representation(q, (1, 1)),
         lambda q: random_representation(q, (1, 1)),
+        lambda q: sample_generic_proj_map(q, min_proj_decomposition((1, 1))),
+        lambda q: sample_generic_proj_map(q, ProjDecomposition(gamma0=(1, 0, 0), gamma1=(0, 1))),
     ],
     ids=["cc_generic", "check_multiplicativity", "stability_pad", "generic_character", "virtual",
-         "generic_representation", "random_representation"],
+         "generic_representation", "random_representation", "proj_map_gamma0", "proj_map_gamma1"],
 )
 def test_wrong_length_vectors_are_rejected(a3, call):
     with pytest.raises(SubdimensionOutOfRange):
         call(a3)
+
+
+def test_three_arrow_kronecker_frontier_fails_with_its_name():
+    # Gr_(1,2) of a generic (2,3) module is the zero set of a binary cubic, so its
+    # point count depends on p (Reineke, arXiv:1204.5730): no integer polynomial fits
+    q = validate_quiver(2, [(1, 2)] * 3)
+    with pytest.raises(GenericityUncertified) as info:
+        generic_character(q, (2, -3))
+    message = str(info.value)
+    assert "NotPolynomialCount: no degree-3 integer polynomial" in message
+    assert "e=(1, 2)" in message
 
 
 def test_generic_decomposition_two_algorithms_agree(a2, a3):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -143,6 +143,102 @@ def test_count_subreps_free_vertex_factor(point):
     # an unconstrained vertex contributes the full Gaussian binomial
     v = random_representation(point, (5,), GF(23), rng_seed=0)
     assert count_subreps(v, (2,), cap=10) == gaussian_binomial(5, 2, 23)
+
+
+def _echelon_subspaces(p, d, e):
+    """Every e-dimensional subspace of F_p^d, once, as (RREF rows, pivots)."""
+    out = []
+    for pivots in combinations(range(d), e):
+        free = [(r, c) for r in range(e) for c in range(pivots[r] + 1, d) if c not in pivots]
+        for values in product(range(p), repeat=len(free)):
+            rows = [[int(c == pivots[r]) for c in range(d)] for r in range(e)]
+            for (r, c), val in zip(free, values):
+                rows[r][c] = val
+            out.append((rows, pivots))
+    return out
+
+
+def _in_span(vec, rows, pivots, p):
+    w = list(vec)
+    for r, c in zip(rows, pivots):
+        f = w[c]
+        w = [(x - f * y) % p for x, y in zip(w, r)]
+    return not any(w)
+
+
+def _count_by_full_walk(m, e):
+    """Reference count: enumerate subspaces at every vertex an active arrow touches,
+    checking each such arrow once both ends are chosen; other vertices give their
+    Gaussian binomial."""
+    q, p, d = m.quiver, m.field.p, m.dims
+    active = [
+        a for a, (s, t) in enumerate(q.arrows)
+        if e[s - 1] > 0 and e[t - 1] < d[t - 1] and any(x % p for row in m.maps[a] for x in row)
+    ]
+    touched = [v for v in q.topological_order() if any(v in q.arrows[a] for a in active)]
+    factor = 1
+    for v in range(1, q.n + 1):
+        if v not in touched:
+            factor *= gaussian_binomial(d[v - 1], e[v - 1], p)
+    chosen = {}
+
+    def fits(a):
+        s, t = q.arrows[a]
+        rows_t, piv_t = chosen[t]
+        mat = m.maps[a]
+        return all(
+            _in_span([sum(x * y for x, y in zip(row, u)) % p for row in mat], rows_t, piv_t, p)
+            for u in chosen[s][0]
+        )
+
+    def walk(k):
+        if k == len(touched):
+            return 1
+        v = touched[k]
+        total = 0
+        for sub in _echelon_subspaces(p, d[v - 1], e[v - 1]):
+            chosen[v] = sub
+            if all(fits(a) for a in active if v in q.arrows[a] and all(w in chosen for w in q.arrows[a])):
+                total += walk(k + 1)
+        del chosen[v]
+        return total
+
+    return factor * walk(0)
+
+
+@pytest.mark.parametrize(
+    "arrows",
+    [
+        [(1, 2), (3, 2), (4, 2)],  # D4 as shipped, the centre a sink
+        [(1, 2), (3, 2), (2, 4)],  # D4, arrows through the centre
+        [(1, 2), (3, 2)],  # A3, sink in the middle
+        [(2, 1), (2, 3)],  # A3, source in the middle
+        [(1, 2), (2, 3)],  # A3, a path: a closed middle vertex has both W and K
+        [(1, 2), (1, 2)],  # Kronecker
+        [(1, 2), (1, 2), (1, 2)],  # 3-Kronecker
+    ],
+    ids=["d4", "d4_through", "a3_sink", "a3_source", "a3_path", "kronecker", "kronecker3"],
+)
+def test_count_subreps_matches_full_walk(arrows):
+    q = validate_quiver(max(max(a) for a in arrows), arrows)
+    rng = random.Random(len(arrows) * 31 + q.n)
+    top = 2 if q.n > 2 else 3
+    for p in (2, 3, 5):
+        for _ in range(8):
+            d = tuple(rng.randint(0, top) for _ in range(q.n))
+            m = random_representation(q, d, GF(p), rng_seed=rng.randrange(10**6))
+            maps = [tuple(tuple(0 for _ in row) for row in mat) if rng.random() < 0.25 else mat for mat in m.maps]
+            m = make_representation(q, GF(p), d, maps)
+            for e in product(*(range(x + 1) for x in d)):
+                assert count_subreps(m, e) == _count_by_full_walk(m, e), (p, d, e, m.maps)
+
+
+def test_count_subreps_cap_bounds_the_cover(kronecker):
+    # all subspace pairs: [2,1]_3 * [3,2]_3 = 4 * 13; the cover is vertex 1 alone, 4
+    m = random_representation(kronecker, (2, 3), GF(3), rng_seed=11)
+    assert count_subreps(m, (1, 2), cap=10) == _count_by_full_walk(m, (1, 2))
+    with pytest.raises(CapExceeded):
+        count_subreps(m, (1, 2), cap=3)
 
 
 def test_total_subrep_count_cross_check(a2):
