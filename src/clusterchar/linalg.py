@@ -2,11 +2,24 @@
 
 Matrices are lists (or tuples) of rows. Everything here is exact; these routines
 back the Hom/Ext solvers, Krull-Schmidt splitting and subspace enumeration.
+
+Two kernels do the work, `rref` and `mat_mul`, each with plain int arithmetic:
+
+- Over Q, `rref` scales each row by the lcm of its denominators and runs
+  Gauss-Jordan over the integers, keeping every row primitive (content 1), and
+  divides by the pivots only when it builds the output rows. Scaling a row by a
+  nonzero constant keeps the row space, and the RREF of a row space is unique,
+  so the result is the RREF of the input. `mat_mul` multiplies the
+  integer-scaled matrices and divides once by the common denominator.
+- Over F_p, entries are ints; both kernels reduce them mod p on entry and use
+  `%` and `pow(x, p - 2, p)` inline, with no call into the field per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -32,20 +45,12 @@ class RationalField:
         return a + b
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
     def mul(a, b):
         return a * b
 
     @staticmethod
     def neg(a):
         return -a
-
-    @staticmethod
-    def inv(a):
-        return Fraction(1, 1) / Fraction(a)
 
     @staticmethod
     def is_zero(a) -> bool:
@@ -78,17 +83,11 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -113,34 +112,90 @@ def GF(p: int) -> PrimeField:
     return _GF_CACHE[p]
 
 
-def rref(mat: Sequence[Sequence], field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(row) for row in mat]
+def _integer_rows(mat: Sequence[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: the same row space, in ints."""
+    out = []
+    for row in mat:
+        d = lcm(*[x.denominator for x in row])
+        if d == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _rref_qq(m: list[list[int]], ncols: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan over Z on integer rows; the pivot rows stay primitive."""
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = None
-        for i in range(r, nrows):
-            if not field.is_zero(m[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        row = m[r]
+        g = gcd(*row)
+        if row[c] < 0:  # a positive pivot stays positive under the updates below
+            g = -g
+        if g != 1:
+            row = m[r] = [x // g for x in row]
+        piv = row[c]
         for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                row_r = m[r]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], row_r)]
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                new = [a * x - b * y for x, y in zip(m[i], row)]
+                h = gcd(*new)
+                if h > 1:
+                    new = [x // h for x in new]
+                m[i] = new
+        pivots.append(c)
+        r += 1
+    # A primitive row whose pivot is 1 is already its RREF row.
+    out = [row if row[c] == 1 else [Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return out + m[r:], pivots
+
+
+def _rref_fp(m: list[list[int]], ncols: int, p: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan mod p on rows already reduced into [0, p)."""
+    nrows = len(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        row = m[r]
+        inv = pow(row[c], p - 2, p)
+        if inv != 1:
+            row = m[r] = [x * inv % p for x in row]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def rref(mat: Sequence[Sequence], field) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Over Q the entries are ints or Fractions. Over F_p they are ints, which may
+    come in unreduced and go out in [0, p).
+    """
+    ncols = len(mat[0]) if mat else 0
+    p = field.p
+    if p is None:
+        return _rref_qq(_integer_rows(mat), ncols)
+    return _rref_fp([[x % p for x in row] for row in mat], ncols, p)
 
 
 def rank(mat: Sequence[Sequence], field) -> int:
@@ -197,20 +252,18 @@ def solve_columns(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[l
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[list]:
     if not a or not b:
         return []
-    nb = len(b[0])
-    kb = len(b)
-    out = []
-    for row in a:
-        new = []
-        for j in range(nb):
-            s = field.zero
-            for t in range(kb):
-                x = row[t]
-                if not field.is_zero(x):
-                    s = field.add(s, field.mul(x, b[t][j]))
-            new.append(s)
-        out.append(new)
-    return out
+    p = field.p
+    if p is not None:
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+    da = lcm(*[x.denominator for row in a for x in row])
+    db = lcm(*[x.denominator for row in b for x in row])
+    ai = [[x.numerator * (da // x.denominator) for x in row] for row in a]
+    cols = list(zip(*[[x.numerator * (db // x.denominator) for x in row] for row in b]))
+    d = da * db
+    if d == 1:
+        return [[sum(map(mul, row, col)) for col in cols] for row in ai]
+    return [[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in ai]
 
 
 def is_invertible(mat: Sequence[Sequence], field) -> bool:

@@ -197,7 +197,8 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, 
 
     Unknowns are the entries of the vertexwise maps f_v (shape n.dims[v] x m.dims[v]),
     laid out vertex by vertex, row-major. Returns (rows, #unknowns, layout) where
-    layout[v] = (offset, rows_v, cols_v).
+    layout[v] = (offset, rows_v, cols_v). Over F_p the rows hold unreduced ints,
+    which `linalg` reduces on entry.
     """
     if m.quiver != n.quiver:
         raise QuiverMismatch("Hom over different quivers")
@@ -231,8 +232,6 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, 
                         row[off_s + k * cs + c] -= coeff
                 if any(x != 0 for x in row):
                     rows.append(row)
-    if m.field.p is not None:
-        rows = [[m.field.convert(x) for x in row] for row in rows]
     return rows, nun, layout
 
 

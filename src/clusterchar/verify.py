@@ -89,8 +89,17 @@ def _character(q: Quiver, gamma: tuple[int, ...], config: RunConfig, cache: Char
 
 def suite_finite_type_equality(q: Quiver, config: RunConfig) -> SuiteReport:
     """X(gamma) over the index box [-2,2]^n: all cluster monomials, injectively,
-    and every cluster monomial of degree <= 2 is hit."""
+    and every cluster monomial of degree <= 2 is hit.
+
+    On a quiver of infinite cluster type the suite is one FAIL case, found
+    before any character is sampled.
+    """
     report = SuiteReport("finite-type-equality", q.key())
+    try:
+        monomials = cluster_monomials_up_to(q, 2)
+    except ClusterCharError as exc:
+        report.add("cluster monomials of degree <= 2", False, f"{exc.name}: {exc}")
+        return report
     cache = CharacterCache(config.cache_path)
     degree_bound = 2 * q.n  # max summand count over the box (2n at gamma = ±2·(1,…,1))
     box = sorted(product(range(-2, 3), repeat=q.n))
@@ -111,7 +120,7 @@ def suite_finite_type_equality(q: Quiver, config: RunConfig) -> SuiteReport:
     image = {canonical_serialize(v) for v in values.values()}
     missing = [
         m.to_text()
-        for m in cluster_monomials_up_to(q, 2)
+        for m in monomials
         if canonical_serialize(m) not in image
     ]
     report.add(

@@ -1,6 +1,9 @@
 """Suite plumbing: run settings reach every character, errors become FAIL cases."""
 
+import json
+
 from clusterchar import verify
+from clusterchar.cli import main
 from clusterchar.config import RunConfig
 from clusterchar.errors import CapExceeded
 
@@ -20,3 +23,20 @@ def test_monomial_containment_passes_settings_and_records_errors(kronecker, monk
     assert all(
         (kw["rng_seed"], kw["bound"], kw["retries"], kw["cap"]) == (5, 4, 3, 99) for kw in calls
     )
+
+
+def test_finite_type_equality_fails_fast_on_infinite_type(kronecker, monkeypatch, tmp_path, capsys):
+    def no_character(*args, **kwargs):
+        raise AssertionError("sampled a character on a quiver of infinite type")
+
+    monkeypatch.setattr(verify, "_character", no_character)
+    report = verify.suite_finite_type_equality(kronecker, RunConfig())
+    assert not report.passed
+    assert len(report.cases) == 1 and report.cases[0].detail.startswith("NotFiniteType: ")
+
+    path = tmp_path / "kronecker.quiver"
+    path.write_text("2\n1 2\n1 2\n")
+    code = main(["verify", "finite-type-equality", str(path), "--json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out) == report.to_json()
