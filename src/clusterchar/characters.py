@@ -66,7 +66,7 @@ def shifted_object(q: Quiver, shifted: Sequence[int]) -> ClusterObject:
     return ClusterObject(zero_representation(q), tuple(int(x) for x in shifted))
 
 
-def cc_module(m: Representation, cap: int = 5_000_000, max_offset: int = 24) -> LaurentPoly:
+def cc_module(m: Representation, cap: int = 5_000_000) -> LaurentPoly:
     """The Caldero-Chapoton character of a module, by direct Grassmannian counting.
 
     X_M = sum_e chi(Gr_e(M)) prod_i x_i^{<S_i,e>_a - <S_i, dim M>}.
@@ -79,7 +79,7 @@ def cc_module(m: Representation, cap: int = 5_000_000, max_offset: int = 24) -> 
     base = [-euler_form(q, units[i], d) for i in range(n)]
     end_dim = hom_dim(m, m)
     for e in product(*(range(di + 1) for di in d)):
-        g = grassmannian_euler(m, e, cap=cap, max_offset=max_offset, end_dim=end_dim)
+        g = grassmannian_euler(m, e, cap=cap, end_dim=end_dim)
         if g.euler == 0:
             continue
         expo = tuple(base[i] + antisym_form_simple(q, i + 1, e) for i in range(n))
@@ -87,9 +87,9 @@ def cc_module(m: Representation, cap: int = 5_000_000, max_offset: int = 24) -> 
     return out
 
 
-def cc_object(x: ClusterObject, cap: int = 5_000_000, max_offset: int = 24) -> LaurentPoly:
+def cc_object(x: ClusterObject, cap: int = 5_000_000) -> LaurentPoly:
     """cc_module(module) · prod_i x_i^{shifted[i]}."""
-    return cc_module(x.module, cap=cap, max_offset=max_offset) * monomial(x.quiver.n, x.shifted)
+    return cc_module(x.module, cap=cap) * monomial(x.quiver.n, x.shifted)
 
 
 def index_of(x: ClusterObject) -> tuple[int, ...]:
@@ -119,7 +119,6 @@ def cc_generic(
     bound: int = 10,
     retries: int = 8,
     cap: int = 5_000_000,
-    max_offset: int = 24,
 ) -> LaurentPoly:
     """CC(alpha) for alpha >= 0: character of the certified generic representative.
 
@@ -129,6 +128,6 @@ def cc_generic(
 
     def draw(attempt: int, s: int) -> LaurentPoly:
         m, _ = generic_representation(q, alpha, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
-        return cc_module(m, cap=cap, max_offset=max_offset)
+        return cc_module(m, cap=cap)
 
     return certify(draw, retries, (NotPolynomialCount, GenericityUncertified), f"CC({alpha})")

@@ -13,7 +13,7 @@ from typing import Sequence
 from .characters import cc_generic, cc_module
 from .cluster import enumerate_seeds, initial_seed, mutate_seed
 from .config import RunConfig, load_config
-from .errors import ClusterCharError
+from .errors import ClusterCharError, ParseError, QuiverMismatch
 from .generic import CharacterCache, generic_character, generic_decomposition, virtual_generic_decomposition
 from .laurent import LaurentPoly
 from .quiver import Quiver, quiver_from_text
@@ -36,6 +36,13 @@ class SystemExit2(Exception):
     """Usage error: exits with code 2."""
 
 
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _load_quiver(path: str) -> Quiver:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -43,7 +50,7 @@ def _load_quiver(path: str) -> Quiver:
     if stripped.startswith("{"):
         from .quiver import quiver_from_dict
 
-        return quiver_from_dict(json.loads(text))
+        return quiver_from_dict(_parse_json(text, path))
     return quiver_from_text(text)
 
 
@@ -133,7 +140,9 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
             )
         else:
             with open(args.rep, "r", encoding="utf-8") as fh:
-                rep = representation_from_json(json.load(fh))
+                rep = representation_from_json(_parse_json(fh.read(), args.rep))
+            if rep.quiver != q:
+                raise QuiverMismatch(f"{args.rep} is a representation of another quiver than {args.file}")
             value = cc_module(rep, cap=config.enumeration_cap)
         _emit_poly(value, config)
         return 0

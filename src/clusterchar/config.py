@@ -26,11 +26,14 @@ class RunConfig:
 
 
 def load_config(path: str | None = None) -> RunConfig:
-    """Plain key=value lines; missing keys take defaults; '#' starts a comment."""
+    """Plain key=value lines; missing keys take defaults; '#' starts a comment.
+
+    A named file that cannot be read raises OSError.
+    """
     if path is None:
         path = os.environ.get(ENV_CONFIG)
     values: dict[str, object] = {}
-    if path and os.path.exists(path):
+    if path:
         known = {f.name for f in fields(RunConfig)}
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:

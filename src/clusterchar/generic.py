@@ -299,10 +299,10 @@ def _cone_pattern_once(
     raise GenericityUncertified(f"no certified cone pattern for index {gamma} ({last})")
 
 
-def _pattern_value(parts: Sequence[Representation], shifted: IntVec, cap: int, max_offset: int) -> LaurentPoly:
+def _pattern_value(parts: Sequence[Representation], shifted: IntVec, cap: int) -> LaurentPoly:
     value = monomial(len(shifted), shifted)
     for part in parts:
-        value = value * cc_module(part, cap=cap, max_offset=max_offset)
+        value = value * cc_module(part, cap=cap)
     return value
 
 
@@ -366,7 +366,6 @@ def generic_character(
     bound: int = 10,
     retries: int = 8,
     cap: int = 5_000_000,
-    max_offset: int = 24,
     cache: CharacterCache | None = None,
 ) -> LaurentPoly:
     """X(gamma): certified by agreement of five independently seeded evaluations."""
@@ -378,7 +377,7 @@ def generic_character(
 
     def draw(attempt: int, s: int) -> LaurentPoly:
         pattern = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound)
-        return _pattern_value(pattern.parts, pattern.shifted, cap, max_offset)
+        return _pattern_value(pattern.parts, pattern.shifted, cap)
 
     value = certify(draw, retries, (GenericityUncertified, NotPolynomialCount, DecompositionUncertified), f"X({g})")
     store.put(q, g, value)
@@ -520,7 +519,6 @@ def stability_check(
     bound: int = 10,
     retries: int = 8,
     cap: int = 5_000_000,
-    max_offset: int = 24,
     cache: CharacterCache | None = None,
 ) -> StabilityReport:
     """Sample in the padded (non-minimal) Hom space and compare with X(gamma)."""
@@ -546,7 +544,7 @@ def stability_check(
             if any(hom_dim(x, x) != 1 for x in parts):
                 raise Reject("padded cone has a non-brick summand")
             _certify_pattern(q, g, parts, shift)
-            return _pattern_value(parts, shift, cap, max_offset)
+            return _pattern_value(parts, shift, cap)
         except (SupportNotDisjoint, GenericityUncertified, NotPolynomialCount, CapExceeded) as exc:
             raise Reject(f"{type(exc).__name__}: {exc}") from exc
 

@@ -1,7 +1,10 @@
-"""Exact dense linear algebra over Q (Fractions) and prime fields (ints mod p).
+"""Exact dense linear algebra over Q and prime fields F_p.
 
-Matrices are lists (or tuples) of rows. Everything here is exact; these routines
-back the Hom/Ext solvers, Krull-Schmidt splitting and subspace enumeration.
+Matrices are lists (or tuples) of rows, and their entries are plain numbers:
+ints or Fractions over Q, ints over F_p, which may arrive unreduced. A `Field`
+is only a tag, `QQ` or `GF(p)`; it carries p and no arithmetic. Everything here
+is exact; these routines back the Hom/Ext solvers, Krull-Schmidt splitting,
+subspace enumeration and the inverse of the Euler matrix.
 
 Two kernels do the work, `rref` and `mat_mul`, each with plain int arithmetic:
 
@@ -11,105 +14,58 @@ Two kernels do the work, `rref` and `mat_mul`, each with plain int arithmetic:
   nonzero constant keeps the row space, and the RREF of a row space is unique,
   so the result is the RREF of the input. `mat_mul` multiplies the
   integer-scaled matrices and divides once by the common denominator.
-- Over F_p, entries are ints; both kernels reduce them mod p on entry and use
-  `%` and `pow(x, p - 2, p)` inline, with no call into the field per entry.
+- Over F_p, both kernels reduce entries mod p on entry and use `%` and
+  `pow(x, p - 2, p)` inline; what they return lies in [0, p).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
 
-class RationalField:
-    """The rationals; entries are ints or Fractions."""
+@dataclass(frozen=True)
+class Field:
+    """Which field the entries live in: Q when p is None, else F_p.
 
-    p = None
+    Only a tag: entries are plain ints and Fractions, and each routine here
+    chooses its arithmetic from p.
+    """
 
-    def __repr__(self):
-        return "QQ"
+    p: int | None
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    @staticmethod
-    def convert(a):
-        return a if isinstance(a, int) else Fraction(a)
-
-
-class PrimeField:
-    """F_p with entries kept reduced in [0, p)."""
-
-    def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    def __post_init__(self):
+        p = self.p
+        if p is not None and (p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1))):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
 
     def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def convert(self, a):
-        if isinstance(a, Fraction):
-            den = a.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return (a.numerator % self.p) * pow(den, self.p - 2, self.p) % self.p
-        return a % self.p
+        return "QQ" if self.p is None else f"GF({self.p})"
 
 
-QQ = RationalField()
-
-_GF_CACHE: dict[int, PrimeField] = {}
+QQ = Field(None)
 
 
-def GF(p: int) -> PrimeField:
-    if p not in _GF_CACHE:
-        _GF_CACHE[p] = PrimeField(p)
-    return _GF_CACHE[p]
+@lru_cache(maxsize=None)
+def GF(p: int) -> Field:
+    return Field(p)
+
+
+def to_field(x, field: Field):
+    """The int or Fraction x as an entry over field: itself over Q, in [0, p) over F_p."""
+    p = field.p
+    if p is None:
+        return x if isinstance(x, int) else Fraction(x)
+    if isinstance(x, Fraction):
+        den = x.denominator % p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator divisible by {p}")
+        return x.numerator * pow(den, p - 2, p) % p
+    return x % p
 
 
 def _integer_rows(mat: Sequence[Sequence]) -> list[list[int]]:
@@ -208,17 +164,18 @@ def nullspace(mat: Sequence[Sequence], field, ncols: int | None = None) -> list[
     """Basis of the right kernel {v : mat v = 0}, as column vectors."""
     if not mat:
         n = ncols if ncols is not None else 0
-        return [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
+        return [[int(i == j) for i in range(n)] for j in range(n)]
     n = len(mat[0])
+    p = field.p
     red, pivots = rref(mat, field)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [field.zero] * n
-        v[fc] = field.one
+        v = [0] * n
+        v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
+            v[pc] = -red[r][fc] if p is None else -red[r][fc] % p
         basis.append(v)
     return basis
 
@@ -242,7 +199,7 @@ def solve_columns(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[l
     red, pivots = rref(aug, field)
     if any(p >= k for p in pivots):
         return None
-    x = [[field.zero] * l for _ in range(k)]
+    x = [[0] * l for _ in range(k)]
     for r, pc in enumerate(pivots):
         for j in range(l):
             x[pc][j] = red[r][k + j]

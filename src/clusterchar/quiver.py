@@ -11,7 +11,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import BadVertexIndex, CycleFound, DimensionMismatch, LoopFound, NotDynkin, SubdimensionOutOfRange, TwoCycleFound
+from . import linalg
+from .errors import (
+    BadVertexIndex,
+    CycleFound,
+    DimensionMismatch,
+    LoopFound,
+    NotDynkin,
+    ParseError,
+    SubdimensionOutOfRange,
+    TwoCycleFound,
+)
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -105,7 +115,11 @@ def validate_quiver(n: int, arrows: Iterable[Sequence[int]]) -> Quiver:
 
 
 def quiver_from_dict(data: dict) -> Quiver:
-    return validate_quiver(int(data["n"]), data["arrows"])
+    """The inverse of `Quiver.to_dict`; malformed data raises ParseError."""
+    try:
+        return validate_quiver(int(data["n"]), data["arrows"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad quiver data ({type(exc).__name__}: {exc})") from exc
 
 
 def quiver_from_text(text: str) -> Quiver:
@@ -113,52 +127,17 @@ def quiver_from_text(text: str) -> Quiver:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise BadVertexIndex("empty quiver description")
-    n = int(lines[0])
     arrows = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise BadVertexIndex(f"bad arrow line: {ln!r}")
-        arrows.append((int(parts[0]), int(parts[1])))
+    try:
+        n = int(lines[0])
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise BadVertexIndex(f"bad arrow line: {ln!r}")
+            arrows.append((int(parts[0]), int(parts[1])))
+    except ValueError as exc:
+        raise ParseError(f"bad quiver text ({exc})") from exc
     return validate_quiver(n, arrows)
-
-
-# --- integer matrix helpers (n is tiny; exactness is what matters) ---
-
-
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rb = len(b)
-    cb = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(rb)) for j in range(cb)) for i in range(len(a))
-    )
-
-
-def _transpose(a: IntMatrix) -> IntMatrix:
-    return tuple(zip(*a))
-
-
-def _int_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant ±1."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise CycleFound("Euler matrix not invertible (internal)")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    out = tuple(tuple(int(m[i][n + j]) for j in range(n)) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            if m[i][n + j].denominator != 1:
-                raise CycleFound("Euler matrix inverse not integral (internal)")
-    return out
 
 
 @dataclass(frozen=True)
@@ -177,10 +156,12 @@ def euler_matrix(q: Quiver) -> EulerData:
     for s, t in q.arrows:
         a[s - 1][t - 1] += 1
     e = tuple(tuple((1 if i == j else 0) - a[i][j] for j in range(n)) for i in range(n))
-    einv = _int_inverse(e)
-    et = _transpose(e)
-    etinv = _transpose(einv)
-    c = tuple(tuple(-x for x in row) for row in _mat_mul(et, einv))
+    inv = linalg.solve_columns(e, [[int(i == j) for j in range(n)] for i in range(n)], linalg.QQ)
+    if inv is None or any(x.denominator != 1 for row in inv for x in row):
+        raise CycleFound("Euler matrix not invertible over the integers (internal)")
+    einv = tuple(tuple(int(x) for x in row) for row in inv)
+    et, etinv = tuple(zip(*e)), tuple(zip(*einv))
+    c = tuple(tuple(-x for x in row) for row in linalg.mat_mul(et, einv, linalg.QQ))
     return EulerData(E=e, C=c, Einv=einv, Etinv=etinv)
 
 

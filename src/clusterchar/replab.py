@@ -7,6 +7,7 @@ characteristics by point counting + interpolation.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,14 +24,14 @@ from .errors import (
     NegativeExt,
     NotARoot,
     NotPolynomialCount,
+    ParseError,
     QuiverMismatch,
     SubdimensionOutOfRange,
 )
-from .linalg import GF, QQ, PrimeField, RationalField
+from .linalg import GF, QQ, Field
 from .quiver import Quiver, euler_form, positive_roots, vertex_vector
 from .seeds import mix_seed
 
-Field = RationalField | PrimeField
 MatrixT = tuple[tuple, ...]
 
 
@@ -81,26 +82,25 @@ def _entry_json(x):
 
 
 def _entry_from_json(x):
-    if isinstance(x, str):
-        num, den = x.split("/")
-        return Fraction(int(num), int(den))
-    return int(x)
+    return Fraction(x) if isinstance(x, str) else operator.index(x)
 
 
 def representation_from_json(data: dict) -> Representation:
+    """The inverse of `Representation.to_json`; malformed data raises ParseError."""
     from .quiver import quiver_from_dict
 
-    q = quiver_from_dict(data["quiver"])
-    field: Field = QQ if data["field"] == "Q" else GF(int(data["field"]["p"]))
-    dims = tuple(int(d) for d in data["dims"])
-    maps = tuple(
-        tuple(tuple(_entry_from_json(x) for x in row) for row in m) for m in data["maps"]
-    )
-    return Representation(q, field, dims, maps)
+    try:
+        q = quiver_from_dict(data["quiver"])
+        field = QQ if data["field"] == "Q" else GF(int(data["field"]["p"]))
+        maps = [[[_entry_from_json(x) for x in row] for row in m] for m in data["maps"]]
+        return make_representation(q, field, data["dims"], maps)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad representation data ({type(exc).__name__}: {exc})") from exc
 
 
 def make_representation(q: Quiver, field: Field, dims: Sequence[int], maps: Iterable[Sequence[Sequence]]) -> Representation:
-    frozen = tuple(tuple(tuple(field.convert(x) for x in row) for row in m) for m in maps)
+    """A representation with its entries brought into the field (reduced mod p over F_p)."""
+    frozen = tuple(tuple(tuple(linalg.to_field(x, field) for x in row) for row in m) for m in maps)
     return Representation(q, field, tuple(int(d) for d in dims), frozen)
 
 
@@ -130,7 +130,7 @@ def simple_representation(q: Quiver, i: int, field: Field = QQ) -> Representatio
     dims = tuple(1 if v == i else 0 for v in range(1, q.n + 1))
     maps = []
     for s, t in q.arrows:
-        maps.append(tuple(tuple(field.zero for _ in range(dims[s - 1])) for _ in range(dims[t - 1])))
+        maps.append(tuple(tuple(0 for _ in range(dims[s - 1])) for _ in range(dims[t - 1])))
     return Representation(q, field, dims, tuple(maps))
 
 
@@ -141,11 +141,11 @@ def _path_representation(q: Quiver, bases: dict, step, field: Field) -> Represen
     for a, (s, t) in enumerate(q.arrows):
         src, tgt = bases[s], bases[t]
         index = {p: k for k, p in enumerate(tgt)}
-        m = [[field.zero] * len(src) for _ in range(len(tgt))]
+        m = [[0] * len(src) for _ in range(len(tgt))]
         for c, p in enumerate(src):
             image = step(p, a)
             if image is not None:
-                m[index[image]][c] = field.one
+                m[index[image]][c] = 1
         maps.append(tuple(tuple(r) for r in m))
     return Representation(q, field, dims, tuple(maps))
 
@@ -167,7 +167,6 @@ def direct_sum(m1: Representation, m2: Representation) -> Representation:
         raise QuiverMismatch("direct sum over different quivers")
     if m1.field != m2.field:
         raise FieldMismatch("direct sum over different fields")
-    field = m1.field
     dims = tuple(a + b for a, b in zip(m1.dims, m2.dims))
     maps = []
     for a, (s, t) in enumerate(m1.quiver.arrows):
@@ -175,11 +174,11 @@ def direct_sum(m1: Representation, m2: Representation) -> Representation:
         r2, c2 = m2.dims[t - 1], m2.dims[s - 1]
         block = []
         for r in range(r1):
-            block.append(tuple(m1.maps[a][r]) + (field.zero,) * c2)
+            block.append(tuple(m1.maps[a][r]) + (0,) * c2)
         for r in range(r2):
-            block.append((field.zero,) * c1 + tuple(m2.maps[a][r]))
+            block.append((0,) * c1 + tuple(m2.maps[a][r]))
         maps.append(tuple(block))
-    return Representation(m1.quiver, field, dims, tuple(maps))
+    return Representation(m1.quiver, m1.field, dims, tuple(maps))
 
 
 def direct_sum_all(parts: Sequence[Representation], q: Quiver, field: Field = QQ) -> Representation:
@@ -272,7 +271,7 @@ def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Rep
     return None
 
 
-def is_isomorphic(m: Representation, n: Representation, rng_seed: int = 7, tries: int = 12) -> bool:
+def is_isomorphic(m: Representation, n: Representation) -> bool:
     """Exact iso test: look for an invertible element of Hom(M, N)."""
     if m.quiver != n.quiver or m.field != n.field or m.dims != n.dims:
         return False
@@ -281,8 +280,8 @@ def is_isomorphic(m: Representation, n: Representation, rng_seed: int = 7, tries
     basis = hom_basis(m, n)
     if not basis:
         return False
-    rng = random.Random(rng_seed)
-    for attempt in range(tries):
+    rng = random.Random(7)
+    for attempt in range(12):
         if attempt < len(basis):
             comps = basis[attempt]
         else:
@@ -303,7 +302,7 @@ def _subrep_on_bases(m: Representation, bases: list[list[list]]) -> Representati
     for a, (s, t) in enumerate(m.quiver.arrows):
         bs, bt = bases[s - 1], bases[t - 1]
         if dims[s - 1] == 0 or dims[t - 1] == 0:
-            maps.append(tuple((field.zero,) * dims[s - 1] for _ in range(dims[t - 1])))
+            maps.append(tuple((0,) * dims[s - 1] for _ in range(dims[t - 1])))
             continue
         image = linalg.mat_mul(list(map(list, m.maps[a])), bs, field)
         x = linalg.solve_columns(bt, image, field)
@@ -374,7 +373,7 @@ def _thin_components(m: Representation) -> list[Representation]:
 
     active = []
     for a, (s, t) in enumerate(q.arrows):
-        if m.dims[s - 1] == 1 and m.dims[t - 1] == 1 and not field.is_zero(m.maps[a][0][0]):
+        if m.dims[s - 1] == 1 and m.dims[t - 1] == 1 and linalg.to_field(m.maps[a][0][0], field) != 0:
             active.append(a)
             union(s, t)
     comps: dict[int, list[int]] = {}
@@ -390,31 +389,30 @@ def _thin_components(m: Representation) -> list[Representation]:
             if s in vset and t in vset:
                 maps.append(((m.maps[a][0][0],),))
             else:
-                maps.append(tuple((field.zero,) * dims[s - 1] for _ in range(dims[t - 1])))
+                maps.append(tuple((0,) * dims[s - 1] for _ in range(dims[t - 1])))
         out.append(Representation(q, field, dims, tuple(maps)))
     return out
 
 
 def _combine_endos(m: Representation, endos, coeffs) -> list[MatrixT]:
     """sum(coeffs[k] * endos[k]) for maps M -> N with dim N = dim M."""
-    field = m.field
+    p = m.field.p
+    terms = [(cf, b) for cf, b in zip(coeffs, endos) if cf]
     phi = []
-    for v in range(m.quiver.n):
-        d = m.dims[v]
-        mat = [[field.zero] * d for _ in range(d)]
-        for cf, b in zip(coeffs, endos):
-            if cf:
-                bv = b[v]
-                cfv = field.convert(cf)
-                for i in range(d):
-                    for j in range(d):
-                        if not field.is_zero(bv[i][j]):
-                            mat[i][j] = field.add(mat[i][j], field.mul(cfv, bv[i][j]))
+    for v, d in enumerate(m.dims):
+        mat = [[0] * d for _ in range(d)]
+        for cf, b in terms:
+            for out, row in zip(mat, b[v]):
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += cf * x
+        if p is not None:
+            mat = [[x % p for x in row] for row in mat]
         phi.append(tuple(tuple(r) for r in mat))
     return phi
 
 
-def _decompose_once(m: Representation, rng: random.Random, split_tries: int) -> list[Representation]:
+def _decompose_once(m: Representation, rng: random.Random) -> list[Representation]:
     if m.is_zero():
         return []
     if all(d <= 1 for d in m.dims):
@@ -433,35 +431,36 @@ def _decompose_once(m: Representation, rng: random.Random, split_tries: int) -> 
             cf[k] = 1
             yield cf
         lo, hi = (-9, 9) if field.p is None else (0, field.p - 1)
-        for _ in range(split_tries):
+        for _ in range(8):
             cf = [0] * len(endos)
             for _ in range(min(3, len(endos))):
                 cf[rng.randrange(len(endos))] = rng.randint(lo, hi) or 1
             yield cf
-        for _ in range(split_tries):
+        for _ in range(8):
             yield [rng.randint(lo, hi) for _ in endos]
 
     for coeffs in candidates():
         split = _fitting_split(m, _combine_endos(m, endos, coeffs))
         if split is not None:
             ker, im = split
-            return _decompose_once(ker, rng, split_tries) + _decompose_once(im, rng, split_tries)
+            return _decompose_once(ker, rng) + _decompose_once(im, rng)
     return [m]  # no splitting endomorphism found: End local as far as the procedure sees
 
 
-def decompose(m: Representation, rng_seed: int = 0, retries: int = 4, split_tries: int = 8) -> list[Representation]:
+def decompose(m: Representation, rng_seed: int = 0) -> list[Representation]:
     """Indecomposable summands of M, certified by seed-independent dim multisets."""
-    first = _decompose_once(m, random.Random(mix_seed(rng_seed, 1)), split_tries)
+    retries = 4
+    first = _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))
     sig = sorted(p.dims for p in first)
     for attempt in range(2, retries + 2):
-        second = _decompose_once(m, random.Random(mix_seed(rng_seed, attempt)), split_tries)
+        second = _decompose_once(m, random.Random(mix_seed(rng_seed, attempt)))
         if sorted(p.dims for p in second) == sig:
             return first
         first, sig = second, sorted(p.dims for p in second)
     raise DecompositionUncertified(f"summand pattern unstable after {retries} retries")
 
 
-def indecomposable_for_root(q: Quiver, beta: Sequence[int], bound: int = 10) -> Representation:
+def indecomposable_for_root(q: Quiver, beta: Sequence[int]) -> Representation:
     """The unique indecomposable of a Dynkin quiver with dimension vector beta."""
     beta = tuple(int(x) for x in beta)
     if beta not in set(positive_roots(q)):
@@ -472,7 +471,7 @@ def indecomposable_for_root(q: Quiver, beta: Sequence[int], bound: int = 10) -> 
     for s, t in q.arrows:
         seed = seed * 31 + 7 * s + t
     for attempt in range(200):
-        cand = random_representation(q, beta, QQ, rng_seed=seed + attempt, bound=bound)
+        cand = random_representation(q, beta, QQ, rng_seed=seed + attempt)
         if hom_dim(cand, cand) == 1:
             return cand
     raise NotARoot(f"failed to realize {beta} as a brick (internal)")
@@ -505,8 +504,6 @@ def generic_representation(
     d: Sequence[int],
     rng_seed: int = 0,
     bound: int = 10,
-    rounds: int = 24,
-    restarts: int = 8,
 ) -> tuple[Representation, list[Representation]]:
     """A certified generic representative of dimension d plus its indecomposable parts.
 
@@ -522,9 +519,9 @@ def generic_representation(
         raise SubdimensionOutOfRange("dimension vector must be nonnegative")
     if all(x == 0 for x in d):
         return zero_representation(q), []
-    for restart in range(restarts):
+    for restart in range(8):
         blocks: list[tuple[int, ...]] = [d]
-        for round_no in range(rounds):
+        for round_no in range(24):
             seed0 = mix_seed(rng_seed, restart, round_no)
             try:
                 samples = [
@@ -763,13 +760,6 @@ def _primes():
             n += d
 
 
-def reduce_mod(m: Representation, p: int) -> Representation:
-    """Reduction of a rational representation mod p (denominators must be units)."""
-    if m.field.p is not None:
-        raise FieldMismatch("reduce_mod expects a rational representation")
-    return make_representation(m.quiver, GF(p), m.dims, m.maps)
-
-
 def _denominator_lcm(m: Representation) -> int:
     val = 1
     for mat in m.maps:
@@ -813,13 +803,13 @@ def grassmannian_euler(
     m: Representation,
     e: Sequence[int],
     cap: int = 5_000_000,
-    max_offset: int = 24,
     end_dim: int | None = None,
 ) -> GrassmannianCount:
     """chi(Gr_e(M)) for a rational M: count points mod primes, interpolate, verify.
 
     Fits the degree-<=D integer polynomial on D+1 consecutive pool primes and
-    verifies it on the next two; the window slides past primes of bad reduction.
+    verifies it on the next two; the window slides, at most 24 times, past primes
+    of bad reduction.
     Primes dividing a denominator are skipped, as are primes where the reduced
     module's endomorphism dimension jumps (End is upper-semicontinuous, so a
     jump is exactly a degenerate reduction with possibly different counts).
@@ -841,7 +831,7 @@ def grassmannian_euler(
         while len(pool) <= k:
             p = next(gen)
             if bad % p != 0:
-                mp = reduce_mod(m, p)
+                mp = make_representation(m.quiver, GF(p), m.dims, m.maps)
                 if hom_dim(mp, mp) == end_dim:
                     pool.append((p, mp))
         return pool[k][0]
@@ -854,7 +844,7 @@ def grassmannian_euler(
         return counts[p]
 
     need = deg + 1
-    for offset in range(max_offset + 1):
+    for offset in range(25):
         pts = [(prime_at(offset + i), count_at(offset + i)) for i in range(need)]
         coeffs = _interpolate(pts)
         if any(c.denominator != 1 for c in coeffs):

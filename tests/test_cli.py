@@ -3,6 +3,7 @@ import json
 import pytest
 
 from clusterchar.cli import main
+from clusterchar.replab import representation_from_json
 
 
 @pytest.fixture()
@@ -148,3 +149,52 @@ def test_verify_failure_exits_1(capsys, a2_file):
     code, out, _ = run(capsys, "verify", "monomial-containment", a2_file)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_missing_config_file_exits_2(capsys, a2_file, monkeypatch, tmp_path):
+    missing = str(tmp_path / "missing.conf")
+    code, out, err = run(capsys, "cc", a2_file, "--dim", "1,0", "--config", missing)
+    assert code == 2 and out == "" and err.startswith("error: config:")
+    monkeypatch.setenv("CLUSTERCHAR_CONFIG", missing)
+    code, out, err = run(capsys, "cc", a2_file, "--dim", "1,0")
+    assert code == 2 and out == "" and err.startswith("error: config:")
+
+
+KRONECKER_REP = {"quiver": {"n": 2, "arrows": [[1, 2], [1, 2]]}, "field": "Q", "dims": [1, 1], "maps": [[[1]], [[0]]]}
+
+
+def test_cc_rep_of_another_quiver_exits_1(capsys, a2_file, tmp_path):
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(KRONECKER_REP))
+    code, out, err = run(capsys, "cc", a2_file, "--rep", str(p))
+    assert code == 1 and out == "" and err.startswith("error: QuiverMismatch:")
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("q.quiver", "abc\n"),
+        ("q.quiver", "2\n1 x\n"),
+        ("q.json", json.dumps({"n": 2})),
+        ("q.json", "{not json"),
+        ("rep.json", json.dumps({**KRONECKER_REP, "field": {"p": 4}})),
+        ("rep.json", json.dumps({**KRONECKER_REP, "maps": [[["1/0"]], [[0]]]})),
+        ("rep.json", json.dumps({**KRONECKER_REP, "maps": [[["x"]], [[0]]]})),
+        ("rep.json", json.dumps({**KRONECKER_REP, "maps": [[[1.5]], [[0]]]})),
+        ("rep.json", "[1, 2]"),
+    ],
+    ids=["text-n", "text-arrow", "json-no-arrows", "json-syntax", "rep-p4", "rep-1/0", "rep-x", "rep-float", "rep-list"],
+)
+def test_malformed_input_exits_1(capsys, tmp_path, name, text):
+    kronecker = tmp_path / "kronecker.quiver"
+    kronecker.write_text("2\n1 2\n1 2\n")
+    p = tmp_path / name
+    p.write_text(text)
+    argv = ["cc", str(kronecker), "--rep", str(p)] if name == "rep.json" else ["quiver", "validate", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error: ParseError:"), err
+
+
+def test_representation_from_json_reduces_prime_field_entries():
+    data = {**KRONECKER_REP, "field": {"p": 5}, "maps": [[[7]], [["-1/2"]]]}
+    assert representation_from_json(data).maps == (((2,),), ((2,),))

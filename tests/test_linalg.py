@@ -1,9 +1,10 @@
 """The exact kernels against a field-dispatch Gauss-Jordan kept here as the oracle.
 
 `rref` over Q eliminates on integer rows and over F_p on raw ints; the oracle
-does every entry operation through the field object, the way `linalg` did
-before. Both must give the same rows (by value) and pivots on every input, and
-so must every routine built on `rref` when it runs on the oracle instead.
+does every entry operation through a per-field object (`RationalOps`,
+`PrimeOps`), the way `linalg` once did. Both must give the same rows (by value)
+and pivots on every input, and so must every routine built on `rref` when it
+runs on the oracle instead.
 """
 
 import random
@@ -18,8 +19,68 @@ FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7919)]
 SHAPES = [(r, c) for r in range(10) for c in range(11)]
 
 
+class RationalOps:
+    """Entry operations over Q; entries are ints or Fractions."""
+
+    zero = 0
+    one = 1
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def is_zero(a) -> bool:
+        return a == 0
+
+    @staticmethod
+    def convert(a):
+        return a if isinstance(a, int) else Fraction(a)
+
+
+class PrimeOps:
+    """Entry operations over F_p, with entries kept reduced in [0, p)."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.zero = 0
+        self.one = 1 % p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def is_zero(self, a) -> bool:
+        return a % self.p == 0
+
+    def convert(self, a):
+        if isinstance(a, Fraction):
+            den = a.denominator % self.p
+            if den == 0:
+                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+            return (a.numerator % self.p) * pow(den, self.p - 2, self.p) % self.p
+        return a % self.p
+
+
+def ops(field):
+    return RationalOps() if field.p is None else PrimeOps(field.p)
+
+
 def reduced(mat, field):
-    return [[field.convert(x) for x in row] for row in mat]
+    return [[ops(field).convert(x) for x in row] for row in mat]
 
 
 def _inv(field, a):
@@ -27,6 +88,7 @@ def _inv(field, a):
 
 
 def oracle_rref(mat, field):
+    f = ops(field)
     m = reduced(mat, field)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -37,18 +99,18 @@ def oracle_rref(mat, field):
             break
         pr = None
         for i in range(r, nrows):
-            if not field.is_zero(m[i][c]):
+            if not f.is_zero(m[i][c]):
                 pr = i
                 break
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = _inv(field, m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        m[r] = [f.mul(inv, x) for x in m[r]]
         for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.add(x, field.neg(field.mul(f, y))) for x, y in zip(m[i], m[r])]
+            if i != r and not f.is_zero(m[i][c]):
+                g = m[i][c]
+                m[i] = [f.add(x, f.neg(f.mul(g, y))) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots
@@ -57,14 +119,15 @@ def oracle_rref(mat, field):
 def oracle_mat_mul(a, b, field):
     if not a or not b:
         return []
+    f = ops(field)
     out = []
     for row in a:
         new = []
         for j in range(len(b[0])):
-            s = field.zero
+            s = f.zero
             for t in range(len(b)):
-                if not field.is_zero(row[t]):
-                    s = field.add(s, field.mul(row[t], b[t][j]))
+                if not f.is_zero(row[t]):
+                    s = f.add(s, f.mul(row[t], b[t][j]))
             new.append(s)
         out.append(new)
     return out
@@ -115,7 +178,7 @@ def test_rref_rank_nullspace_match_the_oracle(field, monkeypatch):
         assert len(kernel) == ncols - len(pivots)
         if kernel and mat:
             image = oracle_mat_mul(reduced(mat, field), [list(col) for col in zip(*kernel)], field)
-            assert all(field.is_zero(y) for row in image for y in row)
+            assert all(ops(field).is_zero(y) for row in image for y in row)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

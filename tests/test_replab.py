@@ -24,7 +24,13 @@ from clusterchar import (
     zero_representation,
 )
 from clusterchar.errors import CapExceeded, FieldMismatch, NotARoot, SubdimensionOutOfRange
-from clusterchar.replab import gaussian_binomial, make_representation, representation_from_json
+from clusterchar.replab import (
+    Representation,
+    _thin_components,
+    gaussian_binomial,
+    make_representation,
+    representation_from_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -353,3 +359,27 @@ def test_representation_json_round_trip(a2):
     assert representation_from_json(m.to_json()) == m
     mp = random_representation(a2, (2, 1), GF(5), rng_seed=2)
     assert representation_from_json(mp.to_json()) == mp
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_unreduced_prime_field_entries(a3, kronecker, p):
+    # Representation(...) keeps entries as given: every entry here is off [0, p)
+    # by a nonzero multiple of p, so zeros arrive as multiples of p, some negative.
+    rng = random.Random(p)
+    for q in (a3, kronecker):
+        for case in range(8):
+            d = tuple(rng.randint(0, 1 if case % 2 else 2) for _ in range(q.n))
+            sample = random_representation(q, d, GF(p), rng_seed=rng.randrange(10**6))
+            maps = tuple(
+                tuple(tuple((0 if rng.random() < 0.25 else x) + p * rng.choice((-3, -1, 1, 2)) for x in row) for row in mat)
+                for mat in sample.maps
+            )
+            raw = Representation(q, GF(p), d, maps)
+            red = make_representation(q, GF(p), d, maps)
+            assert all(0 <= x < p for mat in red.maps for row in mat for x in row)
+            assert sorted(x.dims for x in decompose(raw)) == sorted(x.dims for x in decompose(red))
+            if all(x <= 1 for x in d):
+                assert [x.dims for x in _thin_components(raw)] == [x.dims for x in _thin_components(red)]
+            assert hom_dim(raw, raw) == hom_dim(red, raw) == hom_dim(red, red)
+            for e in product(*(range(x + 1) for x in d)):
+                assert count_subreps(raw, e) == count_subreps(red, e)
