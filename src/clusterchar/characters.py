@@ -15,10 +15,10 @@ from .errors import GenericityUncertified, NotPolynomialCount, SubdimensionOutOf
 from .laurent import LaurentPoly, monomial
 from .quiver import Quiver, antisym_form_simple, et_map, euler_data, euler_form, vertex_vector
 from .replab import (
+    ReductionPool,
     Representation,
     generic_representation,
     grassmannian_euler,
-    hom_dim,
     representation_from_json,
     zero_representation,
 )
@@ -69,7 +69,8 @@ def shifted_object(q: Quiver, shifted: Sequence[int]) -> ClusterObject:
 def cc_module(m: Representation, cap: int = 5_000_000) -> LaurentPoly:
     """The Caldero-Chapoton character of a module, by direct Grassmannian counting.
 
-    X_M = sum_e chi(Gr_e(M)) prod_i x_i^{<S_i,e>_a - <S_i, dim M>}.
+    X_M = sum_e chi(Gr_e(M)) prod_i x_i^{<S_i,e>_a - <S_i, dim M>}. One reduction
+    pool (End dimension, good primes, reduced copies of M) serves every e.
     """
     q = m.quiver
     n = q.n
@@ -77,9 +78,9 @@ def cc_module(m: Representation, cap: int = 5_000_000) -> LaurentPoly:
     out = LaurentPoly.zero(n)
     units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     base = [-euler_form(q, units[i], d) for i in range(n)]
-    end_dim = hom_dim(m, m)
+    pool = ReductionPool(m)
     for e in product(*(range(di + 1) for di in d)):
-        g = grassmannian_euler(m, e, cap=cap, end_dim=end_dim)
+        g = grassmannian_euler(m, e, cap=cap, pool=pool)
         if g.euler == 0:
             continue
         expo = tuple(base[i] + antisym_form_simple(q, i + 1, e) for i in range(n))

@@ -6,6 +6,7 @@ A[i][j] = #arrows i->j, so <d,e> = d^t E e = sum_i d_i e_i - sum_{a:i->j} d_i e_
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,19 +43,7 @@ class Quiver:
 
         The trivial path at i is the empty tuple (returned when i == j).
         """
-        out: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for idx, (s, _) in enumerate(self.arrows):
-            out[s].append(idx)
-        result: list[tuple[int, ...]] = []
-
-        def walk(v: int, acc: tuple[int, ...]) -> None:
-            if v == j:
-                result.append(acc)
-            for idx in out[v]:
-                walk(self.arrows[idx][1], acc + (idx,))
-
-        walk(i, ())
-        return result
+        return list(_paths(self.n, self.arrows, i, j))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "arrows": [list(a) for a in self.arrows]}
@@ -66,6 +55,24 @@ class Quiver:
     def key(self) -> str:
         """Deterministic identity string (used for hashing/caching)."""
         return f"{self.n};" + ",".join(f"{s}-{t}" for s, t in self.arrows)
+
+
+@lru_cache(maxsize=4096)
+def _paths(n: int, arrows: tuple[tuple[int, int], ...], i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """`Quiver.paths`, memoized per (quiver, i, j); the method hands out a fresh list."""
+    out: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for idx, (s, _) in enumerate(arrows):
+        out[s].append(idx)
+    result: list[tuple[int, ...]] = []
+
+    def walk(v: int, acc: tuple[int, ...]) -> None:
+        if v == j:
+            result.append(acc)
+        for idx in out[v]:
+            walk(arrows[idx][1], acc + (idx,))
+
+    walk(i, ())
+    return tuple(result)
 
 
 @lru_cache(maxsize=256)
@@ -99,7 +106,7 @@ def validate_quiver(n: int, arrows: Iterable[Sequence[int]]) -> Quiver:
         raise BadVertexIndex(f"vertex count must be a positive integer, got {n!r}")
     arrow_list: list[tuple[int, int]] = []
     for a in arrows:
-        s, t = int(a[0]), int(a[1])
+        s, t = operator.index(a[0]), operator.index(a[1])
         if not (1 <= s <= n) or not (1 <= t <= n):
             raise BadVertexIndex(f"arrow ({s},{t}) out of range 1..{n}")
         if s == t:
@@ -117,7 +124,7 @@ def validate_quiver(n: int, arrows: Iterable[Sequence[int]]) -> Quiver:
 def quiver_from_dict(data: dict) -> Quiver:
     """The inverse of `Quiver.to_dict`; malformed data raises ParseError."""
     try:
-        return validate_quiver(int(data["n"]), data["arrows"])
+        return validate_quiver(operator.index(data["n"]), data["arrows"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"bad quiver data ({type(exc).__name__}: {exc})") from exc
 

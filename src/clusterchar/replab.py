@@ -99,9 +99,12 @@ def representation_from_json(data: dict) -> Representation:
 
 
 def make_representation(q: Quiver, field: Field, dims: Sequence[int], maps: Iterable[Sequence[Sequence]]) -> Representation:
-    """A representation with its entries brought into the field (reduced mod p over F_p)."""
+    """A representation with its entries brought into the field (reduced mod p over F_p).
+
+    Dimensions must be integers: a float raises TypeError rather than being truncated.
+    """
     frozen = tuple(tuple(tuple(linalg.to_field(x, field) for x in row) for row in m) for m in maps)
-    return Representation(q, field, tuple(int(d) for d in dims), frozen)
+    return Representation(q, field, tuple(operator.index(d) for d in dims), frozen)
 
 
 def zero_representation(q: Quiver, field: Field = QQ) -> Representation:
@@ -412,14 +415,15 @@ def _combine_endos(m: Representation, endos, coeffs) -> list[MatrixT]:
     return phi
 
 
-def _decompose_once(m: Representation, rng: random.Random) -> list[Representation]:
+def _decompose_once(m: Representation, rng: random.Random) -> tuple[list[Representation], bool]:
+    """Summands of M by Fitting splits, and whether every summand is a brick."""
     if m.is_zero():
-        return []
+        return [], True
     if all(d <= 1 for d in m.dims):
-        return _thin_components(m)
+        return _thin_components(m), True
     endos = hom_basis(m, m)
     if len(endos) == 1:
-        return [m]
+        return [m], True
     field = m.field
 
     def candidates():
@@ -443,17 +447,29 @@ def _decompose_once(m: Representation, rng: random.Random) -> list[Representatio
         split = _fitting_split(m, _combine_endos(m, endos, coeffs))
         if split is not None:
             ker, im = split
-            return _decompose_once(ker, rng) + _decompose_once(im, rng)
-    return [m]  # no splitting endomorphism found: End local as far as the procedure sees
+            ker_parts, ker_bricks = _decompose_once(ker, rng)
+            im_parts, im_bricks = _decompose_once(im, rng)
+            return ker_parts + im_parts, ker_bricks and im_bricks
+    return [m], False  # no splitting endomorphism found: End local as far as the procedure sees
 
 
 def decompose(m: Representation, rng_seed: int = 0) -> list[Representation]:
-    """Indecomposable summands of M, certified by seed-independent dim multisets."""
+    """Indecomposable summands of M.
+
+    When every summand of the first pass is a brick (thin components are; otherwise
+    dim End = 1), each is indecomposable, so the list is a Krull-Schmidt
+    decomposition, unique up to isomorphism, and is returned as it stands. Only
+    when a summand is not a brick are further passes run with other seeds, and the
+    result is accepted once two consecutive passes give the same dimension
+    multiset; DecompositionUncertified when none do.
+    """
     retries = 4
-    first = _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))
+    first, bricks = _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))
+    if bricks:
+        return first
     sig = sorted(p.dims for p in first)
     for attempt in range(2, retries + 2):
-        second = _decompose_once(m, random.Random(mix_seed(rng_seed, attempt)))
+        second, _ = _decompose_once(m, random.Random(mix_seed(rng_seed, attempt)))
         if sorted(p.dims for p in second) == sig:
             return first
         first, sig = second, sorted(p.dims for p in second)
@@ -799,53 +815,76 @@ def _poly_eval(coeffs, x: int):
     return acc
 
 
+class ReductionPool:
+    """The good primes of a rational module M with M reduced mod each, grown on demand.
+
+    A prime is good when it divides no denominator of M and dim End does not jump
+    there (End is upper-semicontinuous, so a jump is exactly a degenerate reduction
+    with possibly different counts). `cc_module` builds one pool per module and
+    shares it across every subdimension vector e.
+    """
+
+    def __init__(self, m: Representation):
+        self.m = m
+        self.end_dim = hom_dim(m, m)
+        self._bad = _denominator_lcm(m)
+        self._gen = _primes()
+        self._reduced: list[tuple[int, Representation]] = []
+
+    def at(self, k: int) -> tuple[int, Representation]:
+        """The k-th good prime p and M over F_p."""
+        m = self.m
+        while len(self._reduced) <= k:
+            p = next(self._gen)
+            if self._bad % p != 0:
+                mp = make_representation(m.quiver, GF(p), m.dims, m.maps)
+                if hom_dim(mp, mp) == self.end_dim:
+                    self._reduced.append((p, mp))
+        return self._reduced[k]
+
+
 def grassmannian_euler(
     m: Representation,
     e: Sequence[int],
     cap: int = 5_000_000,
-    end_dim: int | None = None,
+    pool: ReductionPool | None = None,
 ) -> GrassmannianCount:
     """chi(Gr_e(M)) for a rational M: count points mod primes, interpolate, verify.
 
-    Fits the degree-<=D integer polynomial on D+1 consecutive pool primes and
-    verifies it on the next two; the window slides, at most 24 times, past primes
-    of bad reduction.
-    Primes dividing a denominator are skipped, as are primes where the reduced
-    module's endomorphism dimension jumps (End is upper-semicontinuous, so a
-    jump is exactly a degenerate reduction with possibly different counts).
+    The count is fitted by an integer polynomial of degree <= D on D+1 consecutive
+    good primes of `pool` (built here when not given) and verified on the next two;
+    the window slides, at most 24 times, past primes of bad reduction. D is the
+    dimension bound min(sum e_v(d_v - e_v), <e, d-e> + ext(M,M)), with ext(M,M) =
+    dim End M - <d,d>: the tangent space of Gr_e(M) at U is Hom(U, M/U), of
+    dimension <e, d-e> + ext(U, M/U), and ext(U, M/U) <= ext(M,M) because
+    Ext^1(M,M) -> Ext^1(U, M/U) is onto over a hereditary algebra. Good primes
+    have the same End dimension, so the bound holds for every reduction too.
+    When <e, d-e> + ext(M,M) < 0, Gr_e(M) is empty and its euler is 0 with no
+    counts.
     """
     if m.field.p is not None:
         raise FieldMismatch("grassmannian_euler expects a rational representation")
     e = tuple(int(x) for x in e)
     if len(e) != m.quiver.n or any(x < 0 or x > d for x, d in zip(e, m.dims)):
         raise SubdimensionOutOfRange(f"need 0 <= {e} <= {m.dims}")
-    deg = sum(ei * (di - ei) for ei, di in zip(e, m.dims))
-    bad = _denominator_lcm(m)
-    if end_dim is None:
-        end_dim = hom_dim(m, m)
-    pool: list[tuple[int, Representation]] = []
-    gen = _primes()
+    if pool is None:
+        pool = ReductionPool(m)
+    rest = tuple(di - ei for ei, di in zip(e, m.dims))
+    bound = euler_form(m.quiver, e, rest) + pool.end_dim - euler_form(m.quiver, m.dims, m.dims)
+    if bound < 0:
+        return GrassmannianCount(e=e, counts={}, euler=0)
+    deg = min(sum(ei * ri for ei, ri in zip(e, rest)), bound)
     counts: dict[int, int] = {}
 
-    def prime_at(k: int) -> int:
-        while len(pool) <= k:
-            p = next(gen)
-            if bad % p != 0:
-                mp = make_representation(m.quiver, GF(p), m.dims, m.maps)
-                if hom_dim(mp, mp) == end_dim:
-                    pool.append((p, mp))
-        return pool[k][0]
-
-    def count_at(k: int) -> int:
-        prime_at(k)
-        p, mp = pool[k]
+    def count_at(k: int) -> tuple[int, int]:
+        p, mp = pool.at(k)
         if p not in counts:
             counts[p] = count_subreps(mp, e, cap=cap)
-        return counts[p]
+        return p, counts[p]
 
     need = deg + 1
     for offset in range(25):
-        pts = [(prime_at(offset + i), count_at(offset + i)) for i in range(need)]
+        pts = [count_at(offset + i) for i in range(need)]
         coeffs = _interpolate(pts)
         if any(c.denominator != 1 for c in coeffs):
             continue
@@ -854,8 +893,8 @@ def grassmannian_euler(
         extras = 2 if offset == 0 else 3
         good = True
         for extra in range(extras):
-            k = offset + need + extra
-            if _poly_eval(coeffs, prime_at(k)) != count_at(k):
+            p, count = count_at(offset + need + extra)
+            if _poly_eval(coeffs, p) != count:
                 good = False
                 break
         if good:

@@ -5,9 +5,11 @@ tolerances (everything here is exact equality); criterion 9 is the property
 floor from the per-module invariants.
 """
 
+import json
 import random
 import time
 from math import comb
+from pathlib import Path
 
 from clusterchar import (
     CharacterCache,
@@ -21,6 +23,7 @@ from clusterchar import (
     hom_dim,
     monomial,
     mutate_seed,
+    quiver_from_text,
     random_representation,
     validate_quiver,
 )
@@ -29,13 +32,20 @@ from clusterchar.config import RunConfig
 from clusterchar.verify import run_suite
 
 CONFIG = RunConfig()
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+QUIVER_NAMES = {quiver_from_text(f.read_text()).key(): f.stem for f in (ROOT / "quivers").glob("*.quiver")}
 
 
 def _report(criterion: str, report) -> None:
+    """Print the criterion line, require a pass, and require the report to equal
+    tests/golden/<suite>-<quiver>.json byte for byte (the `verify --json` stdout)."""
     line = f"ACCEPTANCE {criterion}: {report.summary()} ({report.suite} on {report.quiver})"
     print(line)
     failures = [c for c in report.cases if not c.passed]
     assert report.passed, f"{line}; first failure: {failures[0].name}: {failures[0].detail}"
+    golden = GOLDEN / f"{report.suite}-{QUIVER_NAMES[report.quiver]}.json"
+    assert json.dumps(report.to_json(), sort_keys=True) + "\n" == golden.read_text(), f"{line}; differs from {golden.name}"
 
 
 def test_criterion_1_finite_type_equality(a2, a3):

@@ -182,8 +182,12 @@ def test_cc_rep_of_another_quiver_exits_1(capsys, a2_file, tmp_path):
         ("rep.json", json.dumps({**KRONECKER_REP, "maps": [[["x"]], [[0]]]})),
         ("rep.json", json.dumps({**KRONECKER_REP, "maps": [[[1.5]], [[0]]]})),
         ("rep.json", "[1, 2]"),
+        ("q.json", json.dumps({"n": 2.7, "arrows": [[1, 2]]})),
+        ("q.json", json.dumps({"n": 2, "arrows": [[1.9, 2]]})),
+        ("rep.json", json.dumps({**KRONECKER_REP, "dims": [1.5, 1]})),
     ],
-    ids=["text-n", "text-arrow", "json-no-arrows", "json-syntax", "rep-p4", "rep-1/0", "rep-x", "rep-float", "rep-list"],
+    ids=["text-n", "text-arrow", "json-no-arrows", "json-syntax", "rep-p4", "rep-1/0", "rep-x", "rep-float", "rep-list",
+         "json-float-n", "json-float-arrow", "rep-float-dims"],
 )
 def test_malformed_input_exits_1(capsys, tmp_path, name, text):
     kronecker = tmp_path / "kronecker.quiver"

@@ -23,19 +23,32 @@ from clusterchar import (
     validate_quiver,
     zero_representation,
 )
-from clusterchar.errors import CapExceeded, FieldMismatch, NotARoot, SubdimensionOutOfRange
+from clusterchar import replab
+from clusterchar.errors import CapExceeded, DecompositionUncertified, FieldMismatch, NotARoot, SubdimensionOutOfRange
 from clusterchar.replab import (
     Representation,
+    _decompose_once,
     _thin_components,
     gaussian_binomial,
     make_representation,
     representation_from_json,
 )
+from clusterchar.seeds import mix_seed
 
 
 @pytest.fixture(scope="module")
 def point():
     return validate_quiver(1, [])
+
+
+@pytest.fixture(scope="module")
+def d4():
+    return validate_quiver(4, [(1, 2), (3, 2), (4, 2)])
+
+
+@pytest.fixture(scope="module")
+def kronecker3():
+    return validate_quiver(2, [(1, 2), (1, 2), (1, 2)])
 
 
 def test_random_representation_shapes_and_determinism(a2):
@@ -114,6 +127,61 @@ def test_decompose_isotypic(a2, kronecker):
     p1 = projective_representation(a2, 1)
     m2 = direct_sum(p1, p1)
     assert sorted(p.dims for p in decompose(m2)) == [(1, 1), (1, 1)]
+
+
+def _passes(monkeypatch, m) -> tuple[list, int]:
+    """decompose(m) and the number of `_decompose_once` passes over all of m."""
+    calls = []
+
+    def counted(x, rng):
+        calls.append(x is m)
+        return _decompose_once(x, rng)
+
+    monkeypatch.setattr(replab, "_decompose_once", counted)
+    return decompose(m), sum(calls)
+
+
+def test_decompose_all_bricks_takes_one_pass(monkeypatch, kronecker, d4):
+    kron = direct_sum(random_representation(kronecker, (1, 2), rng_seed=4), random_representation(kronecker, (1, 1), rng_seed=5))
+    samples = [kron] + [random_representation(d4, d, rng_seed=s) for s, d in ((6, (2, 1, 1, 1)), (7, (1, 2, 1, 1)))]
+    results = [_passes(monkeypatch, m) for m in samples]
+    for parts, passes in results:
+        assert passes == 1
+        assert all(hom_dim(x, x) == 1 for x in parts)
+    assert sorted(x.dims for x in results[0][0]) == [(1, 1), (1, 2)]
+
+
+def test_decompose_non_brick_keeps_agreement_passes(monkeypatch, kronecker):
+    # End = Q(sqrt 2): a Q-indecomposable that is not a brick
+    m = make_representation(kronecker, QQ, (2, 2), [((1, 0), (0, 1)), ((0, 1), (2, 0))])
+    parts, passes = _passes(monkeypatch, m)
+    assert parts == [m]
+    assert passes >= 2
+
+
+def _agreement_dims(m, rng_seed=0):
+    """Sorted summand dims by the seed-agreement loop alone, on every module."""
+    first = _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))[0]
+    sig = sorted(p.dims for p in first)
+    for attempt in range(2, 6):
+        second = _decompose_once(m, random.Random(mix_seed(rng_seed, attempt)))[0]
+        if sorted(p.dims for p in second) == sig:
+            return sig
+        sig = sorted(p.dims for p in second)
+    return DecompositionUncertified
+
+
+def test_decompose_matches_agreement_loop(a3, d4, kronecker):
+    rng = random.Random(12)
+    for q in (a3, d4, kronecker):
+        for _ in range(8):
+            d = tuple(rng.randint(0, 2) for _ in range(q.n))
+            m = random_representation(q, d, rng_seed=rng.randrange(10**6))
+            try:
+                got = sorted(p.dims for p in decompose(m))
+            except DecompositionUncertified:
+                got = DecompositionUncertified
+            assert got == _agreement_dims(m)
 
 
 def test_decompose_seed_stability(a2, a3):
@@ -313,7 +381,75 @@ def test_grassmannian_euler_thin_equals_any_count(a3):
     m = make_representation(a3, QQ, (1, 1, 1), [((1,),), ((1,),)])
     for e in product(range(2), repeat=3):
         g = grassmannian_euler(m, e)
-        assert set(g.counts.values()) == {g.euler}
+        # an e proved empty is answered without counting, so check fixed primes too
+        assert set(g.counts.values()) <= {g.euler}
+        for p in (2, 3, 5, 7):
+            assert count_subreps(make_representation(a3, GF(p), m.dims, m.maps), e) == g.euler
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+
+def _lagrange_at(points: list[tuple[int, int]], x: int) -> Fraction:
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+def _ambient_degree_euler(m, e) -> int:
+    """chi(Gr_e(M)) fitted at the ambient degree sum e_v(d_v - e_v): counts on that
+    many primes plus three, consecutive among those where dim End does not jump,
+    checked on the last two and evaluated at 1."""
+    deg = sum(ei * (di - ei) for ei, di in zip(e, m.dims))
+    end = hom_dim(m, m)
+    points = []
+    p = 1
+    while len(points) < deg + 3:
+        p += 1
+        if _is_prime(p):
+            mp = make_representation(m.quiver, GF(p), m.dims, m.maps)
+            if hom_dim(mp, mp) == end:
+                points.append((p, count_subreps(mp, e)))
+    fit = points[: deg + 1]
+    assert all(_lagrange_at(fit, x) == y for x, y in points[deg + 1 :])
+    value = _lagrange_at(fit, 1)
+    assert value.denominator == 1
+    return int(value)
+
+
+def test_grassmannian_euler_matches_ambient_degree_fit(a3, d4, kronecker, kronecker3):
+    rng = random.Random(6)
+    modules = []
+    for q in (a3, d4):
+        for _ in range(6):
+            d = tuple(rng.randint(0, 2) for _ in range(q.n))
+            modules.append(random_representation(q, d, rng_seed=rng.randrange(10**6)))
+    for q, dims in ((kronecker, [(1, 2), (2, 1), (2, 3), (3, 2)]), (kronecker3, [(1, 1), (1, 2), (2, 1), (1, 3)])):
+        modules += [random_representation(q, d, rng_seed=rng.randrange(10**6)) for d in dims]
+    # not rigid: Kronecker (1,1), and (2,2) as two distinct or two equal copies of it
+    k11 = random_representation(kronecker, (1, 1), rng_seed=rng.randrange(10**6))
+    modules += [k11, direct_sum(k11, random_representation(kronecker, (1, 1), rng_seed=rng.randrange(10**6))), direct_sum(k11, k11)]
+    empty = checked = 0
+    for m in modules:
+        end = hom_dim(m, m)
+        for e in product(*(range(x + 1) for x in m.dims)):
+            g = grassmannian_euler(m, e)
+            assert g.euler == _ambient_degree_euler(m, e), (m.quiver.key(), m.dims, e)
+            if g.counts:
+                continue
+            empty += 1  # proved empty: no counting was needed
+            for p in (2, 3, 5):
+                mp = make_representation(m.quiver, GF(p), m.dims, m.maps)
+                if hom_dim(mp, mp) == end:  # the bound holds where End does not jump
+                    assert count_subreps(mp, e) == 0, (m.quiver.key(), m.dims, e, p)
+                    checked += 1
+    assert empty > 50 and checked > 50
 
 
 def test_grassmannian_flags_non_polynomial_counts(kronecker):
