@@ -36,7 +36,7 @@ FieldMismatch = _make("FieldMismatch")
 QuiverMismatch = _make("QuiverMismatch")
 NegativeExt = _make("NegativeExt", internal=True)
 NotARoot = _make("NotARoot")
-DecompositionUncertified = _make("DecompositionUncertified")
+DecompositionUncertified = _make("DecompositionUncertified", internal=True)
 CapExceeded = _make("CapExceeded")
 SubdimensionOutOfRange = _make("SubdimensionOutOfRange")
 NotPolynomialCount = _make("NotPolynomialCount")

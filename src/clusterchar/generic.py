@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import random
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +20,6 @@ from . import linalg
 from .characters import ClusterObject, cc_module
 from .errors import (
     CapExceeded,
-    DecompositionUncertified,
     GenericityUncertified,
     KernelNotProjectiveShape,
     NoValidDecomposition,
@@ -34,13 +32,12 @@ from .linalg import QQ
 from .quiver import Quiver, et_map, is_dynkin, positive_roots, vertex_vector
 from .replab import (
     Representation,
+    _path_representation,
     decompose,
     first_ext_pair,
     generic_representation,
     hom_dim,
     indecomposable_for_root,
-    projective_representation,
-    direct_sum_all,
     split_non_brick,
 )
 from .seeds import Reject, certify, mix_seed
@@ -102,36 +99,38 @@ def sample_generic_proj_map(
     return ProjectiveMap(quiver=q, gamma1=gamma1, gamma0=gamma0, blocks=blocks)
 
 
-def projective_module(q: Quiver, gamma: Sequence[int]) -> tuple[Representation, list[list[tuple]]]:
-    """P(gamma) = ⊕_i P_i^{gamma_i} together with its vertexwise path bases.
-
-    Basis order at v: (i, copy, path i->v) for i ascending, copies ascending,
-    paths in canonical order, matching the direct-sum construction.
-    """
-    g = vertex_vector(q, gamma, "projective multiplicities")
-    if any(x < 0 for x in g):
-        raise SubdimensionOutOfRange("projective multiplicities must be nonnegative")
-    parts = []
-    for i in range(1, q.n + 1):
-        for _ in range(g[i - 1]):
-            parts.append(projective_representation(q, i))
-    rep = direct_sum_all(parts, q, QQ)
-    bases: list[list[tuple]] = []
+def _path_bases(q: Quiver, g: IntVec) -> list[list[tuple]]:
+    """Vertexwise bases of P(g): (i, copy, path i->v) for i ascending, copies
+    ascending, paths in canonical order."""
+    bases = []
     for v in range(1, q.n + 1):
         basis = []
         for i in range(1, q.n + 1):
             paths = q.paths(i, v)
-            for c in range(g[i - 1]):
-                for p in paths:
-                    basis.append((i, c, p))
+            basis += [(i, c, p) for c in range(g[i - 1]) for p in paths]
         bases.append(basis)
+    return bases
+
+
+def projective_module(q: Quiver, gamma: Sequence[int]) -> tuple[Representation, list[list[tuple]]]:
+    """P(gamma) = ⊕_i P_i^{gamma_i} together with its vertexwise path bases.
+
+    Basis order at v: (i, copy, path i->v) for i ascending, copies ascending,
+    paths in canonical order, as in the direct sum of the P_i in that order.
+    Arrows extend the path and keep its tag (i, copy).
+    """
+    g = vertex_vector(q, gamma, "projective multiplicities")
+    if any(x < 0 for x in g):
+        raise SubdimensionOutOfRange("projective multiplicities must be nonnegative")
+    bases = _path_bases(q, g)
+    rep = _path_representation(q, dict(enumerate(bases, start=1)), lambda b, a: (b[0], b[1], b[2] + (a,)), QQ)
     return rep, bases
 
 
-def _evaluate_vertexwise(f: ProjectiveMap) -> tuple[Representation, Representation, list[list[list]]]:
-    """Explicit matrices of f on the path bases of P(gamma1), P(gamma0)."""
+def _evaluate_vertexwise(f: ProjectiveMap) -> tuple[list[int], Representation, list[list[list]]]:
+    """dim P(gamma1), P(gamma0) and the matrices of f on their path bases."""
     q = f.quiver
-    p1, bases1 = projective_module(q, f.gamma1)
+    bases1 = _path_bases(q, f.gamma1)
     p0, bases0 = projective_module(q, f.gamma0)
     mats: list[list[list]] = []
     for v in range(1, q.n + 1):
@@ -151,7 +150,7 @@ def _evaluate_vertexwise(f: ProjectiveMap) -> tuple[Representation, Representati
                         if coeff:
                             mat[index0[(i, c0, w + p)]][c] += coeff
         mats.append(mat)
-    return p1, p0, mats
+    return [len(b) for b in bases1], p0, mats
 
 
 def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
@@ -161,7 +160,7 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
     projective summands are m = E^t·(dim Ker), solved via the unitriangular system.
     """
     q = f.quiver
-    p1, p0, mats = _evaluate_vertexwise(f)
+    dims1, p0, mats = _evaluate_vertexwise(f)
     n = q.n
     # cokernel data per vertex: RREF of the row space of the image
     reducers = []
@@ -170,7 +169,7 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
     for v in range(n):
         mat = mats[v]
         d0 = p0.dims[v]
-        d1 = p1.dims[v]
+        d1 = dims1[v]
         if d0 == 0:
             reducers.append(([], []))
             coker_coords.append([])
@@ -268,14 +267,10 @@ def _cone_pattern_once(
     last = "unsampled"
     for round_no in range(rounds):
         seed0 = mix_seed(rng_seed, round_no)
-        try:
-            cones = [
-                sample_cone(q, min_proj_decomposition(gb), mix_seed(seed0, k), mix_seed(seed0, 500, k), bound)
-                for k, gb in enumerate(blocks)
-            ]
-        except DecompositionUncertified as exc:
-            last = str(exc)
-            continue
+        cones = [
+            sample_cone(q, min_proj_decomposition(gb), mix_seed(seed0, k), mix_seed(seed0, 500, k), bound)
+            for k, gb in enumerate(blocks)
+        ]
         split = split_non_brick([pk for pk, _ in cones])
         if split is not None:
             k, x, m_end, dims = split
@@ -315,7 +310,6 @@ class CharacterCache:
     def __init__(self, path: str | None = None):
         self._path = path
         self._mem: dict[str, LaurentPoly] = {}
-        self._lock = threading.Lock()
         if path and os.path.exists(path):
             self._load(path)
 
@@ -339,18 +333,16 @@ class CharacterCache:
         return f"{h}:" + ",".join(str(int(x)) for x in gamma)
 
     def get(self, q: Quiver, gamma: Sequence[int]) -> LaurentPoly | None:
-        with self._lock:
-            return self._mem.get(self.key_for(q, gamma))
+        return self._mem.get(self.key_for(q, gamma))
 
     def put(self, q: Quiver, gamma: Sequence[int], value: LaurentPoly) -> None:
-        with self._lock:
-            self._mem[self.key_for(q, gamma)] = value
-            if self._path:
-                tmp = f"{self._path}.tmp.{os.getpid()}"
-                payload = {k: v.to_json() for k, v in sorted(self._mem.items())}
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True)
-                os.replace(tmp, self._path)
+        self._mem[self.key_for(q, gamma)] = value
+        if self._path:
+            tmp = f"{self._path}.tmp.{os.getpid()}"
+            payload = {k: v.to_json() for k, v in sorted(self._mem.items())}
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp, self._path)
 
 
 _DEFAULT_CACHE = CharacterCache()
@@ -379,7 +371,7 @@ def generic_character(
         pattern = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound)
         return _pattern_value(pattern.parts, pattern.shifted, cap)
 
-    value = certify(draw, retries, (GenericityUncertified, NotPolynomialCount, DecompositionUncertified), f"X({g})")
+    value = certify(draw, retries, (GenericityUncertified, NotPolynomialCount), f"X({g})")
     store.put(q, g, value)
     return value
 
@@ -409,7 +401,7 @@ def generic_decomposition(
         _, parts = generic_representation(q, dv, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
         return sorted(p.dims for p in parts)
 
-    sig = certify(draw, retries, (GenericityUncertified, DecompositionUncertified), f"generic decomposition of {dv}")
+    sig = certify(draw, retries, (GenericityUncertified,), f"generic decomposition of {dv}")
     return [tuple(b) for b in sig]
 
 
@@ -463,7 +455,7 @@ def virtual_generic_decomposition(
         return betas, shift
 
     return certify(
-        draw, retries, (GenericityUncertified, DecompositionUncertified, SupportNotDisjoint),
+        draw, retries, (GenericityUncertified, SupportNotDisjoint),
         f"virtual generic decomposition of {a}", accept=accept,
     )
 
@@ -549,7 +541,7 @@ def stability_check(
             raise Reject(f"{type(exc).__name__}: {exc}") from exc
 
     padded = certify(
-        draw, retries, (GenericityUncertified, NotPolynomialCount, DecompositionUncertified),
+        draw, retries, (GenericityUncertified, NotPolynomialCount),
         f"padded character for {g} + {pd}", key=cone_signature, accept=accept,
     )
     return StabilityReport(gamma=g, pad=pd, minimal=minimal, padded=padded, equal=padded == minimal)

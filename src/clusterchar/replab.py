@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -415,15 +415,15 @@ def _combine_endos(m: Representation, endos, coeffs) -> list[MatrixT]:
     return phi
 
 
-def _decompose_once(m: Representation, rng: random.Random) -> tuple[list[Representation], bool]:
-    """Summands of M by Fitting splits, and whether every summand is a brick."""
+def _decompose_once(m: Representation, rng: random.Random) -> list[Representation]:
+    """Summands of M by Fitting splits."""
     if m.is_zero():
-        return [], True
+        return []
     if all(d <= 1 for d in m.dims):
-        return _thin_components(m), True
+        return _thin_components(m)
     endos = hom_basis(m, m)
     if len(endos) == 1:
-        return [m], True
+        return [m]
     field = m.field
 
     def candidates():
@@ -447,33 +447,18 @@ def _decompose_once(m: Representation, rng: random.Random) -> tuple[list[Represe
         split = _fitting_split(m, _combine_endos(m, endos, coeffs))
         if split is not None:
             ker, im = split
-            ker_parts, ker_bricks = _decompose_once(ker, rng)
-            im_parts, im_bricks = _decompose_once(im, rng)
-            return ker_parts + im_parts, ker_bricks and im_bricks
-    return [m], False  # no splitting endomorphism found: End local as far as the procedure sees
+            return _decompose_once(ker, rng) + _decompose_once(im, rng)
+    return [m]  # no splitting endomorphism found: End local as far as the procedure sees
 
 
 def decompose(m: Representation, rng_seed: int = 0) -> list[Representation]:
-    """Indecomposable summands of M.
+    """Summands of M by Fitting splits with endomorphisms drawn from one seeded pass.
 
-    When every summand of the first pass is a brick (thin components are; otherwise
-    dim End = 1), each is indecomposable, so the list is a Krull-Schmidt
-    decomposition, unique up to isomorphism, and is returned as it stands. Only
-    when a summand is not a brick are further passes run with other seeds, and the
-    result is accepted once two consecutive passes give the same dimension
-    multiset; DecompositionUncertified when none do.
+    A summand that is a brick (thin components are; otherwise dim End = 1) is
+    indecomposable. A summand that is not a brick is returned unsplit; the
+    certificates downstream (`split_non_brick`) detect it and refine the sample.
     """
-    retries = 4
-    first, bricks = _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))
-    if bricks:
-        return first
-    sig = sorted(p.dims for p in first)
-    for attempt in range(2, retries + 2):
-        second, _ = _decompose_once(m, random.Random(mix_seed(rng_seed, attempt)))
-        if sorted(p.dims for p in second) == sig:
-            return first
-        first, sig = second, sorted(p.dims for p in second)
-    raise DecompositionUncertified(f"summand pattern unstable after {retries} retries")
+    return _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))
 
 
 def indecomposable_for_root(q: Quiver, beta: Sequence[int]) -> Representation:
@@ -539,14 +524,11 @@ def generic_representation(
         blocks: list[tuple[int, ...]] = [d]
         for round_no in range(24):
             seed0 = mix_seed(rng_seed, restart, round_no)
-            try:
-                samples = [
-                    random_representation(q, b, QQ, rng_seed=mix_seed(seed0, k), bound=bound)
-                    for k, b in enumerate(blocks)
-                ]
-                parts_per_block = [decompose(s, rng_seed=mix_seed(seed0, 99, k)) for k, s in enumerate(samples)]
-            except DecompositionUncertified:
-                break
+            samples = [
+                random_representation(q, b, QQ, rng_seed=mix_seed(seed0, k), bound=bound)
+                for k, b in enumerate(blocks)
+            ]
+            parts_per_block = [decompose(s, rng_seed=mix_seed(seed0, 99, k)) for k, s in enumerate(samples)]
             split = split_non_brick(parts_per_block)
             if split is not None:
                 k, _, _, dims = split
@@ -759,21 +741,11 @@ class GrassmannianCount:
 
 
 def _primes():
-    yield 2
-    yield 3
-    n = 5
+    n = 2
     while True:
-        for d in (2, 4):
-            is_p = True
-            k = 3
-            while k * k <= n:
-                if n % k == 0:
-                    is_p = False
-                    break
-                k += 2
-            if is_p and n % 2:
-                yield n
-            n += d
+        if all(n % k for k in range(2, isqrt(n) + 1)):
+            yield n
+        n += 1
 
 
 def _denominator_lcm(m: Representation) -> int:
@@ -786,32 +758,28 @@ def _denominator_lcm(m: Representation) -> int:
     return val
 
 
-def _interpolate(points: list[tuple[int, int]]):
-    """Lagrange interpolation; returns coefficients (ascending) as Fractions."""
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                new[t] -= c * xj
-                new[t + 1] += c
-            basis = new
-        scale = Fraction(yi) / denom
-        for t, c in enumerate(basis):
-            coeffs[t] += scale * c
+def _newton(points: list[tuple[int, int]]) -> list[int] | None:
+    """Newton coefficients over Z of the polynomial through `points`, or None.
+
+    At integer nodes every divided difference of an integer polynomial is an
+    integer, and integer Newton coefficients give an integer polynomial, so None
+    (a division that is not exact) means exactly that the polynomial is not integral.
+    """
+    xs = [x for x, _ in points]
+    coeffs = [y for _, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            num, den = coeffs[i] - coeffs[i - 1], xs[i] - xs[i - k]
+            if num % den:
+                return None
+            coeffs[i] = num // den
     return coeffs
 
 
-def _poly_eval(coeffs, x: int):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _newton_eval(xs: list[int], coeffs: list[int], x: int) -> int:
+    acc = 0
+    for xk, c in zip(reversed(xs), reversed(coeffs)):
+        acc = acc * (x - xk) + c
     return acc
 
 
@@ -885,21 +853,16 @@ def grassmannian_euler(
     need = deg + 1
     for offset in range(25):
         pts = [count_at(offset + i) for i in range(need)]
-        coeffs = _interpolate(pts)
-        if any(c.denominator != 1 for c in coeffs):
+        coeffs = _newton(pts)
+        if coeffs is None:
             continue
+        xs = [p for p, _ in pts]
         # two verification primes always; one more when the window slid, since
         # sliding is only justified by bad reduction at small primes
         extras = 2 if offset == 0 else 3
-        good = True
-        for extra in range(extras):
-            p, count = count_at(offset + need + extra)
-            if _poly_eval(coeffs, p) != count:
-                good = False
-                break
-        if good:
-            euler = int(_poly_eval(coeffs, 1))
-            return GrassmannianCount(e=e, counts=dict(counts), euler=euler)
+        checks = (count_at(offset + need + extra) for extra in range(extras))
+        if all(_newton_eval(xs, coeffs, p) == count for p, count in checks):
+            return GrassmannianCount(e=e, counts=dict(counts), euler=_newton_eval(xs, coeffs, 1))
     raise NotPolynomialCount(
         f"no degree-{deg} integer polynomial matches the counts for e={e} (dims {m.dims})"
     )

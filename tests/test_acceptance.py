@@ -66,6 +66,12 @@ def test_criterion_3_cc_agreement(a2, a3, kronecker):
         _report("3", run_suite("cc-agreement", q, CONFIG))
 
 
+def test_d4_cc_agreement_and_denominators():
+    d4 = quiver_from_text((ROOT / "quivers" / "d4.quiver").read_text())
+    _report("3", run_suite("cc-agreement", d4, CONFIG))
+    _report("5", run_suite("denominators", d4, CONFIG))
+
+
 def test_criterion_4_multiplicativity(a2, a3, kronecker):
     for q in (a2, a3, kronecker):
         _report("4", run_suite("multiplicativity", q, CONFIG))

@@ -4,12 +4,14 @@ from itertools import product
 import pytest
 
 from clusterchar import (
+    QQ,
     LaurentPoly,
     CharacterCache,
     cc_generic,
     cc_module,
     check_multiplicativity,
     cone_of_proj_map,
+    direct_sum,
     generic_character,
     generic_decomposition,
     generic_representation,
@@ -17,15 +19,17 @@ from clusterchar import (
     min_proj_decomposition,
     monomial,
     parse_laurent,
+    projective_representation,
     random_representation,
     sample_generic_proj_map,
     simple_representation,
     stability_check,
     validate_quiver,
     virtual_generic_decomposition,
+    zero_representation,
 )
 from clusterchar.errors import GenericityUncertified, SubdimensionOutOfRange
-from clusterchar.generic import ProjDecomposition, ProjectiveMap, cone_pattern_is_plain
+from clusterchar.generic import ProjDecomposition, ProjectiveMap, cone_pattern_is_plain, projective_module
 from clusterchar.quiver import euler_matrix
 
 
@@ -36,6 +40,30 @@ def test_min_proj_decomposition():
     assert dec.gamma0 == (0, 0) and dec.gamma1 == (0, 0)
     dec = min_proj_decomposition((-1, 1))
     assert dec.gamma0 == (0, 1) and dec.gamma1 == (1, 0)
+
+
+def _projective_fold(q, gamma):
+    """P(gamma) as the direct sum of gamma_i copies of each P_i, i ascending."""
+    acc = zero_representation(q, QQ)
+    for i in range(1, q.n + 1):
+        for _ in range(gamma[i - 1]):
+            acc = direct_sum(acc, projective_representation(q, i))
+    return acc
+
+
+def test_projective_module_matches_direct_sum_fold(a2, a3, kronecker):
+    d4 = validate_quiver(4, [(1, 2), (3, 2), (4, 2)])
+    kronecker3 = validate_quiver(2, [(1, 2), (1, 2), (1, 2)])
+    cases = 0
+    for q in (a2, a3, kronecker, d4, kronecker3):
+        for gamma in product(range(3), repeat=q.n):
+            rep, bases = projective_module(q, gamma)
+            assert rep == _projective_fold(q, gamma), (q.key(), gamma)
+            assert [len(b) for b in bases] == list(rep.dims)
+            for v, basis in enumerate(bases, start=1):
+                assert basis == [(i, c, p) for i in range(1, q.n + 1) for c in range(gamma[i - 1]) for p in q.paths(i, v)]
+            cases += 1
+    assert cases == 9 + 27 + 9 + 81 + 9
 
 
 def test_sample_determinism(a3):

@@ -28,12 +28,15 @@ from clusterchar.errors import CapExceeded, DecompositionUncertified, FieldMisma
 from clusterchar.replab import (
     Representation,
     _decompose_once,
+    _newton,
+    _newton_eval,
+    _primes,
+    _subrep_on_bases,
     _thin_components,
     gaussian_binomial,
     make_representation,
     representation_from_json,
 )
-from clusterchar.seeds import mix_seed
 
 
 @pytest.fixture(scope="module")
@@ -151,37 +154,21 @@ def test_decompose_all_bricks_takes_one_pass(monkeypatch, kronecker, d4):
     assert sorted(x.dims for x in results[0][0]) == [(1, 1), (1, 2)]
 
 
-def test_decompose_non_brick_keeps_agreement_passes(monkeypatch, kronecker):
+def test_decompose_non_brick_takes_one_pass(monkeypatch, kronecker):
     # End = Q(sqrt 2): a Q-indecomposable that is not a brick
     m = make_representation(kronecker, QQ, (2, 2), [((1, 0), (0, 1)), ((0, 1), (2, 0))])
     parts, passes = _passes(monkeypatch, m)
     assert parts == [m]
-    assert passes >= 2
+    assert passes == 1
 
 
-def _agreement_dims(m, rng_seed=0):
-    """Sorted summand dims by the seed-agreement loop alone, on every module."""
-    first = _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))[0]
-    sig = sorted(p.dims for p in first)
-    for attempt in range(2, 6):
-        second = _decompose_once(m, random.Random(mix_seed(rng_seed, attempt)))[0]
-        if sorted(p.dims for p in second) == sig:
-            return sig
-        sig = sorted(p.dims for p in second)
-    return DecompositionUncertified
-
-
-def test_decompose_matches_agreement_loop(a3, d4, kronecker):
-    rng = random.Random(12)
-    for q in (a3, d4, kronecker):
-        for _ in range(8):
-            d = tuple(rng.randint(0, 2) for _ in range(q.n))
-            m = random_representation(q, d, rng_seed=rng.randrange(10**6))
-            try:
-                got = sorted(p.dims for p in decompose(m))
-            except DecompositionUncertified:
-                got = DecompositionUncertified
-            assert got == _agreement_dims(m)
+def test_subrep_on_bases_rejects_a_basis_that_is_not_arrow_stable(a2):
+    # M(a) sends e1 to (1, 0) at vertex 2, outside the span of (0, 1)
+    m = make_representation(a2, QQ, (1, 2), [((1,), (0,))])
+    with pytest.raises(DecompositionUncertified) as exc:
+        _subrep_on_bases(m, [[[1]], [[0], [1]]])
+    assert exc.value.internal
+    assert _subrep_on_bases(m, [[[1]], [[1], [0]]]).dims == (1, 1)
 
 
 def test_decompose_seed_stability(a2, a3):
@@ -467,6 +454,57 @@ def test_grassmannian_skips_denominator_primes(a2):
     g = grassmannian_euler(m, (0, 1))
     assert 2 not in g.counts
     assert g.euler == 1
+
+
+def test_primes_are_the_first_200():
+    gen = _primes()
+    first = [next(gen) for _ in range(200)]
+    assert first == [n for n in range(2, 1224) if _is_prime(n)]
+    assert first[-1] == 1223
+
+
+def _lagrange_coeffs(points: list[tuple[int, int]]) -> list[Fraction]:
+    """Ascending coefficients of the polynomial through `points`, over Q."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [Fraction(1)], 1
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            denom *= xi - xj
+            times_x = [Fraction(0)] * (len(basis) + 1)  # basis * (x - xj)
+            for t, c in enumerate(basis):
+                times_x[t] -= c * xj
+                times_x[t + 1] += c
+            basis = times_x
+        for t, c in enumerate(basis):
+            coeffs[t] += Fraction(yi, denom) * c
+    return coeffs
+
+
+def test_newton_matches_lagrange():
+    rng = random.Random(3)
+    primes = [n for n in range(2, 200) if _is_prime(n)]
+    integral = non_integral = 0
+    for trial in range(400):
+        k = rng.randint(1, 7)
+        xs = sorted(rng.sample(primes, k))
+        if trial % 2:  # values of an integer polynomial of degree < k
+            poly = [rng.randint(-50, 50) for _ in range(k)]
+            ys = [sum(c * x**t for t, c in enumerate(poly)) for x in xs]
+        else:
+            ys = [rng.randint(-10**6, 10**6) for _ in xs]
+        points = list(zip(xs, ys))
+        oracle = _lagrange_coeffs(points)
+        coeffs = _newton(points)
+        if any(c.denominator != 1 for c in oracle):
+            assert coeffs is None, points
+            non_integral += 1
+            continue
+        integral += 1
+        for x in [1, 0, -3] + [rng.randint(-100, 300) for _ in range(3)]:
+            assert _newton_eval(xs, coeffs, x) == sum(c * x**t for t, c in enumerate(oracle))
+    assert integral >= 200 and non_integral >= 150
 
 
 def test_gaussian_binomial():
