@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from .errors import BadVertex, NotFiniteType
-from .laurent import LaurentPoly, canonical_serialize, denominator_vector, exact_divide, monomial
+from .laurent import LaurentPoly, denominator_vector, exact_divide, monomial
 from .quiver import Quiver, is_dynkin
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -18,9 +20,9 @@ class Seed:
     b: IntMatrix
     cluster: tuple[LaurentPoly, ...]
 
-    def cluster_key(self) -> tuple[bytes, ...]:
-        """Canonical identity of the unordered cluster."""
-        return tuple(sorted(canonical_serialize(c) for c in self.cluster))
+    def cluster_key(self) -> frozenset[LaurentPoly]:
+        """Identity of the unordered cluster."""
+        return frozenset(self.cluster)
 
 
 def exchange_matrix(q: Quiver) -> IntMatrix:
@@ -95,11 +97,12 @@ def enumerate_seeds(q: Quiver, limit: int = 20000) -> EnumerationResult:
     """Breadth-first mutation closure, deduplicating seeds as unordered clusters.
 
     Every produced variable is checked to be a genuine Laurent polynomial (its
-    denominator is a monomial by construction of the exact division).
+    denominator is a monomial by construction of the exact division). The
+    variables come back sorted by their canonical text.
     """
     start = initial_seed(q)
-    seen: dict[tuple[bytes, ...], Seed] = {start.cluster_key(): start}
-    variables: dict[bytes, LaurentPoly] = {canonical_serialize(v): v for v in start.cluster}
+    seen: dict[frozenset[LaurentPoly], Seed] = {start.cluster_key(): start}
+    variables = set(start.cluster)
     queue = deque([start])
     closed = True
     while queue:
@@ -110,61 +113,54 @@ def enumerate_seeds(q: Quiver, limit: int = 20000) -> EnumerationResult:
         for k in range(1, q.n + 1):
             new = mutate_seed(seed, k)
             for v in new.cluster:
-                key = canonical_serialize(v)
-                if key not in variables:
+                if v not in variables:
                     denominator_vector(v)  # asserts v != 0; monomial denominator by construction
-                    variables[key] = v
+                    variables.add(v)
             ck = new.cluster_key()
             if ck not in seen:
                 seen[ck] = new
                 queue.append(new)
     return EnumerationResult(
         seeds=list(seen.values()),
-        variables=[variables[k] for k in sorted(variables)],
+        variables=sorted(variables, key=LaurentPoly.to_text),
         closed=closed,
     )
 
 
-_MONOMIAL_CACHE: dict[tuple[str, int, int], dict[bytes, LaurentPoly]] = {}
+@lru_cache(maxsize=64)
+def _cluster_monomials(q: Quiver, degree_bound: int) -> dict[LaurentPoly, None]:
+    """The distinct cluster monomials of degree <= degree_bound, each built once.
+
+    A monomial is a multiset of compatible cluster variables, written as a sorted
+    tuple of variable indices; its value is the value of the multiset without
+    its last index, times that variable. The memoized dict is shared, so callers
+    only read it.
+    """
+    if not is_dynkin(q):
+        raise NotFiniteType(f"quiver {q.key()} is not Dynkin, so its cluster type is infinite")
+    enum = enumerate_seeds(q)
+    if not enum.closed:
+        raise NotFiniteType(f"mutation closure of {q.key()} exceeded the seed limit")
+    index = {v: i for i, v in enumerate(enum.variables)}
+    built: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(q.n)} if degree_bound >= 0 else {}
+    for seed in enum.seeds:
+        cluster = sorted(index[v] for v in seed.cluster)
+        for degree in range(1, degree_bound + 1):
+            for multiset in combinations_with_replacement(cluster, degree):
+                if multiset not in built:
+                    built[multiset] = built[multiset[:-1]] * enum.variables[multiset[-1]]
+    return dict.fromkeys(built.values())
 
 
-def cluster_monomials_up_to(q: Quiver, degree_bound: int, limit: int = 20000) -> list[LaurentPoly]:
-    """All cluster monomials of total degree <= degree_bound (finite type only).
+def cluster_monomials_up_to(q: Quiver, degree_bound: int) -> list[LaurentPoly]:
+    """All cluster monomials of total degree <= degree_bound, each once (finite type only).
 
     An acyclic quiver has finite cluster type iff it is Dynkin (Fomin-Zelevinsky),
-    so any other quiver raises NotFiniteType at once; `limit` bounds the mutation
-    closure of a Dynkin one.
+    so any other quiver raises NotFiniteType at once. The list is a fresh copy.
     """
-    key = (q.key(), degree_bound, limit)
-    if key not in _MONOMIAL_CACHE:
-        if not is_dynkin(q):
-            raise NotFiniteType(f"quiver {q.key()} is not Dynkin, so its cluster type is infinite")
-        enum = enumerate_seeds(q, limit=limit)
-        if not enum.closed:
-            raise NotFiniteType(f"mutation closure exceeded {limit} seeds")
-        out: dict[bytes, LaurentPoly] = {}
-        for seed in enum.seeds:
-            for expo in _compositions(q.n, degree_bound):
-                mono = LaurentPoly.one(q.n)
-                for c, a in zip(seed.cluster, expo):
-                    if a:
-                        mono = mono * c ** a
-                out.setdefault(canonical_serialize(mono), mono)
-        _MONOMIAL_CACHE[key] = out
-    return list(_MONOMIAL_CACHE[key].values())
+    return list(_cluster_monomials(q, degree_bound))
 
 
-def _compositions(n: int, bound: int):
-    """All a in Z_{>=0}^n with sum(a) <= bound."""
-    if n == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _compositions(n - 1, bound - head):
-            yield (head,) + tail
-
-
-def is_cluster_monomial(q: Quiver, p: LaurentPoly, degree_bound: int, limit: int = 20000) -> bool:
-    cluster_monomials_up_to(q, degree_bound, limit=limit)
-    key = (q.key(), degree_bound, limit)
-    return canonical_serialize(p) in _MONOMIAL_CACHE[key]
+def is_cluster_monomial(q: Quiver, p: LaurentPoly, degree_bound: int) -> bool:
+    """Whether p equals a cluster monomial of total degree <= degree_bound (finite type only)."""
+    return p in _cluster_monomials(q, degree_bound)

@@ -232,7 +232,7 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, 
                     coeff = na[r][k]
                     if coeff != 0:
                         row[off_s + k * cs + c] -= coeff
-                if any(x != 0 for x in row):
+                if any(row):
                     rows.append(row)
     return rows, nun, layout
 
@@ -246,7 +246,7 @@ def hom_basis(m: Representation, n: Representation) -> list[tuple[MatrixT, ...]]
         comps = []
         for v in range(m.quiver.n):
             off, r, c = layout[v]
-            comps.append(tuple(tuple(vec[off + i * c + j] for j in range(c)) for i in range(r)))
+            comps.append(tuple(tuple(vec[off + i * c:off + (i + 1) * c]) for i in range(r)))
         out.append(tuple(comps))
     return out
 

@@ -26,13 +26,14 @@ from .generic import (
     sample_cone,
     stability_check,
 )
-from .laurent import LaurentPoly, canonical_serialize, denominator_vector
+from .laurent import LaurentPoly, denominator_vector
 from .quiver import Quiver, et_map, euler_data
 from .replab import direct_sum_all, injective_representation, is_isomorphic, projective_representation
 from .seeds import certify, mix_seed
 
 A3_KEY = "3;1-2,2-3"
 KRONECKER_KEY = "2;1-2,1-2"
+SUITE_COUNT = 50  # instances checked by multiplicativity and by stability
 
 
 @dataclass
@@ -112,17 +113,12 @@ def suite_finite_type_equality(q: Quiver, config: RunConfig) -> SuiteReport:
             report.add(f"X{gamma} is a cluster monomial", member, x.to_text())
         except ClusterCharError as exc:
             report.add(f"X{gamma} is a cluster monomial", False, f"{exc.name}: {exc}")
-    distinct = len({canonical_serialize(v) for v in values.values()})
+    image = set(values.values())
     report.add(
-        f"gamma -> X(gamma) injective on the box ({distinct}/{len(box)})",
-        distinct == len(box) == len(values),
+        f"gamma -> X(gamma) injective on the box ({len(image)}/{len(box)})",
+        len(image) == len(box) == len(values),
     )
-    image = {canonical_serialize(v) for v in values.values()}
-    missing = [
-        m.to_text()
-        for m in monomials
-        if canonical_serialize(m) not in image
-    ]
+    missing = [m.to_text() for m in monomials if m not in image]
     report.add(
         "every cluster monomial of degree <= 2 arises in the box",
         not missing,
@@ -168,12 +164,12 @@ def suite_monomial_containment(q: Quiver, config: RunConfig) -> SuiteReport:
     return report
 
 
-def suite_multiplicativity(q: Quiver, config: RunConfig, count: int = 50) -> SuiteReport:
+def suite_multiplicativity(q: Quiver, config: RunConfig) -> SuiteReport:
     """50 pseudo-random alpha in [-3,3]^n: X(E^t a) = prod X(E^t b_i) · X(-gamma)."""
     report = SuiteReport("multiplicativity", q.key())
     cache = CharacterCache(config.cache_path)
     rng = random.Random(mix_seed(config.rng_seed, 41, q.n, len(q.arrows)))
-    for index in range(count):
+    for index in range(SUITE_COUNT):
         alpha = tuple(rng.randint(-3, 3) for _ in range(q.n))
         try:
             r = check_multiplicativity(
@@ -251,7 +247,7 @@ def suite_gvectors(q: Quiver, config: RunConfig) -> SuiteReport:
     return report
 
 
-def suite_stability(q: Quiver, config: RunConfig, count: int = 50) -> SuiteReport:
+def suite_stability(q: Quiver, config: RunConfig) -> SuiteReport:
     """Random (gamma, pad): the padded-space generic character equals X(gamma).
 
     Indices whose generic cone needs block refinement cannot be evaluated from a
@@ -264,7 +260,7 @@ def suite_stability(q: Quiver, config: RunConfig, count: int = 50) -> SuiteRepor
     rng = random.Random(mix_seed(config.rng_seed, 61, q.n, len(q.arrows)))
     checked = 0
     attempts = 0
-    while checked < count and attempts < 40 * count:
+    while checked < SUITE_COUNT and attempts < 40 * SUITE_COUNT:
         attempts += 1
         gamma = tuple(rng.randint(-2, 2) for _ in range(q.n))
         pad = tuple(rng.randint(0, 2) for _ in range(q.n))
@@ -287,7 +283,7 @@ def suite_stability(q: Quiver, config: RunConfig, count: int = 50) -> SuiteRepor
             continue
         checked += 1
         report.add(f"gamma={gamma} pad={pad}", r.equal, r.minimal.to_text())
-    report.add(f"checked {checked} instances", checked >= count)
+    report.add(f"checked {checked} instances", checked >= SUITE_COUNT)
     return report
 
 

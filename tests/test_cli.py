@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from clusterchar.cli import main
 from clusterchar.replab import representation_from_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -202,3 +205,9 @@ def test_malformed_input_exits_1(capsys, tmp_path, name, text):
 def test_representation_from_json_reduces_prime_field_entries():
     data = {**KRONECKER_REP, "field": {"p": 5}, "maps": [[[7]], [["-1/2"]]]}
     assert representation_from_json(data).maps == (((2,),), ((2,),))
+
+
+def test_enumerate_d4_matches_golden(capsys):
+    code, out, _ = run(capsys, "enumerate", str(ROOT / "quivers" / "d4.quiver"))
+    assert code == 0
+    assert out == (ROOT / "tests" / "golden" / "enumerate-d4.txt").read_text()

@@ -1,8 +1,10 @@
 import time
+from itertools import product
 
 import pytest
 
 from clusterchar import (
+    LaurentPoly,
     cc_module,
     cc_object,
     cluster_monomials_up_to,
@@ -19,6 +21,7 @@ from clusterchar import (
     parse_laurent,
     positive_roots,
     shifted_object,
+    validate_quiver,
 )
 from clusterchar.errors import BadVertex, NotFiniteType
 
@@ -95,9 +98,50 @@ def test_monomials_bounds(a2):
     assert len(cluster_monomials_up_to(a2, 2)) == 16
 
 
+def _monomials_by_seed(q, degree_bound):
+    """Oracle: x^a for every seed and every a >= 0 with |a| <= degree_bound, by text form."""
+    forms = set()
+    for seed in enumerate_seeds(q).seeds:
+        for expo in product(range(degree_bound + 1), repeat=q.n):
+            if sum(expo) <= degree_bound:
+                mono = LaurentPoly.one(q.n)
+                for c, a in zip(seed.cluster, expo):
+                    for _ in range(a):
+                        mono = mono * c
+                forms.add(canonical_serialize(mono))
+    return forms
+
+
+@pytest.mark.parametrize(
+    "arrows, degrees",
+    [
+        ([(1, 2)], range(5)),
+        ([(1, 2), (2, 3)], range(5)),
+        ([(1, 2), (3, 2), (4, 2)], range(4)),
+        ([(2, 1), (2, 3), (4, 3)], range(4)),
+    ],
+    ids=["a2", "a3", "d4", "a4-alternating"],
+)
+def test_monomials_match_per_seed_products(arrows, degrees):
+    q = validate_quiver(max(max(a) for a in arrows), arrows)
+    for degree in degrees:
+        got = [canonical_serialize(m) for m in cluster_monomials_up_to(q, degree)]
+        assert len(got) == len(set(got)), f"repeats at degree {degree}"
+        assert set(got) == _monomials_by_seed(q, degree), f"degree {degree}"
+
+
+def test_monomials_list_is_a_fresh_copy(a2):
+    first = cluster_monomials_up_to(a2, 2)
+    expected = list(first)
+    first.clear()
+    first.append(LaurentPoly.zero(2))
+    assert cluster_monomials_up_to(a2, 2) == expected
+    assert not is_cluster_monomial(a2, LaurentPoly.zero(2), 2)
+
+
 def test_monomials_need_finite_type(kronecker):
     with pytest.raises(NotFiniteType):
-        cluster_monomials_up_to(kronecker, 2, limit=25)
+        cluster_monomials_up_to(kronecker, 2)
 
 
 def test_infinite_type_fails_fast(kronecker):
@@ -118,8 +162,6 @@ def test_membership_examples(a2):
 
 def test_cluster_variables_are_characters_d4():
     # the bijection is not a type-A accident
-    from clusterchar import validate_quiver
-
     d4 = validate_quiver(4, [(1, 2), (3, 2), (4, 2)])
     expected = {
         canonical_serialize(cc_object(shifted_object(d4, tuple(1 if j == i else 0 for j in range(4)))))

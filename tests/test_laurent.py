@@ -121,3 +121,8 @@ def test_json_round_trip():
 def test_power():
     assert P("1+x1") ** 2 == P("1+2*x1+x1^2")
     assert P("x2") ** 0 == LaurentPoly.one(2)
+    base = P("(1+x1-2*x2)/x2")
+    product = LaurentPoly.one(2)
+    for k in range(1, 9):
+        product = product * base
+        assert base ** k == product
