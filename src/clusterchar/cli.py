@@ -13,10 +13,10 @@ from typing import Sequence
 from .characters import cc_generic, cc_module
 from .cluster import enumerate_seeds, initial_seed, mutate_seed
 from .config import RunConfig, load_config
-from .errors import ClusterCharError, ParseError, QuiverMismatch
+from .errors import ClusterCharError, NotFiniteType, ParseError, QuiverMismatch
 from .generic import CharacterCache, generic_character, generic_decomposition, virtual_generic_decomposition
 from .laurent import LaurentPoly
-from .quiver import Quiver, quiver_from_text
+from .quiver import Quiver, is_dynkin, quiver_from_text
 from .replab import representation_from_json
 from .verify import SUITES, run_suite
 
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     en = sub.add_parser("enumerate", help="mutation closure (finite type)", parents=[common])
     en.add_argument("file")
-    en.add_argument("--limit", type=int, default=20000)
+    en.add_argument("--limit", type=int, help="stop after this many seeds (needed on a quiver of infinite type)")
 
     ve = sub.add_parser("verify", help="run a verification suite", parents=[common])
     ve.add_argument("suite", choices=sorted(SUITES))
@@ -196,7 +196,9 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "enumerate":
-        result = enumerate_seeds(q, limit=args.limit)
+        if args.limit is None and not is_dynkin(q):
+            raise NotFiniteType(f"quiver {q.key()} is not Dynkin, so its cluster type is infinite; pass --limit")
+        result = enumerate_seeds(q) if args.limit is None else enumerate_seeds(q, limit=args.limit)
         if config.output == "json":
             print(json.dumps(result.to_json(), sort_keys=True))
         else:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from .errors import BadVertex, NotFiniteType
 from .laurent import LaurentPoly, denominator_vector, exact_divide, monomial
@@ -59,21 +60,21 @@ def mutate_matrix(b: IntMatrix, k: int) -> IntMatrix:
     return tuple(out)
 
 
+def _product(factors: list[LaurentPoly], nvars: int) -> LaurentPoly:
+    """The product of the factors, starting from the first; 1 when there are none."""
+    return reduce(operator.mul, factors) if factors else LaurentPoly.one(nvars)
+
+
 def mutate_seed(s: Seed, k: int) -> Seed:
     """Exchange x_k and mutate B; the division must be exact (Laurent phenomenon)."""
     n = len(s.b)
     if not (1 <= k <= n):
         raise BadVertex(f"vertex {k} out of range 1..{n}")
     i0 = k - 1
-    plus = LaurentPoly.one(s.cluster[0].nvars)
-    minus = LaurentPoly.one(s.cluster[0].nvars)
-    for i in range(n):
-        bik = s.b[i][i0]
-        if bik > 0:
-            plus = plus * s.cluster[i] ** bik
-        elif bik < 0:
-            minus = minus * s.cluster[i] ** (-bik)
-    new_var = exact_divide(plus + minus, s.cluster[i0])
+    plus = [s.cluster[i] ** s.b[i][i0] for i in range(n) if s.b[i][i0] > 0]
+    minus = [s.cluster[i] ** -s.b[i][i0] for i in range(n) if s.b[i][i0] < 0]
+    nvars = s.cluster[0].nvars
+    new_var = exact_divide(_product(plus, nvars) + _product(minus, nvars), s.cluster[i0])
     cluster = tuple(new_var if i == i0 else s.cluster[i] for i in range(n))
     return Seed(b=mutate_matrix(s.b, k), cluster=cluster)
 

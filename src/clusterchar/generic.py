@@ -29,16 +29,15 @@ from .errors import (
 )
 from .laurent import LaurentPoly, monomial
 from .linalg import QQ
-from .quiver import Quiver, et_map, is_dynkin, positive_roots, vertex_vector
+from .quiver import Quiver, et_map, vertex_vector
 from .replab import (
     Representation,
+    _certify_pattern,
     _path_representation,
+    _refine_blocks,
     decompose,
-    first_ext_pair,
     generic_representation,
     hom_dim,
-    indecomposable_for_root,
-    split_non_brick,
 )
 from .seeds import Reject, certify, mix_seed
 
@@ -226,33 +225,16 @@ class ConePattern:
 
 def sample_cone(
     q: Quiver, dec: ProjDecomposition, map_seed: int, decompose_seed: int, bound: int
-) -> tuple[list[Representation], IntVec]:
-    """Summands and shifted multiplicities of the cone of one sampled P(gamma1) -> P(gamma0)."""
+) -> tuple[Representation, list[Representation], IntVec]:
+    """Module part, its summands and shifted part of the cone of one sampled P(gamma1) -> P(gamma0)."""
     cone = cone_of_proj_map(sample_generic_proj_map(q, dec, map_seed, bound))
-    return decompose(cone.module, rng_seed=decompose_seed), cone.shifted
+    return cone.module, decompose(cone.module, rng_seed=decompose_seed), cone.shifted
 
 
 def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
     """Sorted summand dimension vectors and shifted part: what agreeing samples share."""
     parts, shifted = cone
     return sorted(p.dims for p in parts), shifted
-
-
-def _certify_pattern(q: Quiver, gamma: IntVec, parts: list[Representation], shifted: IntVec) -> None:
-    supp_shift = {i for i, s in enumerate(shifted) if s}
-    for x in parts:
-        if supp_shift & {i for i, d in enumerate(x.dims) if d}:
-            raise SupportNotDisjoint(f"summand {x.dims} meets the shifted support {shifted}")
-    pair = first_ext_pair(parts)
-    if pair is not None:
-        raise GenericityUncertified(f"Ext({pair[0].dims},{pair[1].dims}) nonzero on the sample")
-    total = [0] * q.n
-    for x in parts:
-        for k in range(q.n):
-            total[k] += x.dims[k]
-    recon = tuple(a - b for a, b in zip(et_map(q, total), shifted))
-    if recon != gamma:
-        raise GenericityUncertified(f"index reconstruction {recon} != {gamma}")
 
 
 def _cone_pattern_once(
@@ -262,36 +244,13 @@ def _cone_pattern_once(
     bound: int = 10,
     rounds: int = 24,
 ) -> ConePattern:
-    blocks: list[IntVec] = [gamma]
-    refined = False
-    last = "unsampled"
-    for round_no in range(rounds):
-        seed0 = mix_seed(rng_seed, round_no)
-        cones = [
-            sample_cone(q, min_proj_decomposition(gb), mix_seed(seed0, k), mix_seed(seed0, 500, k), bound)
-            for k, gb in enumerate(blocks)
-        ]
-        split = split_non_brick([pk for pk, _ in cones])
-        if split is not None:
-            k, x, m_end, dims = split
-            if dims is None:
-                last = f"non-brick summand {x.dims} with End dim {m_end}"
-                continue
-            blocks = blocks[:k] + blocks[k + 1 :] + [et_map(q, d) for d in dims]
-            if any(cones[k][1]):
-                blocks.append(tuple(-s for s in cones[k][1]))
-            refined = True
-            last = f"split non-brick summand {x.dims}"
-            continue
-        parts = [x for pk, _ in cones for x in pk]
-        shifted = tuple(sum(sh[i] for _, sh in cones) for i in range(q.n))
-        try:
-            _certify_pattern(q, gamma, parts, shifted)
-        except (SupportNotDisjoint, GenericityUncertified) as exc:
-            last = str(exc)
-            continue
-        return ConePattern(parts=parts, shifted=shifted, refined=refined)
-    raise GenericityUncertified(f"no certified cone pattern for index {gamma} ({last})")
+    def sample(block: IntVec, seed0: int, k: int) -> tuple:
+        return sample_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), mix_seed(seed0, 500, k), bound)
+
+    _, parts, shifted, refined = _refine_blocks(
+        q, gamma, sample, rng_seed, f"no certified cone pattern for index {gamma}", rounds=rounds
+    )
+    return ConePattern(parts=parts, shifted=shifted, refined=refined)
 
 
 def _pattern_value(parts: Sequence[Representation], shifted: IntVec, cap: int) -> LaurentPoly:
@@ -385,17 +344,15 @@ def generic_decomposition(
 ) -> list[IntVec]:
     """Kac's generic decomposition of d >= 0, as a sorted list of dimension vectors.
 
-    Dynkin quivers use an exhaustive search over root multisets with pairwise
-    Ext-vanishing between the canonical indecomposables; other acyclic quivers use
-    the certified generic-sample decomposition.
+    Every acyclic quiver, Dynkin or not, takes the summand dimensions of the
+    certified generic representative (`generic_representation`); five seeded
+    samples must agree.
     """
     dv = vertex_vector(q, d, "dimension vector")
     if any(x < 0 for x in dv):
         raise SubdimensionOutOfRange("dimension vector must be nonnegative")
     if all(x == 0 for x in dv):
         return []
-    if is_dynkin(q):
-        return _dynkin_decomposition(q, dv)
 
     def draw(attempt: int, s: int) -> list[IntVec]:
         _, parts = generic_representation(q, dv, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
@@ -403,29 +360,6 @@ def generic_decomposition(
 
     sig = certify(draw, retries, (GenericityUncertified,), f"generic decomposition of {dv}")
     return [tuple(b) for b in sig]
-
-
-def _dynkin_decomposition(q: Quiver, d: IntVec) -> list[IntVec]:
-    roots = sorted(positive_roots(q), reverse=True)
-    reps = {beta: indecomposable_for_root(q, beta) for beta in roots}
-    found: list[list[IntVec]] = []
-
-    def search(remaining: IntVec, start: int, chosen: list[IntVec]) -> None:
-        if all(x == 0 for x in remaining):
-            if first_ext_pair([reps[a] for a in chosen]) is None:
-                found.append(list(chosen))
-            return
-        for k in range(start, len(roots)):
-            beta = roots[k]
-            if all(b <= r for b, r in zip(beta, remaining)):
-                chosen.append(beta)
-                search(tuple(r - b for r, b in zip(remaining, beta)), k, chosen)
-                chosen.pop()
-
-    search(d, 0, [])
-    if len(found) != 1:
-        raise NoValidDecomposition(f"{len(found)} root multisets pass the Ext test for {d}")
-    return sorted(found[0])
 
 
 def virtual_generic_decomposition(
@@ -526,7 +460,8 @@ def stability_check(
     )
 
     def draw(attempt: int, s: int) -> tuple[list[Representation], IntVec]:
-        return sample_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), mix_seed(rng_seed, 29, attempt, s), bound)
+        seeds = mix_seed(rng_seed, 23, attempt, s), mix_seed(rng_seed, 29, attempt, s)
+        return sample_cone(q, padded_dec, *seeds, bound)[1:]
 
     def accept(cone: tuple[list[Representation], IntVec]) -> LaurentPoly:
         # the certificate of a minimal cone (bricks, Ext vanishing, disjoint shifted

@@ -80,15 +80,15 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("use monomial inversion for negative powers of monomials")
-        result = LaurentPoly.one(self.nvars)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return LaurentPoly.one(self.nvars) if result is None else result
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.nvars == other.nvars and self.terms == other.terms
@@ -116,7 +116,7 @@ class LaurentPoly:
             return "0"
         mins = [min(e[i] for e in self.terms) for i in range(self.nvars)]
         den = tuple(max(0, -m) for m in mins)
-        num = self * monomial(self.nvars, den)
+        num = self * monomial(self.nvars, den) if any(den) else self
         parts: list[str] = []
         for e, c in num.sorted_terms():
             parts.append(_term_text(e, c, first=not parts))

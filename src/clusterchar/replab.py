@@ -27,9 +27,10 @@ from .errors import (
     ParseError,
     QuiverMismatch,
     SubdimensionOutOfRange,
+    SupportNotDisjoint,
 )
 from .linalg import GF, QQ, Field
-from .quiver import Quiver, euler_form, positive_roots, vertex_vector
+from .quiver import Quiver, et_map, euler_form, positive_roots, vertex_vector
 from .seeds import mix_seed
 
 MatrixT = tuple[tuple, ...]
@@ -500,6 +501,61 @@ def split_non_brick(parts_per_block: Sequence[Sequence[Representation]]) -> tupl
     return None
 
 
+def _certify_pattern(q: Quiver, gamma: tuple, parts: list[Representation], shifted: tuple) -> None:
+    """Brick parts and a shifted part exhibit the generic cone of gamma: disjoint
+    supports, no Ext between parts, and the indices add up to gamma."""
+    supp_shift = {i for i, s in enumerate(shifted) if s}
+    for x in parts:
+        if supp_shift & {i for i, d in enumerate(x.dims) if d}:
+            raise SupportNotDisjoint(f"summand {x.dims} meets the shifted support {shifted}")
+    pair = first_ext_pair(parts)
+    if pair is not None:
+        raise GenericityUncertified(f"Ext({pair[0].dims},{pair[1].dims}) nonzero on the sample")
+    total = [sum(x.dims[k] for x in parts) for k in range(q.n)]
+    recon = tuple(a - b for a, b in zip(et_map(q, total), shifted))
+    if recon != gamma:
+        raise GenericityUncertified(f"index reconstruction {recon} != {gamma}")
+
+
+def _refine_blocks(q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, rounds: int = 24) -> tuple:
+    """(modules, parts, shifted, refined) of the first round whose samples certify gamma.
+
+    Blocks are indices, starting from [gamma]; round r calls
+    sample(block, mix_seed(rng_seed, r), k) -> (module, summands, shifted) for each
+    block k. A non-brick X with m = dim End X dividing dim X replaces its block by
+    the block's other summands, m copies of dim X / m and the negated shifted part.
+    Any other failure resamples the same blocks in the next round; after the last,
+    GenericityUncertified gives `what` and the last reason.
+    """
+    blocks: list[tuple[int, ...]] = [gamma]
+    refined = False
+    last = "unsampled"
+    for round_no in range(rounds):
+        seed0 = mix_seed(rng_seed, round_no)
+        drawn = [sample(b, seed0, k) for k, b in enumerate(blocks)]
+        split = split_non_brick([pk for _, pk, _ in drawn])
+        if split is not None:
+            k, x, m_end, dims = split
+            if dims is None:
+                last = f"non-brick summand {x.dims} with End dim {m_end}"
+                continue
+            blocks = blocks[:k] + blocks[k + 1 :] + [et_map(q, d) for d in dims]
+            if any(drawn[k][2]):
+                blocks.append(tuple(-s for s in drawn[k][2]))
+            refined = True
+            last = f"split non-brick summand {x.dims}"
+            continue
+        parts = [x for _, pk, _ in drawn for x in pk]
+        shifted = tuple(sum(sh[i] for _, _, sh in drawn) for i in range(q.n))
+        try:
+            _certify_pattern(q, gamma, parts, shifted)
+        except (SupportNotDisjoint, GenericityUncertified) as exc:
+            last = str(exc)
+            continue
+        return [mod for mod, _, _ in drawn], parts, shifted, refined
+    raise GenericityUncertified(f"{what} ({last})")
+
+
 def generic_representation(
     q: Quiver,
     d: Sequence[int],
@@ -511,36 +567,28 @@ def generic_representation(
     Samples uniformly and checks the Kac certificate on the sample: every summand a
     brick (End = k) and all pairwise Ext^1 zero. Vanishing on a point is generic
     vanishing (semicontinuity), so a passing sample exhibits the generic
-    decomposition. A summand X with dim End = m >= 2 is geometrically m conjugate
-    summands of dimension (dim X)/m, so its block is split and resampled; this is
-    what makes e.g. twice an isotropic Schur root land on a split rational sample.
+    decomposition. Sampling runs through `_refine_blocks`, as for a cone of index
+    E^t·d with no shifted part: a summand X with dim End = m >= 2 is
+    geometrically m conjugate summands of dimension (dim X)/m, so its block is
+    split and resampled; this is what makes e.g. twice an isotropic Schur root
+    land on a split rational sample. The representative is the direct sum of
+    the block samples.
     """
     d = vertex_vector(q, d, "dimension vector")
     if any(x < 0 for x in d):
         raise SubdimensionOutOfRange("dimension vector must be nonnegative")
     if all(x == 0 for x in d):
         return zero_representation(q), []
-    for restart in range(8):
-        blocks: list[tuple[int, ...]] = [d]
-        for round_no in range(24):
-            seed0 = mix_seed(rng_seed, restart, round_no)
-            samples = [
-                random_representation(q, b, QQ, rng_seed=mix_seed(seed0, k), bound=bound)
-                for k, b in enumerate(blocks)
-            ]
-            parts_per_block = [decompose(s, rng_seed=mix_seed(seed0, 99, k)) for k, s in enumerate(samples)]
-            split = split_non_brick(parts_per_block)
-            if split is not None:
-                k, _, _, dims = split
-                if dims is None:
-                    break  # not an equal-dimension bundle: restart from scratch
-                blocks = blocks[:k] + blocks[k + 1 :] + dims
-                continue
-            parts = [p for parts_k in parts_per_block for p in parts_k]
-            if first_ext_pair(parts) is None:
-                return direct_sum_all(samples, q, QQ), parts
-            break  # cross-part extensions: restart from scratch
-    raise GenericityUncertified(f"could not certify a generic representative of {d}")
+    zero = (0,) * q.n
+
+    def sample(block: tuple[int, ...], seed0: int, k: int) -> tuple:
+        x = random_representation(q, et_map(q, block, inverse=True), QQ, rng_seed=mix_seed(seed0, k), bound=bound)
+        return x, decompose(x, rng_seed=mix_seed(seed0, 99, k)), zero
+
+    samples, parts, _, _ = _refine_blocks(
+        q, et_map(q, d), sample, mix_seed(rng_seed, 0), f"could not certify a generic representative of {d}"
+    )
+    return direct_sum_all(samples, q, QQ), parts
 
 
 # --- subspace enumeration over prime fields ---

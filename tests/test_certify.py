@@ -1,9 +1,12 @@
-"""The certification engine, driven by stub draw functions."""
+"""The certification engine and the block-refinement loop, driven by stub draw functions."""
 
 import pytest
 
+from clusterchar import QQ, direct_sum, simple_representation, validate_quiver
 from clusterchar.errors import CapExceeded, GenericityUncertified, NotPolynomialCount
-from clusterchar.seeds import Reject, certify
+from clusterchar.quiver import et_map
+from clusterchar.replab import _refine_blocks, make_representation
+from clusterchar.seeds import Reject, certify, mix_seed
 
 
 def _draw(table):
@@ -75,3 +78,79 @@ def test_exhausted_retries_name_the_last_reason():
     assert len(calls) == 6
     with pytest.raises(GenericityUncertified, match="after 1 rounds .sample disagreement across seeds"):
         certify(_draw([[1, 2, 1, 1, 1]])[0], 1, (), "x")
+
+
+# --- the block-refinement loop, driven by stub samplers ---
+
+SEED = 41
+# the Kronecker quiver plus an isolated vertex 3, where a cone may be shifted
+KRON3 = validate_quiver(3, [(1, 2), (1, 2)])
+A2 = validate_quiver(2, [(1, 2)])
+
+
+def _regular(a, b):
+    """The brick of dimension (1, 1, 0) at the point [a : b] of P^1: no Hom or Ext between two points."""
+    return make_representation(KRON3, QQ, (1, 1, 0), [[[a]], [[b]]])
+
+
+R1, R2 = _regular(1, 0), _regular(0, 1)
+S1, S2 = simple_representation(A2, 1), simple_representation(A2, 2)
+
+
+def _sampler(table):
+    """A sampler that replays table[round][k] as (module, summands, shifted) and records its calls."""
+    rounds = {mix_seed(SEED, r): r for r in range(len(table))}
+    calls = []
+
+    def sample(block, seed0, k):
+        calls.append((rounds[seed0], block, k))
+        return table[rounds[seed0]][k]
+
+    return sample, calls
+
+
+def test_non_brick_dividing_its_dimension_refines_its_block():
+    x = direct_sum(R1, R2)  # End = Q x Q: m = 2 divides (2, 2, 0)
+    gamma = et_map(KRON3, (2, 2, 0))
+    half = et_map(KRON3, (1, 1, 0))
+    zero = (0, 0, 0)
+    sample, calls = _sampler([[(x, [x], zero)], [(R1, [R1], zero), (R2, [R2], zero)]])
+    modules, parts, shifted, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x")
+    assert calls == [(0, gamma, 0), (1, half, 0), (1, half, 1)]
+    assert modules == [R1, R2] and parts == [R1, R2] and shifted == zero and refined
+
+
+def test_non_brick_not_dividing_its_dimension_resamples_the_same_blocks():
+    bundle = direct_sum(S1, S2)  # End = Q x Q: m = 2 does not divide (1, 1)
+    brick = make_representation(A2, QQ, (1, 1), [[[1]]])
+    gamma = et_map(A2, (1, 1))
+    sample, calls = _sampler([[(bundle, [bundle], (0, 0))], [(brick, [brick], (0, 0))]])
+    modules, parts, _, refined = _refine_blocks(A2, gamma, sample, SEED, "x")
+    assert calls == [(0, gamma, 0), (1, gamma, 0)]
+    assert modules == [brick] and parts == [brick] and not refined
+
+
+def test_a_cones_shifted_part_returns_as_a_negative_block():
+    x = direct_sum(R1, R2)
+    shift = (0, 0, 1)
+    gamma = tuple(a - b for a, b in zip(et_map(KRON3, (2, 2, 0)), shift))
+    half = et_map(KRON3, (1, 1, 0))
+    zero = (0, 0, 0)
+    sample, calls = _sampler([
+        [(x, [x], shift)],
+        [(R1, [R1], zero), (R2, [R2], zero), (None, [], shift)],
+    ])
+    _, parts, shifted, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x")
+    assert calls == [(0, gamma, 0), (1, half, 0), (1, half, 1), (1, (0, 0, -1), 2)]
+    assert parts == [R1, R2] and shifted == shift and refined
+
+
+def test_last_round_names_the_last_reason():
+    bundle = direct_sum(S1, S2)
+    gamma = et_map(A2, (1, 1))
+    # round 0: a non-brick that cannot split; round 1: bricks with Ext(S1, S2) != 0
+    sample, calls = _sampler([[(bundle, [bundle], (0, 0))], [(bundle, [S1, S2], (0, 0))]])
+    with pytest.raises(GenericityUncertified) as info:
+        _refine_blocks(A2, gamma, sample, SEED, "no pattern", rounds=2)
+    assert str(info.value) == "no pattern (Ext((1, 0),(0, 1)) nonzero on the sample)"
+    assert len(calls) == 2

@@ -120,6 +120,22 @@ def test_enumerate_json(capsys, a2_file):
     assert len(data["variables_list"]) == 5
 
 
+def test_enumerate_infinite_type_needs_a_limit(capsys):
+    kronecker = str(ROOT / "quivers" / "kronecker.quiver")
+    code, out, err = run(capsys, "enumerate", kronecker)
+    assert code == 1 and out == ""
+    assert err.startswith("error: NotFiniteType: ") and "--limit" in err
+
+
+def test_enumerate_with_a_limit_stops_there(capsys):
+    code, out, _ = run(capsys, "enumerate", str(ROOT / "quivers" / "kronecker.quiver"), "--limit", "3")
+    assert code == 1
+    assert out == (
+        "clusters: 4\nvariables: 5\nclosed: false\n"
+        "(1+2*x2^2+x2^4+x1^2)/(x1^2*x2)\n(1+x1^2)/x2\n(1+x2^2)/x1\nx1\nx2\n"
+    )
+
+
 def test_byte_identical_stdout(capsys, a3_file):
     _, out1, _ = run(capsys, "genchar", a3_file, "--gamma", "1,0,-1", "--rng-seed", "77")
     _, out2, _ = run(capsys, "genchar", a3_file, "--gamma", "1,0,-1", "--rng-seed", "77")

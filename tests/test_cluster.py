@@ -160,6 +160,22 @@ def test_membership_examples(a2):
     assert not is_cluster_monomial(a2, parse_laurent("(1+x1)/x1", 2), 4)
 
 
+def test_d4_enumeration_never_multiplies_by_one(monkeypatch):
+    # each exchange product starts from its first factor, not from 1
+    factors = []
+    mul = LaurentPoly.__mul__
+
+    def counting_mul(self, other):
+        factors.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    enumerate_seeds(validate_quiver(4, [(1, 2), (3, 2), (4, 2)]))
+    one = LaurentPoly.one(4)
+    assert not [pair for pair in factors if one in pair]
+    assert len(factors) == 616
+
+
 def test_cluster_variables_are_characters_d4():
     # the bijection is not a type-A accident
     d4 = validate_quiver(4, [(1, 2), (3, 2), (4, 2)])

@@ -19,6 +19,7 @@ from clusterchar import (
     min_proj_decomposition,
     monomial,
     parse_laurent,
+    positive_roots,
     projective_representation,
     random_representation,
     sample_generic_proj_map,
@@ -31,6 +32,7 @@ from clusterchar import (
 from clusterchar.errors import GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import ProjDecomposition, ProjectiveMap, cone_pattern_is_plain, projective_module
 from clusterchar.quiver import euler_matrix
+from clusterchar.replab import first_ext_pair, indecomposable_for_root
 
 
 def test_min_proj_decomposition():
@@ -186,18 +188,42 @@ def test_three_arrow_kronecker_frontier_fails_with_its_name():
     assert "e=(1, 2)" in message
 
 
+def _root_search_decomposition(q, d):
+    """Kac's decomposition of d on a Dynkin quiver by exhaustive search: the one
+    multiset of positive roots whose indecomposables have no Ext between them."""
+    roots = sorted(positive_roots(q), reverse=True)
+    reps = {beta: indecomposable_for_root(q, beta) for beta in roots}
+    found = []
+
+    def search(remaining, start, chosen):
+        if not any(remaining):
+            if first_ext_pair([reps[a] for a in chosen]) is None:
+                found.append(list(chosen))
+            return
+        for k in range(start, len(roots)):
+            beta = roots[k]
+            if all(b <= r for b, r in zip(beta, remaining)):
+                chosen.append(beta)
+                search(tuple(r - b for r, b in zip(remaining, beta)), k, chosen)
+                chosen.pop()
+
+    search(tuple(d), 0, [])
+    assert len(found) == 1, f"{len(found)} root multisets pass the Ext test for {d}"
+    return sorted(found[0])
+
+
 def test_generic_decomposition_two_algorithms_agree(a2, a3):
     # exhaustive root search vs certified random-sample decomposition
-    from clusterchar.generic import _dynkin_decomposition
-    from clusterchar.replab import generic_representation
-
-    for q in (a2, a3):
+    d4 = validate_quiver(4, [(1, 2), (3, 2), (4, 2)])
+    a4 = validate_quiver(4, [(1, 2), (3, 2), (3, 4)])
+    for q in (a2, a3, d4, a4):
         for d in product(range(3), repeat=q.n):
             if not any(d):
                 continue
-            by_roots = _dynkin_decomposition(q, d)
+            by_roots = _root_search_decomposition(q, d)
+            assert generic_decomposition(q, d) == by_roots
             _, parts = generic_representation(q, d, rng_seed=13)
-            assert by_roots == sorted(p.dims for p in parts)
+            assert sorted(p.dims for p in parts) == by_roots
 
 
 def test_virtual_generic_decomposition_examples(a2):
