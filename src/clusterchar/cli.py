@@ -6,6 +6,7 @@ Exit codes: 0 pass, 1 fail (domain error or failed suite), 2 usage, 3 internal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -112,14 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config(getattr(args, "config", None))
+    """The config file (or defaults) with the command-line values over it, validated as a whole."""
+    overrides = {}
     for option, key in (("rng_seed", "rng_seed"), ("sample_bound", "sample_bound"), ("retries", "retries"),
                         ("cap", "enumeration_cap"), ("cache", "cache_path")):
         if getattr(args, option, None) is not None:
-            setattr(config, key, getattr(args, option))
+            overrides[key] = getattr(args, option)
     if getattr(args, "json", False):
-        config.output = "json"
-    return config
+        overrides["output"] = "json"
+    return dataclasses.replace(load_config(getattr(args, "config", None)), **overrides)
 
 
 def _run(args: argparse.Namespace, config: RunConfig) -> int:

@@ -300,7 +300,7 @@ class CharacterCache:
             tmp = f"{self._path}.tmp.{os.getpid()}"
             payload = {k: v.to_json() for k, v in sorted(self._mem.items())}
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, self._path)
 
 

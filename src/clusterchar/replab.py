@@ -1,8 +1,9 @@
 """Quiver representations with exact linear algebra.
 
-Sampling, Hom/Ext dimensions, Krull-Schmidt decomposition via the fitting
-lemma, subspace enumeration over prime fields, and Grassmannian Euler
-characteristics by point counting + interpolation.
+Sampling, Hom/Ext dimensions, Krull-Schmidt decomposition (simple summands
+by linear algebra, the rest via the fitting lemma), subspace enumeration over
+prime fields, and Grassmannian Euler characteristics by point counting +
+interpolation.
 """
 
 from __future__ import annotations
@@ -276,7 +277,8 @@ def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Rep
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
-    """Exact iso test: look for an invertible element of Hom(M, N)."""
+    """Exact iso test: look for an invertible element of Hom(M, N) among its basis
+    elements, then among 12 random combinations of them."""
     if m.quiver != n.quiver or m.field != n.field or m.dims != n.dims:
         return False
     if m.total_dim == 0:
@@ -285,7 +287,7 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     if not basis:
         return False
     rng = random.Random(7)
-    for attempt in range(12):
+    for attempt in range(len(basis) + 12):
         if attempt < len(basis):
             comps = basis[attempt]
         else:
@@ -416,12 +418,48 @@ def _combine_endos(m: Representation, endos, coeffs) -> list[MatrixT]:
     return phi
 
 
+def _split_simples(m: Representation) -> tuple[Representation, list[Representation]]:
+    """M = N ⊕ (⊕_v S_v^c_v), where N has no simple direct summand.
+
+    At vertex v let I_v be the sum of the images of the arrows into v and K_v the
+    common kernel of the arrows out of v. S_v is a direct summand of M exactly
+    c_v = dim K_v - dim(K_v ∩ I_v) times. Where K_v != 0, one elimination of the
+    columns [in-arrow maps | basis of K_v | unit vectors] picks, left to right, a
+    basis of I_v, vectors C_v of K_v independent of I_v (c_v of them) and unit
+    vectors completing both to all of M_v; N_v is spanned by the first and the
+    last. Every arrow lands in some I_w ⊆ N_w, so N is a subrepresentation, and
+    each line of C_v ⊆ K_v is a copy of S_v; together they span M.
+    """
+    q, field = m.quiver, m.field
+    bases, simples = [], []
+    for v, d in enumerate(m.dims, start=1):
+        outs = [row for a, (s, _) in enumerate(q.arrows) if s == v for row in m.maps[a]]
+        kernel = linalg.nullspace(outs, field, ncols=d)
+        if not kernel:
+            bases.append([[int(i == j) for j in range(d)] for i in range(d)])
+            continue
+        ins = [a for a, (_, t) in enumerate(q.arrows) if t == v]
+        cols = [row for a in ins for row in zip(*m.maps[a])] + kernel
+        cols += [[int(i == j) for i in range(d)] for j in range(d)]
+        pivots = linalg.rref([list(r) for r in zip(*cols)], field)[1]
+        n_in = len(cols) - len(kernel) - d
+        keep = [c for c in pivots if not n_in <= c < n_in + len(kernel)]
+        bases.append([[cols[c][i] for c in keep] for i in range(d)])
+        simples += [simple_representation(q, v, field)] * (len(pivots) - len(keep))
+    if not simples:
+        return m, []
+    return _subrep_on_bases(m, bases), simples
+
+
 def _decompose_once(m: Representation, rng: random.Random) -> list[Representation]:
-    """Summands of M by Fitting splits."""
+    """Summands of M: simple summands split off linearly, the rest by Fitting splits."""
     if m.is_zero():
         return []
     if all(d <= 1 for d in m.dims):
         return _thin_components(m)
+    n, simples = _split_simples(m)
+    if simples:
+        return _decompose_once(n, rng) + simples
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [m]
@@ -453,10 +491,15 @@ def _decompose_once(m: Representation, rng: random.Random) -> list[Representatio
 
 
 def decompose(m: Representation, rng_seed: int = 0) -> list[Representation]:
-    """Summands of M by Fitting splits with endomorphisms drawn from one seeded pass.
+    """Summands of M from one seeded pass: simple summands split off linearly, the rest by Fitting splits.
 
-    A summand that is a brick (thin components are; otherwise dim End = 1) is
-    indecomposable. A summand that is not a brick is returned unsplit; the
+    S_v is a direct summand of M exactly dim K_v - dim(K_v ∩ I_v) times, where K_v
+    is the common kernel of the arrows out of v and I_v the sum of the images of
+    the arrows into v; those copies come last, after the summands of the rest N,
+    which is a subrepresentation because its basis at v contains I_v
+    (`_split_simples`). N is split by Fitting with endomorphisms drawn from the
+    seed. A summand that is a brick (thin components are; otherwise dim End = 1)
+    is indecomposable. A summand that is not a brick is returned unsplit; the
     certificates downstream (`split_non_brick`) detect it and refine the sample.
     """
     return _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))

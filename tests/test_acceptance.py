@@ -72,6 +72,13 @@ def test_d4_cc_agreement_and_denominators():
     _report("5", run_suite("denominators", d4, CONFIG))
 
 
+def test_d4_multiplicativity_gvectors_and_stability():
+    d4 = quiver_from_text((ROOT / "quivers" / "d4.quiver").read_text())
+    _report("4", run_suite("multiplicativity", d4, CONFIG))
+    _report("6", run_suite("gvectors", d4, CONFIG))
+    _report("7", run_suite("stability", d4, CONFIG))
+
+
 def test_criterion_4_multiplicativity(a2, a3, kronecker):
     for q in (a2, a3, kronecker):
         _report("4", run_suite("multiplicativity", q, CONFIG))

@@ -179,6 +179,15 @@ def test_missing_config_file_exits_2(capsys, a2_file, monkeypatch, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("option, value, key", [
+    ("--sample-bound", "-1", "sample_bound"), ("--retries", "0", "retries"),
+    ("--cap", "-5", "enumeration_cap"), ("--rng-seed", "-3", "rng_seed"),
+])
+def test_invalid_cli_override_exits_2_like_a_config_file(capsys, a2_file, option, value, key):
+    code, out, err = run(capsys, "genchar", a2_file, "--gamma", "1,-1", option, value)
+    assert code == 2 and out == "" and err == f"error: config: {key} must be positive\n"
+
+
 KRONECKER_REP = {"quiver": {"n": 2, "arrows": [[1, 2], [1, 2]]}, "field": "Q", "dims": [1, 1], "maps": [[[1]], [[0]]]}
 
 

@@ -27,13 +27,18 @@ from clusterchar import replab
 from clusterchar.errors import CapExceeded, DecompositionUncertified, FieldMismatch, NotARoot, SubdimensionOutOfRange
 from clusterchar.replab import (
     Representation,
+    _combine_endos,
     _decompose_once,
+    _fitting_split,
     _newton,
     _newton_eval,
     _primes,
+    _split_simples,
     _subrep_on_bases,
     _thin_components,
+    direct_sum_all,
     gaussian_binomial,
+    hom_basis,
     make_representation,
     representation_from_json,
 )
@@ -169,6 +174,104 @@ def test_subrep_on_bases_rejects_a_basis_that_is_not_arrow_stable(a2):
         _subrep_on_bases(m, [[[1]], [[0], [1]]])
     assert exc.value.internal
     assert _subrep_on_bases(m, [[[1]], [[1], [0]]]).dims == (1, 1)
+
+
+def _fitting_only(m, rng):
+    """The Fitting-only decomposition that ran before simple summands were split off
+    linearly, kept here as an independent oracle."""
+    if m.is_zero():
+        return []
+    if all(d <= 1 for d in m.dims):
+        return _thin_components(m)
+    endos = hom_basis(m, m)
+    if len(endos) == 1:
+        return [m]
+
+    def candidates():
+        for k in range(len(endos)):
+            yield [int(j == k) for j in range(len(endos))]
+        lo, hi = (-9, 9) if m.field.p is None else (0, m.field.p - 1)
+        for _ in range(8):
+            cf = [0] * len(endos)
+            for _ in range(min(3, len(endos))):
+                cf[rng.randrange(len(endos))] = rng.randint(lo, hi) or 1
+            yield cf
+        for _ in range(8):
+            yield [rng.randint(lo, hi) for _ in endos]
+
+    for coeffs in candidates():
+        split = _fitting_split(m, _combine_endos(m, endos, coeffs))
+        if split is not None:
+            return _fitting_only(split[0], rng) + _fitting_only(split[1], rng)
+    return [m]
+
+
+# (quiver, sink, source, middle vertex or None)
+SPLIT_QUIVERS = [
+    (validate_quiver(3, [(1, 2), (2, 3)]), 3, 1, 2),
+    (validate_quiver(3, [(1, 2), (3, 2)]), 2, 1, None),
+    (validate_quiver(3, [(2, 1), (2, 3)]), 1, 2, None),
+    (validate_quiver(4, [(1, 2), (3, 2), (3, 4)]), 2, 3, None),
+    (validate_quiver(4, [(1, 2), (3, 2), (4, 2)]), 2, 4, None),
+    (validate_quiver(2, [(1, 2), (1, 2)]), 2, 1, None),
+    (validate_quiver(2, [(1, 2), (1, 2), (1, 2)]), 2, 1, None),
+]
+
+
+def _with_simples(m, v, k):
+    return direct_sum_all([m] + [simple_representation(m.quiver, v, m.field)] * k, m.quiver, m.field)
+
+
+@pytest.mark.parametrize("q, sink, source, middle", SPLIT_QUIVERS)
+def test_decompose_matches_fitting_only_with_simple_summands(q, sink, source, middle):
+    rng = random.Random(q.n * 100 + len(q.arrows))
+    for v in (x for x in (sink, source, middle) if x is not None):
+        for _ in range(3):
+            d = tuple(rng.randint(0, 2) for _ in range(q.n))
+            m = _with_simples(random_representation(q, d, rng_seed=rng.randrange(10**6), bound=2), v, rng.randint(1, 3))
+            parts = decompose(m, rng_seed=5)
+            oracle = _fitting_only(m, random.Random(5))
+            assert sorted(x.dims for x in parts) == sorted(x.dims for x in oracle)
+            assert is_isomorphic(direct_sum_all(parts, q, QQ), m)
+
+
+def test_split_simples_keeps_a_kernel_inside_the_images(a3):
+    # A3 path (1,1,0): K_2 = I_2 = M_2 != 0, so S_2 is a submodule but no summand
+    m = make_representation(a3, QQ, (1, 1, 0), [((1,),), ()])
+    assert _split_simples(m) == (m, [])
+    assert decompose(m) == [m]
+    square = direct_sum(m, m)
+    assert _split_simples(square) == (square, [])
+    assert sorted(x.dims for x in decompose(square)) == [(1, 1, 0)] * 2
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_split_simples_with_unreduced_prime_field_entries(a3, kronecker, p):
+    rng = random.Random(p + 40)
+    for q, v in ((a3, 2), (a3, 3), (kronecker, 1), (kronecker, 2)):
+        for _ in range(4):
+            d = tuple(rng.randint(1, 2) for _ in range(q.n))
+            red = _with_simples(random_representation(q, d, GF(p), rng_seed=rng.randrange(10**6)), v, rng.randint(1, 2))
+            maps = tuple(tuple(tuple(x + p * rng.choice((-2, -1, 1, 3)) for x in row) for row in mat) for mat in red.maps)
+            raw = Representation(q, GF(p), red.dims, maps)
+            parts = decompose(raw, rng_seed=2)
+            assert sorted(x.dims for x in parts) == sorted(x.dims for x in _fitting_only(red, random.Random(2)))
+            assert all(0 <= x < p for part in parts for mat in part.maps for row in mat for x in row)
+            assert is_isomorphic(direct_sum_all(parts, q, GF(p)), red)
+
+
+def test_decompose_semisimple_needs_no_hom_basis(monkeypatch, d4):
+    calls = []
+
+    def counted(m, n):
+        calls.append(m.dims)
+        return hom_basis(m, n)
+
+    monkeypatch.setattr(replab, "hom_basis", counted)
+    s2 = simple_representation(d4, 2)
+    parts = decompose(direct_sum_all([s2, s2, s2, simple_representation(d4, 1)], d4))
+    assert sorted(x.dims for x in parts) == [(0, 1, 0, 0)] * 3 + [(1, 0, 0, 0)]
+    assert calls == []
 
 
 def test_decompose_seed_stability(a2, a3):
