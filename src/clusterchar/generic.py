@@ -2,9 +2,17 @@
 
 A generic character of index gamma is the character of the cone of a generic map
 between projectives realizing the minimal decomposition of gamma. Genericity is
-certified operationally: five independently seeded samples must agree, and each
-sample must exhibit the virtual generic decomposition pattern exactly (brick
-summands, pairwise Ext vanishing, shifted part of disjoint support).
+certified operationally: each of five independently seeded samples must exhibit
+the virtual generic decomposition pattern exactly (brick summands, pairwise Ext
+vanishing, shifted part of disjoint support), and their values must agree.
+
+Within one value, a rigid brick part (<d, d> = 1) is counted on the first sample
+that meets it and its count is reused after that: an exceptional module is
+unique for its dimension vector. So for an all-rigid pattern the five samples
+agree on the certified pattern, and rigidity proves that their values agree.
+Parts that are not rigid are counted on every sample. The reused counts never
+outlive one value, so values compared with each other (cc-agreement,
+multiplicativity) are computed independently.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .errors import (
 )
 from .laurent import LaurentPoly, monomial
 from .linalg import QQ
-from .quiver import Quiver, et_map, vertex_vector
+from .quiver import Quiver, et_map, euler_form, vertex_vector
 from .replab import (
     Representation,
     _certify_pattern,
@@ -253,10 +261,26 @@ def _cone_pattern_once(
     return ConePattern(parts=parts, shifted=shifted, refined=refined)
 
 
-def _pattern_value(parts: Sequence[Representation], shifted: IntVec, cap: int) -> LaurentPoly:
+def _pattern_value(
+    parts: Sequence[Representation], shifted: IntVec, cap: int, rigid: dict[IntVec, LaurentPoly]
+) -> LaurentPoly:
+    """x^shifted times the CC characters of the certified brick parts.
+
+    A brick X with <d, d> = 1 (d = dim X) has ext(X, X) = 1 - <d, d> = 0: it is
+    exceptional, hence determined up to isomorphism by d (Kac; Ringel). Its
+    character is therefore read from `rigid` (dims -> character), which the caller
+    keeps for one certified value; it is counted only on first sight. Every other
+    part is counted each time.
+    """
     value = monomial(len(shifted), shifted)
     for part in parts:
-        value = value * cc_module(part, cap=cap)
+        d = part.dims
+        if euler_form(part.quiver, d, d) != 1:
+            value = value * cc_module(part, cap=cap)
+            continue
+        if d not in rigid:
+            rigid[d] = cc_module(part, cap=cap)
+        value = value * rigid[d]
     return value
 
 
@@ -319,16 +343,21 @@ def generic_character(
     cap: int = 5_000_000,
     cache: CharacterCache | None = None,
 ) -> LaurentPoly:
-    """X(gamma): certified by agreement of five independently seeded evaluations."""
+    """X(gamma): certified by agreement of five independently seeded evaluations.
+
+    Each rigid part is counted once per call (`_pattern_value`).
+    """
     g = vertex_vector(q, gamma, "index")
     store = cache if cache is not None else _DEFAULT_CACHE
     hit = store.get(q, g)
     if hit is not None:
         return hit
 
+    rigid: dict[IntVec, LaurentPoly] = {}  # lives for this value only
+
     def draw(attempt: int, s: int) -> LaurentPoly:
         pattern = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound)
-        return _pattern_value(pattern.parts, pattern.shifted, cap)
+        return _pattern_value(pattern.parts, pattern.shifted, cap, rigid)
 
     value = certify(draw, retries, (GenericityUncertified, NotPolynomialCount), f"X({g})")
     store.put(q, g, value)
@@ -471,7 +500,7 @@ def stability_check(
             if any(hom_dim(x, x) != 1 for x in parts):
                 raise Reject("padded cone has a non-brick summand")
             _certify_pattern(q, g, parts, shift)
-            return _pattern_value(parts, shift, cap)
+            return _pattern_value(parts, shift, cap, {})
         except (SupportNotDisjoint, GenericityUncertified, NotPolynomialCount, CapExceeded) as exc:
             raise Reject(f"{type(exc).__name__}: {exc}") from exc
 

@@ -268,10 +268,16 @@ def ext_dim(m: Representation, n: Representation) -> int:
 
 
 def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Representation] | None:
-    """The first ordered pair (X, Y) of distinct summands with Ext(X, Y) != 0, if any."""
+    """The first ordered pair (X, Y) of distinct summands with Ext(X, Y) != 0, if any.
+
+    The parts must be bricks. Two bricks X, Y on one dimension vector d with
+    <d, d> = 1 are rigid (ext = 1 - <d, d> = 0), so both are the exceptional module
+    of d and Ext(X, Y) = ext(X, X) = 0: such pairs are skipped without computing.
+    """
     for i, x in enumerate(parts):
+        rigid = euler_form(x.quiver, x.dims, x.dims) == 1
         for j, y in enumerate(parts):
-            if i != j and ext_dim(x, y) != 0:
+            if i != j and not (rigid and y.dims == x.dims) and ext_dim(x, y) != 0:
                 return x, y
     return None
 
@@ -452,14 +458,21 @@ def _split_simples(m: Representation) -> tuple[Representation, list[Representati
 
 
 def _decompose_once(m: Representation, rng: random.Random) -> list[Representation]:
-    """Summands of M: simple summands split off linearly, the rest by Fitting splits."""
+    """Summands of M: simple summands split off linearly, the rest N by Fitting splits.
+
+    N has no simple summand, and by Krull-Schmidt neither has any Fitting piece of
+    it, so `_split_simples` runs on M only.
+    """
+    n, simples = (m, []) if all(d <= 1 for d in m.dims) else _split_simples(m)
+    return _fitting_summands(n, rng) + simples
+
+
+def _fitting_summands(m: Representation, rng: random.Random) -> list[Representation]:
+    """Summands of M by Fitting splits with endomorphisms drawn from rng."""
     if m.is_zero():
         return []
     if all(d <= 1 for d in m.dims):
         return _thin_components(m)
-    n, simples = _split_simples(m)
-    if simples:
-        return _decompose_once(n, rng) + simples
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [m]
@@ -486,7 +499,7 @@ def _decompose_once(m: Representation, rng: random.Random) -> list[Representatio
         split = _fitting_split(m, _combine_endos(m, endos, coeffs))
         if split is not None:
             ker, im = split
-            return _decompose_once(ker, rng) + _decompose_once(im, rng)
+            return _fitting_summands(ker, rng) + _fitting_summands(im, rng)
     return [m]  # no splitting endomorphism found: End local as far as the procedure sees
 
 

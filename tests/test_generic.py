@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -29,10 +30,20 @@ from clusterchar import (
     virtual_generic_decomposition,
     zero_representation,
 )
+from clusterchar import generic
 from clusterchar.errors import GenericityUncertified, SubdimensionOutOfRange
-from clusterchar.generic import ProjDecomposition, ProjectiveMap, cone_pattern_is_plain, projective_module
-from clusterchar.quiver import euler_matrix
-from clusterchar.replab import first_ext_pair, indecomposable_for_root
+from clusterchar.generic import (
+    ProjDecomposition,
+    ProjectiveMap,
+    _cone_pattern_once,
+    _pattern_value,
+    cone_pattern_is_plain,
+    projective_module,
+)
+from clusterchar.quiver import euler_form, euler_matrix, quiver_from_text
+from clusterchar.replab import ext_dim, first_ext_pair, indecomposable_for_root
+
+QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
 
 def test_min_proj_decomposition():
@@ -296,3 +307,95 @@ def test_disconnected_quiver_pipeline():
     assert generic_decomposition(q, (1, 1, 2)) == [(0, 0, 1), (0, 0, 1), (1, 1, 0)]
     rep = check_multiplicativity(q, (2, 1, -1))
     assert rep.equal and rep.gamma_shift == (0, 0, 1)
+
+
+@pytest.fixture(scope="module")
+def drawn_patterns():
+    """(quiver, index, pattern) for every shipped quiver, every index in
+    [-2, 2]^n with |index|_1 <= 4, and two seeds each."""
+    out = []
+    for path in sorted(QUIVERS.glob("*.quiver")):
+        q = quiver_from_text(path.read_text(encoding="utf-8"))
+        for gamma in product(range(-2, 3), repeat=q.n):
+            if sum(map(abs, gamma)) <= 4:
+                out += [(q, gamma, _cone_pattern_once(q, gamma, seed)) for seed in (0, 1)]
+    return out
+
+
+def _is_rigid(x):
+    return euler_form(x.quiver, x.dims, x.dims) == 1
+
+
+def test_rigid_parts_counted_once_match_per_part_counting(drawn_patterns):
+    # one map per (quiver, index), shared by its samples as in generic_character
+    maps: dict = {}
+    reused = 0
+    for q, gamma, pattern in drawn_patterns:
+        rigid = maps.setdefault((q.key(), gamma), {})
+        reused += sum(_is_rigid(x) and x.dims in rigid for x in pattern.parts)
+        plain = monomial(q.n, pattern.shifted)
+        for x in pattern.parts:
+            plain = plain * cc_module(x)
+        assert _pattern_value(pattern.parts, pattern.shifted, 5_000_000, rigid) == plain, (q.key(), gamma)
+    assert len({q.key() for q, *_ in drawn_patterns}) == len(list(QUIVERS.glob("*.quiver"))) >= 4
+    assert reused > 100
+    assert any(not _is_rigid(x) for *_, pattern in drawn_patterns for x in pattern.parts)
+
+
+def _counting_cc_module(monkeypatch):
+    counted = []
+
+    def counting(m, cap=5_000_000):
+        counted.append(m.dims)
+        return cc_module(m, cap=cap)
+
+    monkeypatch.setattr(generic, "cc_module", counting)
+    return counted
+
+
+def test_rigid_map_lives_for_one_call(monkeypatch, kronecker):
+    # X(2, 0): every sample's cone is two copies of the rigid brick of dims (1, 2)
+    counted = _counting_cc_module(monkeypatch)
+    first = generic_character(kronecker, (2, 0), cache=CharacterCache())
+    assert counted == [(1, 2)]
+    second = generic_character(kronecker, (2, 0), cache=CharacterCache())
+    assert counted == [(1, 2), (1, 2)]
+    assert first == second == cc_module(random_representation(kronecker, (1, 2), rng_seed=3)) ** 2
+
+
+def test_non_rigid_part_counted_on_every_sample(monkeypatch, kronecker):
+    # X(1, -1) is the regular brick of dims (1, 1), with <d, d> = 0
+    assert euler_form(kronecker, (1, 1), (1, 1)) == 0
+    counted = _counting_cc_module(monkeypatch)
+    generic_character(kronecker, (1, -1), cache=CharacterCache())
+    assert counted == [(1, 1)] * 5
+
+
+def _every_ext_pair(parts):
+    """The unskipped double loop: Ext computed for every ordered pair."""
+    for i, x in enumerate(parts):
+        for j, y in enumerate(parts):
+            if i != j and ext_dim(x, y) != 0:
+                return x, y
+    return None
+
+
+def test_first_ext_pair_skips_only_ext_free_pairs(drawn_patterns):
+    # each drawn list, and each list joined with the one of the next index on its
+    # quiver, which can carry Ext between the two cones' parts
+    lists = [[x for x in pattern.parts if _is_rigid(x)] for *_, pattern in drawn_patterns]
+    quivers = [q.key() for q, *_ in drawn_patterns]
+    joined = [a + b for a, b, qa, qb in zip(lists, lists[2:], quivers, quivers[2:]) if qa == qb]
+    flagged = 0
+    for parts in lists + joined:
+        pair = first_ext_pair(parts)
+        assert pair == _every_ext_pair(parts)
+        flagged += pair is not None
+    assert flagged > 20
+    assert sum(len(p) > len({x.dims for x in p}) for p in lists) > 100
+
+
+def test_first_ext_pair_flags_a_non_rigid_repeat(kronecker):
+    x = random_representation(kronecker, (1, 1), rng_seed=4)
+    assert ext_dim(x, x) == 1
+    assert first_ext_pair([x, x]) == (x, x)

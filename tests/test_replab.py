@@ -235,6 +235,24 @@ def test_decompose_matches_fitting_only_with_simple_summands(q, sink, source, mi
             assert is_isomorphic(direct_sum_all(parts, q, QQ), m)
 
 
+def test_split_simples_runs_once_per_decompose(monkeypatch, d4):
+    calls = []
+
+    def counted(m):
+        calls.append(m.dims)
+        return _split_simples(m)
+
+    monkeypatch.setattr(replab, "_split_simples", counted)
+    m = _with_simples(random_representation(d4, (2, 2, 1, 2), rng_seed=8), 2, 2)
+    parts = decompose(m)
+    assert calls == [m.dims]
+    assert sum(x.dims == (0, 1, 0, 0) for x in parts) >= 2 and len(parts) > 3
+    assert sorted(x.dims for x in parts) == sorted(x.dims for x in _fitting_only(m, random.Random(5)))
+    calls.clear()
+    assert decompose(simple_representation(d4, 2)) == [simple_representation(d4, 2)]
+    assert calls == []  # thin modules take the shortcut
+
+
 def test_split_simples_keeps_a_kernel_inside_the_images(a3):
     # A3 path (1,1,0): K_2 = I_2 = M_2 != 0, so S_2 is a submodule but no summand
     m = make_representation(a3, QQ, (1, 1, 0), [((1,),), ()])
