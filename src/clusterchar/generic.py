@@ -343,10 +343,7 @@ def generic_character(
     cap: int = 5_000_000,
     cache: CharacterCache | None = None,
 ) -> LaurentPoly:
-    """X(gamma): certified by agreement of five independently seeded evaluations.
-
-    Each rigid part is counted once per call (`_pattern_value`).
-    """
+    """X(gamma): certified by agreement of five independently seeded evaluations."""
     g = vertex_vector(q, gamma, "index")
     store = cache if cache is not None else _DEFAULT_CACHE
     hit = store.get(q, g)

@@ -3,11 +3,11 @@
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_11.json \\
         --parent REV --change "what the change does" --claimed d4-suites:wall_s \\
-        --pairs d4-suites=10 --pairs kronecker-frontier=5 --first-seed 101
+        --first-seed 101
 
 PARENT_DIR and CHANGE_DIR are two checkouts, for example made with `git archive`.
-Pair k of the w-th workload named by `--pairs` (every workload of the change's
-BENCHMARK.json, ten pairs each, by default) runs
+Each workload of the change's BENCHMARK.json gets ten pairs. Pair k of the w-th
+workload runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -89,16 +89,12 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--parent", required=True, help="the parent revision, as recorded in the file")
     ap.add_argument("--change", required=True, help="one line saying what the change does")
     ap.add_argument("--claimed", help="WORKLOAD:METRIC of the claimed gain, if any")
-    ap.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N")
     ap.add_argument("--first-seed", type=int, default=101)
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change_dir / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    if args.pairs:
-        workloads = {name: int(n) for name, _, n in (p.partition("=") for p in args.pairs)}
-    else:
-        workloads = {w["name"]: 10 for w in spec["workloads"]}
+    workloads = {w["name"]: 10 for w in spec["workloads"]}
     dirs = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
 
     runs: dict[str, list[dict]] = {name: [] for name in workloads}
