@@ -12,7 +12,9 @@ unique for its dimension vector. So for an all-rigid pattern the five samples
 agree on the certified pattern, and rigidity proves that their values agree.
 Parts that are not rigid are counted on every sample. The reused counts never
 outlive one value, so values compared with each other (cc-agreement,
-multiplicativity) are computed independently.
+multiplicativity) are computed independently. What does outlive a value is the
+plan of a cone (`_cone_plan`): bases and index tables fixed by (quiver, gamma1,
+gamma0), never a sampled coefficient, so sharing it shares no evidence.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
@@ -41,11 +44,9 @@ from .quiver import Quiver, et_map, euler_form, vertex_vector
 from .replab import (
     Representation,
     _certify_pattern,
-    _path_representation,
     _refine_blocks,
     decompose,
     generic_representation,
-    hom_dim,
 )
 from .seeds import Reject, certify, mix_seed
 
@@ -119,98 +120,83 @@ def _path_bases(q: Quiver, g: IntVec) -> list[list[tuple]]:
     return bases
 
 
-def projective_module(q: Quiver, gamma: Sequence[int]) -> tuple[Representation, list[list[tuple]]]:
-    """P(gamma) = ⊕_i P_i^{gamma_i} together with its vertexwise path bases.
+@dataclass(frozen=True)
+class _ConePlan:
+    """What the cones of all maps f: P(gamma1) -> P(gamma0) share, on the bases of `_path_bases`.
 
-    Basis order at v: (i, copy, path i->v) for i ascending, copies ascending,
-    paths in canonical order, as in the direct sum of the P_i in that order.
-    Arrows extend the path and keep its tag (i, copy).
+    f sends (j, c1, p) at v to the sum of f.blocks[(i, j)][c0][c1][k] · (i, c0, w + p)
+    over i, c0 and the k-th path w: i->j. So cells[v] lists one (row, col, (i, j),
+    c0, c1, k) per coefficient landing at (row, col) of f's matrix at v, each
+    (row, col) at most once; dims0, dims1 are the dimensions of P(gamma0), P(gamma1)
+    at each vertex, and targets[a][c] is the index at t of the path extension by
+    a: s -> t of basis vector c of P(gamma0) at s. A plan is structure, never a
+    sampled coefficient or value, so it may serve every sample of every value on
+    (quiver, gamma1, gamma0) and the samples stay independent.
     """
-    g = vertex_vector(q, gamma, "projective multiplicities")
-    if any(x < 0 for x in g):
-        raise SubdimensionOutOfRange("projective multiplicities must be nonnegative")
-    bases = _path_bases(q, g)
-    rep = _path_representation(q, dict(enumerate(bases, start=1)), lambda b, a: (b[0], b[1], b[2] + (a,)), QQ)
-    return rep, bases
+
+    dims1: tuple[int, ...]
+    dims0: tuple[int, ...]
+    cells: tuple[tuple[tuple[int, int, tuple[int, int], int, int, int], ...], ...]
+    targets: tuple[tuple[int, ...], ...]
 
 
-def _evaluate_vertexwise(f: ProjectiveMap) -> tuple[list[int], Representation, list[list[list]]]:
-    """dim P(gamma1), P(gamma0) and the matrices of f on their path bases."""
-    q = f.quiver
-    bases1 = _path_bases(q, f.gamma1)
-    p0, bases0 = projective_module(q, f.gamma0)
-    mats: list[list[list]] = []
-    for v in range(1, q.n + 1):
-        rows = len(bases0[v - 1])
-        cols = len(bases1[v - 1])
-        mat = [[0] * cols for _ in range(rows)]
-        index0 = {b: r for r, b in enumerate(bases0[v - 1])}
-        for c, (j, c1, p) in enumerate(bases1[v - 1]):
-            for i in range(1, q.n + 1):
-                block = f.blocks.get((i, j))
-                if block is None:
-                    continue
-                paths_ij = q.paths(i, j)
-                for c0 in range(len(block)):
-                    coeffs = block[c0][c1]
-                    for w, coeff in zip(paths_ij, coeffs):
-                        if coeff:
-                            mat[index0[(i, c0, w + p)]][c] += coeff
-        mats.append(mat)
-    return [len(b) for b in bases1], p0, mats
+@lru_cache(maxsize=4096)
+def _cone_plan(q: Quiver, gamma1: IntVec, gamma0: IntVec) -> _ConePlan:
+    """The plan of the cones of maps P(gamma1) -> P(gamma0), built once per triple."""
+    bases1 = _path_bases(q, gamma1)
+    bases0 = _path_bases(q, gamma0)
+    index0 = [{b: r for r, b in enumerate(basis)} for basis in bases0]
+    paths = {(i, j): q.paths(i, j) for i in range(1, q.n + 1) for j in range(1, q.n + 1)}
+    cells = tuple(tuple(
+        (index0[v][(i, c0, w + p)], col, (i, j), c0, c1, k)
+        for col, (j, c1, p) in enumerate(bases1[v])
+        for i in range(1, q.n + 1)
+        for k, w in enumerate(paths[(i, j)])
+        for c0 in range(gamma0[i - 1])
+    ) for v in range(q.n))
+    targets = tuple(
+        tuple(index0[t - 1][(i, c, p + (a,))] for i, c, p in bases0[s - 1])
+        for a, (s, t) in enumerate(q.arrows)
+    )
+    return _ConePlan(tuple(map(len, bases1)), tuple(map(len, bases0)), cells, targets)
 
 
 def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
     """Cone(f) = Coker(f) ⊕ Ker(f)[1]; the kernel is projective (kQ hereditary).
 
-    The kernel only enters through its dimension vector: the multiplicities of its
-    projective summands are m = E^t·(dim Ker), solved via the unitriangular system.
+    The structure comes from `_cone_plan`. Per map, each vertex fills its image matrix
+    from f.blocks (a missing block is zero) and takes one RREF. An arrow sends a basis
+    vector to a basis vector e_r, which reduces to e_r when r is not a pivot and to
+    e_r minus the RREF row with pivot r when it is; the non-pivot coordinates of
+    that are the cokernel column. The kernel only enters through its dimension
+    vector: the multiplicities of its projective summands are m = E^t·(dim Ker),
+    solved via the unitriangular system.
     """
     q = f.quiver
-    dims1, p0, mats = _evaluate_vertexwise(f)
     n = q.n
-    # cokernel data per vertex: RREF of the row space of the image
-    reducers = []
-    coker_coords = []
+    plan = _cone_plan(q, tuple(f.gamma1), tuple(f.gamma0))
+    pivot_rows = []  # per vertex: pivot column -> RREF row
+    free = []  # per vertex: the non-pivot coordinates, a basis of the cokernel
     ker_dims = []
     for v in range(n):
-        mat = mats[v]
-        d0 = p0.dims[v]
-        d1 = dims1[v]
-        if d0 == 0:
-            reducers.append(([], []))
-            coker_coords.append([])
-            ker_dims.append(d1)
-            continue
-        image_rows = [[mat[r][c] for r in range(d0)] for c in range(d1)]
-        red, pivots = linalg.rref(image_rows, QQ) if image_rows else ([], [])
-        rank = len(pivots)
-        reducers.append((red[:rank], pivots))
-        coker_coords.append([c for c in range(d0) if c not in set(pivots)])
-        ker_dims.append(d1 - rank)
+        d0, d1 = plan.dims0[v], plan.dims1[v]
+        image = [[0] * d0 for _ in range(d1)]
+        for row, col, key, c0, c1, k in plan.cells[v]:
+            block = f.blocks.get(key)
+            if block is not None:
+                image[col][row] = block[c0][c1][k]
+        red, pivots = linalg.rref(image, QQ) if d0 and d1 else ([], [])
+        pivot_rows.append(dict(zip(pivots, red)))
+        free.append([c for c in range(d0) if c not in pivot_rows[v]])
+        ker_dims.append(d1 - len(pivots))
 
-    def quotient(v: int, vec: list) -> list:
-        red, pivots = reducers[v]
-        w = list(vec)
-        for row, pc in zip(red, pivots):
-            fct = w[pc]
-            if fct != 0:
-                w = [a - fct * b for a, b in zip(w, row)]
-        return [w[c] for c in coker_coords[v]]
-
-    coker_dims = tuple(len(coker_coords[v]) for v in range(n))
     maps = []
     for a, (s, t) in enumerate(q.arrows):
-        amat = p0.maps[a]
-        cols = []
-        for c in coker_coords[s - 1]:
-            col = [amat[r][c] for r in range(p0.dims[t - 1])]
-            cols.append(quotient(t - 1, col))
-        rows = tuple(
-            tuple(cols[ci][ri] for ci in range(len(cols))) for ri in range(coker_dims[t - 1])
-        )
-        maps.append(rows)
-    coker = Representation(q, QQ, coker_dims, tuple(maps))
+        rows, coords = pivot_rows[t - 1], free[t - 1]
+        cols = [[-rows[r][x] for x in coords] if r in rows else [int(x == r) for x in coords]
+                for r in (plan.targets[a][c] for c in free[s - 1])]
+        maps.append(tuple(tuple(col[ri] for col in cols) for ri in range(len(coords))))
+    coker = Representation(q, QQ, tuple(map(len, free)), tuple(maps))
     shifted = et_map(q, ker_dims)
     if any(x < 0 for x in shifted):
         raise KernelNotProjectiveShape(f"kernel dims {tuple(ker_dims)} not a projective shape")
@@ -494,7 +480,7 @@ def stability_check(
         # support) makes the character an invariant: one counting pass suffices
         parts, shift = cone
         try:
-            if any(hom_dim(x, x) != 1 for x in parts):
+            if any(x.end_dim != 1 for x in parts):
                 raise Reject("padded cone has a non-brick summand")
             _certify_pattern(q, g, parts, shift)
             return _pattern_value(parts, shift, cap, {})

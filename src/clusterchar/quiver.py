@@ -189,11 +189,13 @@ def vertex_vector(q: Quiver, v: Sequence[int], what: str = "vector") -> IntVecto
 def et_map(q: Quiver, v: Sequence[int], inverse: bool = False) -> IntVector:
     """E^t·v, the index of a module of dimension vector v; E^{-t}·v when inverse."""
     v = vertex_vector(q, v)
-    ed = euler_data(q)
-    n = q.n
     if inverse:
-        return tuple(sum(ed.Etinv[i][j] * v[j] for j in range(n)) for i in range(n))
-    return tuple(sum(ed.E[j][i] * v[j] for j in range(n)) for i in range(n))
+        etinv = euler_data(q).Etinv
+        return tuple(sum(etinv[i][j] * v[j] for j in range(q.n)) for i in range(q.n))
+    out = list(v)  # E = I - A: (E^t·v)_t = v_t - sum over arrows s -> t of v_s
+    for s, t in q.arrows:
+        out[t - 1] -= v[s - 1]
+    return tuple(out)
 
 
 def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:

@@ -12,7 +12,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
@@ -67,6 +67,12 @@ class Representation:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, d in enumerate(self.dims) if d > 0)
+
+    @cached_property
+    def end_dim(self) -> int:
+        """dim End M, computed once per object; `decompose` records it for the
+        summands it returns, whose End it has already determined."""
+        return hom_dim(self, self)
 
     def to_json(self) -> dict:
         return {
@@ -402,8 +408,14 @@ def _thin_components(m: Representation) -> list[Representation]:
                 maps.append(((m.maps[a][0][0],),))
             else:
                 maps.append(tuple((0,) * dims[s - 1] for _ in range(dims[t - 1])))
-        out.append(Representation(q, field, dims, tuple(maps)))
+        out.append(_known_end(Representation(q, field, dims, tuple(maps)), 1))
     return out
+
+
+def _known_end(m: Representation, end_dim: int) -> Representation:
+    """m, with dim End m = end_dim recorded (the caller has just determined it)."""
+    m.__dict__["end_dim"] = end_dim
+    return m
 
 
 def _combine_endos(m: Representation, endos, coeffs) -> list[MatrixT]:
@@ -451,7 +463,7 @@ def _split_simples(m: Representation) -> tuple[Representation, list[Representati
         n_in = len(cols) - len(kernel) - d
         keep = [c for c in pivots if not n_in <= c < n_in + len(kernel)]
         bases.append([[cols[c][i] for c in keep] for i in range(d)])
-        simples += [simple_representation(q, v, field)] * (len(pivots) - len(keep))
+        simples += [_known_end(simple_representation(q, v, field), 1)] * (len(pivots) - len(keep))
     if not simples:
         return m, []
     return _subrep_on_bases(m, bases), simples
@@ -475,32 +487,31 @@ def _fitting_summands(m: Representation, rng: random.Random) -> list[Representat
         return _thin_components(m)
     endos = hom_basis(m, m)
     if len(endos) == 1:
-        return [m]
-    field = m.field
+        return [_known_end(m, 1)]
+    p = m.field.p
 
     def candidates():
         # The RREF basis of End(M) carries matrix-unit-like elements (idempotent on
         # isotypic blocks), so single elements split where dense random combos,
         # being generically invertible, never would.
-        for k in range(len(endos)):
-            cf = [0] * len(endos)
-            cf[k] = 1
-            yield cf
-        lo, hi = (-9, 9) if field.p is None else (0, field.p - 1)
+        for b in endos:
+            yield b if p is None else [tuple(tuple(x % p for x in row) for row in mat) for mat in b]
+        lo, hi = (-9, 9) if p is None else (0, p - 1)
         for _ in range(8):
             cf = [0] * len(endos)
             for _ in range(min(3, len(endos))):
                 cf[rng.randrange(len(endos))] = rng.randint(lo, hi) or 1
-            yield cf
+            yield _combine_endos(m, endos, cf)
         for _ in range(8):
-            yield [rng.randint(lo, hi) for _ in endos]
+            yield _combine_endos(m, endos, [rng.randint(lo, hi) for _ in endos])
 
-    for coeffs in candidates():
-        split = _fitting_split(m, _combine_endos(m, endos, coeffs))
+    for phi in candidates():
+        split = _fitting_split(m, phi)
         if split is not None:
             ker, im = split
             return _fitting_summands(ker, rng) + _fitting_summands(im, rng)
-    return [m]  # no splitting endomorphism found: End local as far as the procedure sees
+    # no splitting endomorphism found: End local as far as the procedure sees
+    return [_known_end(m, len(endos))]
 
 
 def decompose(m: Representation, rng_seed: int = 0) -> list[Representation]:
@@ -547,7 +558,7 @@ def split_non_brick(parts_per_block: Sequence[Sequence[Representation]]) -> tupl
     """
     for k, parts in enumerate(parts_per_block):
         for x in parts:
-            m = hom_dim(x, x)
+            m = x.end_dim
             if m == 1:
                 continue
             if any(v % m for v in x.dims):
@@ -898,7 +909,7 @@ class ReductionPool:
 
     def __init__(self, m: Representation):
         self.m = m
-        self.end_dim = hom_dim(m, m)
+        self.end_dim = m.end_dim
         self._bad = _denominator_lcm(m)
         self._gen = _primes()
         self._reduced: list[tuple[int, Representation]] = []

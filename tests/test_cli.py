@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -236,3 +237,16 @@ def test_enumerate_d4_matches_golden(capsys):
     code, out, _ = run(capsys, "enumerate", str(ROOT / "quivers" / "d4.quiver"))
     assert code == 0
     assert out == (ROOT / "tests" / "golden" / "enumerate-d4.txt").read_text()
+
+
+def test_console_script_entry_point_runs_verify(capsys):
+    """The `clusterchar` script of pyproject.toml resolves to a callable that runs
+    a verify suite end to end, as an installed console script would call it."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, attr = scripts["clusterchar"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    code = entry(["verify", "cone-table-a3", str(ROOT / "quivers" / "a3.quiver"), "--json"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == (ROOT / "tests" / "golden" / "cone-table-a3-a3.json").read_text()

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from clusterchar import (
     virtual_generic_decomposition,
     zero_representation,
 )
-from clusterchar import generic
+from clusterchar import generic, linalg
 from clusterchar.errors import GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import (
     ProjDecomposition,
@@ -38,10 +39,16 @@ from clusterchar.generic import (
     _cone_pattern_once,
     _pattern_value,
     cone_pattern_is_plain,
-    projective_module,
 )
-from clusterchar.quiver import euler_form, euler_matrix, quiver_from_text
-from clusterchar.replab import ext_dim, first_ext_pair, indecomposable_for_root
+from clusterchar.quiver import et_map, euler_form, euler_matrix, quiver_from_text
+from clusterchar.replab import (
+    Representation,
+    ext_dim,
+    first_ext_pair,
+    hom_dim,
+    indecomposable_for_root,
+    split_non_brick,
+)
 
 QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
@@ -64,14 +71,27 @@ def _projective_fold(q, gamma):
     return acc
 
 
+def projective_module(q, gamma):
+    """P(gamma) as the cone plan of 0 -> P(gamma) sees it: its dims and arrow targets."""
+    plan = generic._cone_plan(q, (0,) * q.n, tuple(gamma))
+    maps = []
+    for a, (s, t) in enumerate(q.arrows):
+        mat = [[0] * plan.dims0[s - 1] for _ in range(plan.dims0[t - 1])]
+        for c, r in enumerate(plan.targets[a]):
+            mat[r][c] = 1
+        maps.append(tuple(map(tuple, mat)))
+    return Representation(q, QQ, plan.dims0, tuple(maps))
+
+
 def test_projective_module_matches_direct_sum_fold(a2, a3, kronecker):
     d4 = validate_quiver(4, [(1, 2), (3, 2), (4, 2)])
     kronecker3 = validate_quiver(2, [(1, 2), (1, 2), (1, 2)])
     cases = 0
     for q in (a2, a3, kronecker, d4, kronecker3):
         for gamma in product(range(3), repeat=q.n):
-            rep, bases = projective_module(q, gamma)
+            rep = projective_module(q, gamma)
             assert rep == _projective_fold(q, gamma), (q.key(), gamma)
+            bases = generic._path_bases(q, gamma)
             assert [len(b) for b in bases] == list(rep.dims)
             for v, basis in enumerate(bases, start=1):
                 assert basis == [(i, c, p) for i in range(1, q.n + 1) for c in range(gamma[i - 1]) for p in q.paths(i, v)]
@@ -127,6 +147,121 @@ def test_index_of_cone_equals_presentation_index(a2, a3, kronecker):
         # the zero map satisfies the identity as well
         f = ProjectiveMap(quiver=q, gamma1=(1,) * q.n, gamma0=(0,) * q.n, blocks={})
         assert index_of(cone_of_proj_map(f)) == (-1,) * q.n
+
+
+def _cone_oracle(f):
+    """Cone(f) evaluated on the path bases, each arrow's image reduced by the RREF in
+    Fraction arithmetic: the evaluate-then-quotient reference for `cone_of_proj_map`."""
+    q, n = f.quiver, f.quiver.n
+
+    def bases(g):
+        return [[(i, c, p) for i in range(1, n + 1) for c in range(g[i - 1]) for p in q.paths(i, v)]
+                for v in range(1, n + 1)]
+
+    bases0, bases1 = bases(f.gamma0), bases(f.gamma1)
+    p0 = _projective_fold(q, f.gamma0)
+    reducers, coker_coords, ker_dims = [], [], []
+    for v in range(n):
+        d0, d1 = len(bases0[v]), len(bases1[v])
+        index0 = {b: r for r, b in enumerate(bases0[v])}
+        mat = [[0] * d1 for _ in range(d0)]
+        for c, (j, c1, p) in enumerate(bases1[v]):
+            for i in range(1, n + 1):
+                block = f.blocks.get((i, j))
+                for c0 in range(len(block) if block else 0):
+                    for w, coeff in zip(q.paths(i, j), block[c0][c1]):
+                        mat[index0[(i, c0, w + p)]][c] += coeff
+        image_rows = [[mat[r][c] for r in range(d0)] for c in range(d1)]
+        red, pivots = linalg.rref(image_rows, QQ) if d0 and d1 else ([], [])
+        reducers.append((red[:len(pivots)], pivots))
+        coker_coords.append([c for c in range(d0) if c not in pivots])
+        ker_dims.append(d1 - len(pivots))
+
+    def quotient(v, vec):
+        w = list(vec)
+        for row, pc in zip(*reducers[v]):
+            if w[pc] != 0:
+                w = [a - w[pc] * b for a, b in zip(w, row)]
+        return [w[c] for c in coker_coords[v]]
+
+    maps = []
+    for a, (s, t) in enumerate(q.arrows):
+        amat = p0.maps[a]
+        cols = [quotient(t - 1, [row[c] for row in amat]) for c in coker_coords[s - 1]]
+        maps.append(tuple(tuple(col[r] for col in cols) for r in range(len(coker_coords[t - 1]))))
+    module = Representation(q, QQ, tuple(map(len, coker_coords)), tuple(maps))
+    e = euler_matrix(q).E
+    return module, tuple(sum(e[j][i] * ker_dims[j] for j in range(n)) for i in range(n))
+
+
+def _oracle_maps(q, rng):
+    """Seeded maps on q: minimal and padded decompositions of every index in
+    [-2,2]^n with |gamma|_1 <= 4, and each with some of its blocks left out."""
+    for gamma in product(range(-2, 3), repeat=q.n):
+        if sum(map(abs, gamma)) > 4:
+            continue
+        dec = min_proj_decomposition(gamma)
+        pad = tuple(rng.randint(0, 2) for _ in range(q.n))
+        padded = ProjDecomposition(
+            gamma0=tuple(a + b for a, b in zip(dec.gamma0, pad)),
+            gamma1=tuple(a + b for a, b in zip(dec.gamma1, pad)),
+        )
+        for d in (dec, padded):
+            f = sample_generic_proj_map(q, d, rng_seed=rng.randrange(10**6), bound=rng.choice((1, 3, 10)))
+            yield f
+            kept = {key: b for key, b in f.blocks.items() if rng.random() < 0.5}
+            yield ProjectiveMap(quiver=q, gamma1=f.gamma1, gamma0=f.gamma0, blocks=kept)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.quiver")))
+def test_cone_of_proj_map_matches_evaluate_then_quotient(name):
+    q = quiver_from_text((QUIVERS / f"{name}.quiver").read_text())
+    rng = random.Random(name)
+    cases = 0
+    for f in _oracle_maps(q, rng):
+        cone = cone_of_proj_map(f)
+        module, shifted = _cone_oracle(f)
+        assert cone.module == module, (name, f.gamma1, f.gamma0, f.blocks)
+        assert cone.shifted == shifted, (name, f.gamma1, f.gamma0, f.blocks)
+        cases += 1
+    assert cases >= 100
+
+
+def test_cone_plan_built_once_per_value(monkeypatch, a3):
+    generic._cone_plan.cache_clear()
+    plans = []
+    cone = generic.cone_of_proj_map
+
+    def traced(f):
+        plans.append(generic._cone_plan(f.quiver, f.gamma1, f.gamma0))
+        return cone(f)
+
+    monkeypatch.setattr(generic, "cone_of_proj_map", traced)
+    generic_character(a3, (1, -1, 1), rng_seed=4, cache=CharacterCache())
+    assert len(plans) >= 5
+    assert all(p is plans[0] for p in plans)
+    info = generic._cone_plan.cache_info()
+    assert info.misses == 1 and info.hits == 2 * len(plans) - 1
+
+
+def test_d4_non_brick_cone_summand_is_caught_with_its_end_dimension():
+    # cones of D4 index E^t(1,2,1,2) mostly leave a summand with End = Q x Q unsplit
+    d4 = quiver_from_text((QUIVERS / "d4.quiver").read_text())
+    gamma = et_map(d4, (1, 2, 1, 2))
+    caught = 0
+    for seed in range(6):
+        _, parts, _ = generic.sample_cone(d4, min_proj_decomposition(gamma), seed, seed + 100, 10)
+        for x in parts:
+            fresh = Representation(d4, QQ, x.dims, x.maps)  # no End dimension recorded
+            assert x.end_dim == hom_dim(fresh, fresh)
+        big = [x for x in parts if x.end_dim > 1]
+        split = split_non_brick([parts])
+        assert (split is None) == (not big)
+        if big:
+            k, x, m, _ = split
+            assert (k, x, m) == (0, big[0], 2)
+            caught += 1
+    assert caught >= 3
 
 
 def test_generic_character_frozen_values(a2):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from clusterchar import (
@@ -19,6 +21,7 @@ from clusterchar.errors import (
     NotDynkin,
     TwoCycleFound,
 )
+from clusterchar.quiver import et_map
 
 
 def test_validate_a2():
@@ -70,6 +73,17 @@ def test_euler_matrix_inverse_exact(a3, kronecker):
             for i in range(n)
         ]
         assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def test_et_map_is_the_euler_matrix_transpose_product(a2, a3, kronecker):
+    d4 = validate_quiver(4, [(1, 2), (3, 2), (4, 2)])
+    kronecker3 = validate_quiver(2, [(1, 2), (1, 2), (1, 2)])
+    for q in (a2, a3, kronecker, d4, kronecker3):
+        e = euler_matrix(q).E
+        for v in product(range(-2, 3), repeat=q.n):
+            want = tuple(sum(e[j][i] * v[j] for j in range(q.n)) for i in range(q.n))
+            assert et_map(q, v) == want
+            assert et_map(q, want, inverse=True) == v
 
 
 def test_euler_form_values(a2, kronecker):

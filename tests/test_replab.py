@@ -167,6 +167,53 @@ def test_decompose_non_brick_takes_one_pass(monkeypatch, kronecker):
     assert passes == 1
 
 
+def _fresh(x):
+    """x as a new object, with no End dimension recorded on it."""
+    return Representation(x.quiver, x.field, x.dims, x.maps)
+
+
+@pytest.mark.parametrize("p", [None, 5])
+def test_unit_candidates_are_the_basis_endomorphisms(monkeypatch, kronecker, p):
+    # End = Q(sqrt 2) (over F_5 too: 2 is not a square mod 5), so no candidate splits
+    field = QQ if p is None else GF(p)
+    m = make_representation(kronecker, field, (2, 2), [((1, 0), (0, 1)), ((0, 1), (2, 0))])
+    bases, phis = [], []
+
+    def basis(x, y):
+        bases.append(hom_basis(x, y))
+        return bases[-1]
+
+    def split(x, phi):
+        phis.append(phi)
+        return _fitting_split(x, phi)
+
+    monkeypatch.setattr(replab, "hom_basis", basis)
+    monkeypatch.setattr(replab, "_fitting_split", split)
+    assert decompose(m) == [m]
+    (endos,) = bases
+    assert len(endos) == 2 and len(phis) == len(endos) + 16
+    for phi, b in zip(phis, endos):
+        if p is None:
+            assert phi is b
+        else:
+            assert [tuple(map(tuple, mat)) for mat in phi] == [tuple(tuple(x % p for x in row) for row in mat) for mat in b]
+
+
+def test_decompose_records_the_end_dimension_of_its_summands(kronecker, d4):
+    non_brick = make_representation(kronecker, QQ, (2, 2), [((1, 0), (0, 1)), ((0, 1), (2, 0))])
+    (x,) = decompose(non_brick)
+    assert vars(x)["end_dim"] == hom_dim(_fresh(x), _fresh(x)) == 2  # recorded by decompose
+    assert replab.split_non_brick([[x]]) == (0, x, 2, [(1, 1), (1, 1)])
+    rng = random.Random(12)
+    for q in (kronecker, d4):
+        for _ in range(6):
+            d = tuple(rng.randint(0, 3) for _ in range(q.n))
+            m = random_representation(q, d, rng_seed=rng.randrange(10**6), bound=rng.choice((1, 3)))
+            for part in decompose(m, rng_seed=rng.randrange(100)):
+                assert "end_dim" in vars(part)
+                assert part.end_dim == hom_dim(_fresh(part), _fresh(part))
+
+
 def test_subrep_on_bases_rejects_a_basis_that_is_not_arrow_stable(a2):
     # M(a) sends e1 to (1, 0) at vertex 2, outside the span of (0, 1)
     m = make_representation(a2, QQ, (1, 2), [((1,), (0,))])
