@@ -61,7 +61,6 @@ from .replab import (
     generic_representation,
     grassmannian_euler,
     hom_dim,
-    indecomposable_for_root,
     injective_representation,
     is_isomorphic,
     projective_representation,

@@ -19,7 +19,6 @@ from .replab import (
     Representation,
     generic_representation,
     grassmannian_euler,
-    representation_from_json,
     zero_representation,
 )
 from .seeds import certify, mix_seed
@@ -49,13 +48,6 @@ class ClusterObject:
         """dim in the cluster category: dim(module) - E^{-t}·shifted."""
         back = et_map(self.quiver, self.shifted, inverse=True)
         return tuple(d - b for d, b in zip(self.module.dims, back))
-
-    def to_json(self) -> dict:
-        return {"module": self.module.to_json(), "shifted": list(self.shifted)}
-
-
-def cluster_object_from_json(data: dict) -> ClusterObject:
-    return ClusterObject(representation_from_json(data["module"]), tuple(int(x) for x in data["shifted"]))
 
 
 def zero_object(q: Quiver) -> ClusterObject:

@@ -198,6 +198,8 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "enumerate":
+        if args.limit is not None and args.limit < 1:
+            raise SystemExit2(f"--limit must be a positive integer, got {args.limit}")
         if args.limit is None and not is_dynkin(q):
             raise NotFiniteType(f"quiver {q.key()} is not Dynkin, so its cluster type is infinite; pass --limit")
         result = enumerate_seeds(q) if args.limit is None else enumerate_seeds(q, limit=args.limit)

@@ -35,7 +35,6 @@ ParseError = _make("ParseError")
 FieldMismatch = _make("FieldMismatch")
 QuiverMismatch = _make("QuiverMismatch")
 NegativeExt = _make("NegativeExt", internal=True)
-NotARoot = _make("NotARoot")
 DecompositionUncertified = _make("DecompositionUncertified", internal=True)
 CapExceeded = _make("CapExceeded")
 SubdimensionOutOfRange = _make("SubdimensionOutOfRange")
@@ -44,7 +43,6 @@ NotPolynomialCount = _make("NotPolynomialCount")
 # generic
 KernelNotProjectiveShape = _make("KernelNotProjectiveShape", internal=True)
 GenericityUncertified = _make("GenericityUncertified")
-NoValidDecomposition = _make("NoValidDecomposition", internal=True)
 SupportNotDisjoint = _make("SupportNotDisjoint")
 
 # cluster-algebra

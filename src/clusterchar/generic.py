@@ -33,7 +33,6 @@ from .errors import (
     CapExceeded,
     GenericityUncertified,
     KernelNotProjectiveShape,
-    NoValidDecomposition,
     NotPolynomialCount,
     SubdimensionOutOfRange,
     SupportNotDisjoint,
@@ -46,7 +45,6 @@ from .replab import (
     _certify_pattern,
     _refine_blocks,
     decompose,
-    generic_representation,
 )
 from .seeds import Reject, certify, mix_seed
 
@@ -356,22 +354,15 @@ def generic_decomposition(
 ) -> list[IntVec]:
     """Kac's generic decomposition of d >= 0, as a sorted list of dimension vectors.
 
-    Every acyclic quiver, Dynkin or not, takes the summand dimensions of the
-    certified generic representative (`generic_representation`); five seeded
-    samples must agree.
+    The case d >= 0 of `virtual_generic_decomposition`, for every acyclic quiver,
+    Dynkin or not: the betas of a certified cone of index E^t·d with no shifted
+    part. `generic_representation`, the direct sampler behind `cc_generic`, stays
+    independent of this path; the tests compare the two.
     """
     dv = vertex_vector(q, d, "dimension vector")
     if any(x < 0 for x in dv):
         raise SubdimensionOutOfRange("dimension vector must be nonnegative")
-    if all(x == 0 for x in dv):
-        return []
-
-    def draw(attempt: int, s: int) -> list[IntVec]:
-        _, parts = generic_representation(q, dv, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
-        return sorted(p.dims for p in parts)
-
-    sig = certify(draw, retries, (GenericityUncertified,), f"generic decomposition of {dv}")
-    return [tuple(b) for b in sig]
+    return virtual_generic_decomposition(q, dv, rng_seed, bound, retries)[0]
 
 
 def virtual_generic_decomposition(
@@ -381,7 +372,15 @@ def virtual_generic_decomposition(
     bound: int = 10,
     retries: int = 8,
 ) -> tuple[list[IntVec], IntVec]:
-    """(betas, gamma) with alpha = sum(betas) - E^{-t}·gamma, certified over 5 seeds."""
+    """(betas, gamma) with alpha = sum(betas) - E^{-t}·gamma, certified over 5 seeds.
+
+    Each sample is a generic cone of index E^t·alpha that `_refine_blocks` has
+    certified: brick parts of dimensions betas with no Ext between them, and a
+    shifted part gamma of disjoint support, whose indices add up to E^t·alpha.
+    As E^t is invertible over Z, that is the identity above. For alpha >= 0 a
+    result with a shifted part is rejected, so the betas are Kac's canonical
+    decomposition of alpha (Kac; Schofield).
+    """
     a = vertex_vector(q, alpha, "alpha")
     gamma_idx = et_map(q, a)
 
@@ -390,15 +389,9 @@ def virtual_generic_decomposition(
         return cone_signature((p.parts, p.shifted))
 
     def accept(result: tuple[list[IntVec], IntVec]) -> tuple[list[IntVec], IntVec]:
-        betas, shift = result
-        back = et_map(q, shift, inverse=True)
-        recon = tuple(sum(b[i] for b in betas) - back[i] for i in range(q.n))
-        if recon != a:
-            raise NoValidDecomposition(f"reconstruction {recon} != {a} (internal)")
-        if all(x >= 0 for x in a):
-            if any(shift) or sorted(betas) != sorted(generic_decomposition(q, a, rng_seed=rng_seed, bound=bound)):
-                raise Reject("positive alpha disagrees with the generic decomposition")
-        return betas, shift
+        if any(result[1]) and all(x >= 0 for x in a):
+            raise Reject("nonnegative alpha with a shifted part")
+        return result
 
     return certify(
         draw, retries, (GenericityUncertified, SupportNotDisjoint),

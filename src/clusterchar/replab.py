@@ -23,7 +23,6 @@ from .errors import (
     FieldMismatch,
     GenericityUncertified,
     NegativeExt,
-    NotARoot,
     NotPolynomialCount,
     ParseError,
     QuiverMismatch,
@@ -31,7 +30,7 @@ from .errors import (
     SupportNotDisjoint,
 )
 from .linalg import GF, QQ, Field
-from .quiver import Quiver, et_map, euler_form, positive_roots, vertex_vector
+from .quiver import Quiver, et_map, euler_form, vertex_vector
 from .seeds import mix_seed
 
 MatrixT = tuple[tuple, ...]
@@ -527,23 +526,6 @@ def decompose(m: Representation, rng_seed: int = 0) -> list[Representation]:
     certificates downstream (`split_non_brick`) detect it and refine the sample.
     """
     return _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))
-
-
-def indecomposable_for_root(q: Quiver, beta: Sequence[int]) -> Representation:
-    """The unique indecomposable of a Dynkin quiver with dimension vector beta."""
-    beta = tuple(int(x) for x in beta)
-    if beta not in set(positive_roots(q)):
-        raise NotARoot(f"{beta} is not a positive root")
-    seed = 1000003
-    for b in beta:
-        seed = seed * 31 + b
-    for s, t in q.arrows:
-        seed = seed * 31 + 7 * s + t
-    for attempt in range(200):
-        cand = random_representation(q, beta, QQ, rng_seed=seed + attempt)
-        if hom_dim(cand, cand) == 1:
-            return cand
-    raise NotARoot(f"failed to realize {beta} as a brick (internal)")
 
 
 # --- certified generic representations ---

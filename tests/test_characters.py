@@ -23,7 +23,7 @@ from clusterchar import (
     zero_object,
     zero_representation,
 )
-from clusterchar.characters import cluster_object_from_json, euler_data
+from clusterchar.characters import euler_data
 from clusterchar.errors import SubdimensionOutOfRange
 
 
@@ -126,8 +126,3 @@ def test_dimension_vector_of_shifted(a2):
     ed = euler_data(a2)
     obj = shifted_object(a2, (1, 0))
     assert obj.dimension_vector() == tuple(-ed.Etinv[i][0] for i in range(2))
-
-
-def test_cluster_object_json_round_trip(a2):
-    obj = ClusterObject(simple_representation(a2, 1), (0, 2))
-    assert cluster_object_from_json(obj.to_json()) == obj

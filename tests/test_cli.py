@@ -107,6 +107,17 @@ def test_gendecomp_and_vgendecomp(capsys, a2_file):
     assert json.loads(out) == {"betas": [[0, 1]], "gamma": [1, 0]}
 
 
+GENDECOMP_CASES = json.loads((ROOT / "tests" / "golden" / "gendecomp-vgendecomp.json").read_text())
+
+
+@pytest.mark.parametrize("case", GENDECOMP_CASES, ids=[" ".join(c["argv"]) for c in GENDECOMP_CASES])
+def test_gendecomp_and_vgendecomp_match_golden(capsys, case):
+    """stdout, stderr and exit code of `gendecomp` and `vgendecomp`, text and --json,
+    on a2, a3, kronecker and d4, as pinned in tests/golden/gendecomp-vgendecomp.json."""
+    argv = [str(ROOT / a) if a.startswith("quivers/") else a for a in case["argv"]]
+    assert run(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])
+
+
 def test_mutate(capsys, a2_file):
     code, out, _ = run(capsys, "mutate", a2_file, "--at", "1")
     assert code == 0
@@ -135,6 +146,13 @@ def test_enumerate_with_a_limit_stops_there(capsys):
         "clusters: 4\nvariables: 5\nclosed: false\n"
         "(1+2*x2^2+x2^4+x1^2)/(x1^2*x2)\n(1+x1^2)/x2\n(1+x2^2)/x1\nx1\nx2\n"
     )
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_enumerate_nonpositive_limit_is_a_usage_error(capsys, a2_file, limit):
+    code, out, err = run(capsys, "enumerate", a2_file, f"--limit={limit}")
+    assert code == 2 and out == ""
+    assert err == f"error: usage: --limit must be a positive integer, got {limit}\n"
 
 
 def test_byte_identical_stdout(capsys, a3_file):

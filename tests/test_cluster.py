@@ -12,7 +12,6 @@ from clusterchar import (
     denominator_vector,
     enumerate_seeds,
     exchange_matrix,
-    indecomposable_for_root,
     initial_seed,
     is_cluster_monomial,
     monomial,
@@ -24,6 +23,7 @@ from clusterchar import (
     validate_quiver,
 )
 from clusterchar.errors import BadVertex, NotFiniteType
+from dynkin_oracle import indecomposable_for_root
 
 
 def test_exchange_matrix(a2, kronecker):

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 from itertools import product
@@ -32,6 +33,7 @@ from clusterchar import (
     zero_representation,
 )
 from clusterchar import generic, linalg
+from clusterchar.config import RunConfig
 from clusterchar.errors import GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import (
     ProjDecomposition,
@@ -46,9 +48,10 @@ from clusterchar.replab import (
     ext_dim,
     first_ext_pair,
     hom_dim,
-    indecomposable_for_root,
     split_non_brick,
 )
+from clusterchar.seeds import certify, mix_seed
+from dynkin_oracle import root_search_decomposition
 
 QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
@@ -334,30 +337,6 @@ def test_three_arrow_kronecker_frontier_fails_with_its_name():
     assert "e=(1, 2)" in message
 
 
-def _root_search_decomposition(q, d):
-    """Kac's decomposition of d on a Dynkin quiver by exhaustive search: the one
-    multiset of positive roots whose indecomposables have no Ext between them."""
-    roots = sorted(positive_roots(q), reverse=True)
-    reps = {beta: indecomposable_for_root(q, beta) for beta in roots}
-    found = []
-
-    def search(remaining, start, chosen):
-        if not any(remaining):
-            if first_ext_pair([reps[a] for a in chosen]) is None:
-                found.append(list(chosen))
-            return
-        for k in range(start, len(roots)):
-            beta = roots[k]
-            if all(b <= r for b, r in zip(beta, remaining)):
-                chosen.append(beta)
-                search(tuple(r - b for r, b in zip(remaining, beta)), k, chosen)
-                chosen.pop()
-
-    search(tuple(d), 0, [])
-    assert len(found) == 1, f"{len(found)} root multisets pass the Ext test for {d}"
-    return sorted(found[0])
-
-
 def test_generic_decomposition_two_algorithms_agree(a2, a3):
     # exhaustive root search vs certified random-sample decomposition
     d4 = validate_quiver(4, [(1, 2), (3, 2), (4, 2)])
@@ -366,17 +345,60 @@ def test_generic_decomposition_two_algorithms_agree(a2, a3):
         for d in product(range(3), repeat=q.n):
             if not any(d):
                 continue
-            by_roots = _root_search_decomposition(q, d)
+            by_roots = root_search_decomposition(q, d)
             assert generic_decomposition(q, d) == by_roots
             _, parts = generic_representation(q, d, rng_seed=13)
             assert sorted(p.dims for p in parts) == by_roots
+
+
+def _module_path_decomposition(q, d, rng_seed=0, bound=10, retries=8):
+    """Summand dimensions of the certified generic representative (the direct
+    sampler behind cc_generic), agreed over five seeds: the module path that the
+    cone path of generic_decomposition is compared with."""
+
+    def draw(attempt, s):
+        _, parts = generic_representation(q, d, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
+        return sorted(p.dims for p in parts)
+
+    return certify(draw, retries, (GenericityUncertified,), f"module path decomposition of {d}")
+
+
+def test_generic_decomposition_kronecker_samplers_agree(kronecker):
+    # no root-search oracle off Dynkin type: the cone path and the module path must agree
+    for d in product(range(4), repeat=2):
+        assert generic_decomposition(kronecker, d) == _module_path_decomposition(kronecker, d)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.quiver")))
+def test_gate_multiplicativity_nonnegative_alphas_agree_with_module_path(name):
+    """Every alpha >= 0 that the gate's multiplicativity suite draws on a shipped
+    quiver, at the seed its virtual generic decomposition uses there: no shifted
+    part, and the betas are the module path's generic decomposition."""
+    config = RunConfig()
+    q = quiver_from_text((QUIVERS / f"{name}.quiver").read_text())
+    golden = json.loads((QUIVERS.parent / "tests" / "golden" / f"multiplicativity-{name}.json").read_text())
+    alphas = [ast.literal_eval(c["name"].removeprefix("alpha=")) for c in golden["cases"]]
+    checked = 0
+    for index, alpha in enumerate(alphas):
+        if any(x < 0 for x in alpha):
+            continue
+        # check_multiplicativity's seed for case `index`, then its seed for the decomposition
+        seed = mix_seed(mix_seed(config.rng_seed, 43, index), 13)
+        betas, shift = virtual_generic_decomposition(
+            q, alpha, rng_seed=seed, bound=config.sample_bound, retries=config.retries
+        )
+        assert not any(shift), alpha
+        assert betas == _module_path_decomposition(q, alpha, seed, config.sample_bound, config.retries), alpha
+        checked += 1
+    assert checked > 0
 
 
 def test_virtual_generic_decomposition_examples(a2):
     betas, gamma = virtual_generic_decomposition(a2, (-1, 0))
     assert betas == [(0, 1)] and gamma == (1, 0)
     betas, gamma = virtual_generic_decomposition(a2, (2, 1))
-    assert gamma == (0, 0) and betas == generic_decomposition(a2, (2, 1))
+    _, parts = generic_representation(a2, (2, 1))
+    assert gamma == (0, 0) and betas == sorted(p.dims for p in parts)
     # alpha = -E^{-t}·alpha_1 is the pure shifted object P_1[1]
     ed = euler_matrix(a2)
     alpha = tuple(-ed.Etinv[i][0] for i in range(2))

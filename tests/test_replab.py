@@ -15,7 +15,6 @@ from clusterchar import (
     generic_representation,
     grassmannian_euler,
     hom_dim,
-    indecomposable_for_root,
     is_isomorphic,
     projective_representation,
     random_representation,
@@ -24,9 +23,17 @@ from clusterchar import (
     zero_representation,
 )
 from clusterchar import replab
-from clusterchar.errors import CapExceeded, DecompositionUncertified, FieldMismatch, NotARoot, SubdimensionOutOfRange
+from clusterchar.errors import (
+    CapExceeded,
+    DecompositionUncertified,
+    FieldMismatch,
+    GenericityUncertified,
+    SubdimensionOutOfRange,
+    SupportNotDisjoint,
+)
 from clusterchar.replab import (
     Representation,
+    _certify_pattern,
     _combine_endos,
     _decompose_once,
     _fitting_split,
@@ -42,6 +49,7 @@ from clusterchar.replab import (
     make_representation,
     representation_from_json,
 )
+from dynkin_oracle import indecomposable_for_root
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +124,7 @@ def test_indecomposable_for_root(a2, a3):
     assert is_isomorphic(indecomposable_for_root(a2, (1, 0)), simple_representation(a2, 1))
     thin = indecomposable_for_root(a3, (1, 1, 1))
     assert thin.dims == (1, 1, 1) and hom_dim(thin, thin) == 1
-    with pytest.raises(NotARoot):
+    with pytest.raises(ValueError):
         indecomposable_for_root(a2, (2, 0))
 
 
@@ -687,6 +695,28 @@ def test_generic_representation_patterns(a2, kronecker):
     m, parts = generic_representation(kronecker, (2, 2), rng_seed=1)
     assert sorted(p.dims for p in parts) == [(1, 1), (1, 1)]
     assert all(hom_dim(p, p) == 1 for p in parts)
+
+
+# On A2 (1 -> 2): index(S_1) = (1, -1), index(S_2) = (0, 1), Ext(S_1, S_2) = k.
+def test_certify_pattern_accepts_the_cone_of_p2_to_p1(a2):
+    # the generic cone of index (-1, 1) is S_2 ⊕ P_1[1]
+    _certify_pattern(a2, (-1, 1), [simple_representation(a2, 2)], (1, 0))
+
+
+def test_certify_pattern_refuses_a_part_on_the_shifted_support(a2):
+    with pytest.raises(SupportNotDisjoint, match=r"summand \(1, 0\) meets the shifted support \(1, 0\)"):
+        _certify_pattern(a2, (0, -1), [simple_representation(a2, 1)], (1, 0))
+
+
+def test_certify_pattern_refuses_an_ext_pair_naming_both_dims(a2):
+    parts = [simple_representation(a2, 1), simple_representation(a2, 2)]
+    with pytest.raises(GenericityUncertified, match=r"Ext\(\(1, 0\),\(0, 1\)\) nonzero"):
+        _certify_pattern(a2, (1, 0), parts, (0, 0))
+
+
+def test_certify_pattern_refuses_indices_that_do_not_add_up(a2):
+    with pytest.raises(GenericityUncertified, match=r"index reconstruction \(-1, 1\) != \(0, 1\)"):
+        _certify_pattern(a2, (0, 1), [simple_representation(a2, 2)], (1, 0))
 
 
 def test_is_isomorphic(a2):
