@@ -99,28 +99,28 @@ def enumerate_seeds(q: Quiver, limit: int = 20000) -> EnumerationResult:
 
     Every produced variable is checked to be a genuine Laurent polynomial (its
     denominator is a monomial by construction of the exact division). The
-    variables come back sorted by their canonical text.
+    variables come back sorted by their canonical text. At most `limit` seeds
+    are kept: when the closure needs one more, it stops with closed False.
     """
     start = initial_seed(q)
     seen: dict[frozenset[LaurentPoly], Seed] = {start.cluster_key(): start}
-    variables = set(start.cluster)
     queue = deque([start])
     closed = True
-    while queue:
-        if len(seen) > limit:
-            closed = False
-            break
+    while queue and closed:
         seed = queue.popleft()
         for k in range(1, q.n + 1):
             new = mutate_seed(seed, k)
-            for v in new.cluster:
-                if v not in variables:
-                    denominator_vector(v)  # asserts v != 0; monomial denominator by construction
-                    variables.add(v)
             ck = new.cluster_key()
-            if ck not in seen:
-                seen[ck] = new
-                queue.append(new)
+            if ck in seen:
+                continue
+            if len(seen) == limit:
+                closed = False
+                break
+            seen[ck] = new
+            queue.append(new)
+    variables = {v for seed in seen.values() for v in seed.cluster}
+    for v in variables:
+        denominator_vector(v)  # asserts v != 0; monomial denominator by construction
     return EnumerationResult(
         seeds=list(seen.values()),
         variables=sorted(variables, key=LaurentPoly.to_text),

@@ -91,7 +91,7 @@ def sample_generic_proj_map(
     blocks: dict[tuple[int, int], tuple] = {}
     for i in range(1, q.n + 1):
         for j in range(1, q.n + 1):
-            paths = q.paths(i, j)
+            paths = q.paths(i, j) if gamma0[i - 1] * gamma1[j - 1] else ()
             if not paths:
                 continue
             rows = []
@@ -100,8 +100,7 @@ def sample_generic_proj_map(
                 for _c1 in range(gamma1[j - 1]):
                     row.append(tuple(rng.randint(-bound, bound) for _ in paths))
                 rows.append(tuple(row))
-            if rows and rows[0]:
-                blocks[(i, j)] = tuple(rows)
+            blocks[(i, j)] = tuple(rows)
     return ProjectiveMap(quiver=q, gamma1=gamma1, gamma0=gamma0, blocks=blocks)
 
 
@@ -216,11 +215,14 @@ class ConePattern:
 
 
 def sample_cone(
-    q: Quiver, dec: ProjDecomposition, map_seed: int, decompose_seed: int, bound: int
+    q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int
 ) -> tuple[Representation, list[Representation], IntVec]:
-    """Module part, its summands and shifted part of the cone of one sampled P(gamma1) -> P(gamma0)."""
-    cone = cone_of_proj_map(sample_generic_proj_map(q, dec, map_seed, bound))
-    return cone.module, decompose(cone.module, rng_seed=decompose_seed), cone.shifted
+    """Module part, its summands and shifted part of the cone of one sampled P(gamma1) -> P(gamma0).
+
+    The seed draws the map; `decompose` is a function of the cone's module.
+    """
+    cone = cone_of_proj_map(sample_generic_proj_map(q, dec, rng_seed, bound))
+    return cone.module, decompose(cone.module), cone.shifted
 
 
 def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
@@ -237,7 +239,7 @@ def _cone_pattern_once(
     rounds: int = 24,
 ) -> ConePattern:
     def sample(block: IntVec, seed0: int, k: int) -> tuple:
-        return sample_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), mix_seed(seed0, 500, k), bound)
+        return sample_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), bound)
 
     _, parts, shifted, refined = _refine_blocks(
         q, gamma, sample, rng_seed, f"no certified cone pattern for index {gamma}", rounds=rounds
@@ -272,7 +274,13 @@ def _pattern_value(
 
 
 class CharacterCache:
-    """In-memory map keyed by quiver hash and index, optionally persisted to JSON."""
+    """In-memory map keyed by quiver hash and index, optionally persisted to a file.
+
+    The file holds one JSON object of entries per line, and later lines win. `put`
+    appends one line {key: value}, so a put costs the same at any cache size, and
+    caches that share a file keep each other's entries. Loading discards corrupt
+    lines and entries, never trusting them, and keeps their valid neighbours.
+    """
 
     def __init__(self, path: str | None = None):
         self._path = path
@@ -283,16 +291,19 @@ class CharacterCache:
     def _load(self, path: str) -> None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+                lines = fh.readlines()
+        except OSError:
             return
-        if not isinstance(raw, dict):
-            return
-        for key, val in raw.items():
+        for line in lines:
             try:
-                self._mem[key] = LaurentPoly.from_json(val)
-            except Exception:
-                continue  # corrupt entries are discarded, never trusted
+                raw = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            for key, val in raw.items() if isinstance(raw, dict) else ():
+                try:
+                    self._mem[key] = LaurentPoly.from_json(val)
+                except Exception:
+                    continue  # corrupt entries are discarded, never trusted
 
     @staticmethod
     def key_for(q: Quiver, gamma: Sequence[int]) -> str:
@@ -303,13 +314,14 @@ class CharacterCache:
         return self._mem.get(self.key_for(q, gamma))
 
     def put(self, q: Quiver, gamma: Sequence[int], value: LaurentPoly) -> None:
-        self._mem[self.key_for(q, gamma)] = value
+        key = self.key_for(q, gamma)
+        self._mem[key] = value
         if self._path:
-            tmp = f"{self._path}.tmp.{os.getpid()}"
-            payload = {k: v.to_json() for k, v in sorted(self._mem.items())}
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, self._path)
+            with open(self._path, "ab+") as fh:
+                end = fh.seek(0, os.SEEK_END)
+                fh.seek(max(end - 1, 0))
+                start = b"\n" if end and fh.read(1) != b"\n" else b""  # a file with no final newline
+                fh.write(start + json.dumps({key: value.to_json()}, sort_keys=True).encode("utf-8") + b"\n")
 
 
 _DEFAULT_CACHE = CharacterCache()
@@ -465,8 +477,7 @@ def stability_check(
     )
 
     def draw(attempt: int, s: int) -> tuple[list[Representation], IntVec]:
-        seeds = mix_seed(rng_seed, 23, attempt, s), mix_seed(rng_seed, 29, attempt, s)
-        return sample_cone(q, padded_dec, *seeds, bound)[1:]
+        return sample_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound)[1:]
 
     def accept(cone: tuple[list[Representation], IntVec]) -> LaurentPoly:
         # the certificate of a minimal cone (bricks, Ext vanishing, disjoint shifted

@@ -180,13 +180,6 @@ def nullspace(mat: Sequence[Sequence], field, ncols: int | None = None) -> list[
     return basis
 
 
-def column_space_basis(mat: Sequence[Sequence], field) -> list[int]:
-    """Indices of a maximal independent set of columns (the RREF pivot columns)."""
-    if not mat or not mat[0]:
-        return []
-    return rref(mat, field)[1]
-
-
 def solve_columns(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[list] | None:
     """X with a·X = b (columns of b expressed in the column span of a), or None.
 
@@ -221,12 +214,3 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[list]:
     if d == 1:
         return [[sum(map(mul, row, col)) for col in cols] for row in ai]
     return [[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in ai]
-
-
-def is_invertible(mat: Sequence[Sequence], field) -> bool:
-    n = len(mat)
-    if n == 0:
-        return True
-    if len(mat[0]) != n:
-        return False
-    return rank(mat, field) == n

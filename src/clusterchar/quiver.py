@@ -228,25 +228,20 @@ def _symmetrized(q: Quiver) -> IntMatrix:
 
 
 def is_dynkin(q: Quiver) -> bool:
-    """True iff the symmetrized Euler form is positive definite (ADE unions)."""
-    s = _symmetrized(q)
-    # leading principal minors, exact
-    for k in range(1, q.n + 1):
-        m = [[Fraction(s[i][j]) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        for col in range(k):
-            piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-            if piv is None:
-                return False
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            for r in range(col + 1, k):
-                f = m[r][col] / m[col][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        if det <= 0:
+    """True iff the symmetrized Euler form is positive definite (ADE unions).
+
+    Sylvester's criterion in one elimination without row swaps: the k-th pivot is
+    the k-th leading principal minor over the (k-1)-th, so all leading minors are
+    positive iff every pivot is; the elimination stops at the first that is not.
+    """
+    m = [[Fraction(x) for x in row] for row in _symmetrized(q)]
+    for col in range(q.n):
+        piv = m[col][col]
+        if piv <= 0:
             return False
+        for r in range(col + 1, q.n):
+            f = m[r][col] / piv
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return True
 
 

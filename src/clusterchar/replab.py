@@ -34,6 +34,7 @@ from .quiver import Quiver, et_map, euler_form, vertex_vector
 from .seeds import mix_seed
 
 MatrixT = tuple[tuple, ...]
+_CANDIDATE_SEED = mix_seed(0, 1)  # seeds the random combinations of `_hom_candidates`
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,6 @@ class Representation:
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, d in enumerate(self.dims) if d > 0)
 
     @cached_property
     def end_dim(self) -> int:
@@ -288,24 +286,13 @@ def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Rep
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
-    """Exact iso test: look for an invertible element of Hom(M, N) among its basis
-    elements, then among 12 random combinations of them."""
+    """Exact iso test: look for an invertible element of Hom(M, N) among the
+    `_hom_candidates` of its basis. True is proven; False means no candidate was
+    invertible."""
     if m.quiver != n.quiver or m.field != n.field or m.dims != n.dims:
         return False
-    if m.total_dim == 0:
-        return True
-    basis = hom_basis(m, n)
-    if not basis:
-        return False
-    rng = random.Random(7)
-    for attempt in range(len(basis) + 12):
-        if attempt < len(basis):
-            comps = basis[attempt]
-        else:
-            comps = _combine_endos(m, basis, [rng.randint(-5, 5) for _ in basis])
-        if all(linalg.is_invertible(comps[v], m.field) for v in range(m.quiver.n)):
-            return True
-    return False
+    candidates = _hom_candidates(m, hom_basis(m, n), random.Random(_CANDIDATE_SEED))
+    return any(all(linalg.rank(phi[v], m.field) == d for v, d in enumerate(m.dims)) for phi in candidates)
 
 
 # --- Krull-Schmidt via the fitting lemma ---
@@ -327,10 +314,6 @@ def _subrep_on_bases(m: Representation, bases: list[list[list]]) -> Representati
             raise DecompositionUncertified("subspace not arrow-stable (internal)")
         maps.append(tuple(tuple(row) for row in x))
     return Representation(m.quiver, field, dims, tuple(maps))
-
-
-def _columns(mat: Sequence[Sequence], idxs: Sequence[int]) -> list[list]:
-    return [[row[j] for j in idxs] for row in mat]
 
 
 def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Representation, Representation] | None:
@@ -366,8 +349,8 @@ def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Represent
             continue
         kb = linalg.nullspace(psi[v], field, ncols=d)
         ker_bases.append([[kb[j][i] for j in range(len(kb))] for i in range(d)] if kb else [[] for _ in range(d)])
-        pivot_cols = linalg.column_space_basis(psi[v], field)
-        im_bases.append(_columns(psi[v], pivot_cols))
+        pivots = linalg.rref(psi[v], field)[1]
+        im_bases.append([[row[j] for j in pivots] for row in psi[v]])
     ker = _subrep_on_bases(m, ker_bases)
     im = _subrep_on_bases(m, im_bases)
     return ker, im
@@ -435,6 +418,28 @@ def _combine_endos(m: Representation, endos, coeffs) -> list[MatrixT]:
     return phi
 
 
+def _hom_candidates(m: Representation, basis, rng: random.Random):
+    """Elements of Hom(M, N), dim N = dim M, from its basis: the maps tried as a
+    splitting endomorphism (`_fitting_summands`) and as an isomorphism (`is_isomorphic`).
+
+    First the basis elements, which `hom_basis` gives reduced mod p over F_p: the
+    RREF basis of End(M) carries matrix-unit-like elements (idempotent on isotypic
+    blocks), so single elements split where dense combinations, being generically
+    invertible, never would. Then 8 sparse combinations (at most 3 terms) and 8
+    dense ones, with coefficients from rng: in [-9, 9] over Q, in F_p over F_p.
+    """
+    yield from basis
+    p = m.field.p
+    lo, hi = (-9, 9) if p is None else (0, p - 1)
+    for _ in range(8):
+        cf = [0] * len(basis)
+        for _ in range(min(3, len(basis))):
+            cf[rng.randrange(len(basis))] = rng.randint(lo, hi) or 1
+        yield _combine_endos(m, basis, cf)
+    for _ in range(8):
+        yield _combine_endos(m, basis, [rng.randint(lo, hi) for _ in basis])
+
+
 def _split_simples(m: Representation) -> tuple[Representation, list[Representation]]:
     """M = N ⊕ (⊕_v S_v^c_v), where N has no simple direct summand.
 
@@ -468,43 +473,14 @@ def _split_simples(m: Representation) -> tuple[Representation, list[Representati
     return _subrep_on_bases(m, bases), simples
 
 
-def _decompose_once(m: Representation, rng: random.Random) -> list[Representation]:
-    """Summands of M: simple summands split off linearly, the rest N by Fitting splits.
-
-    N has no simple summand, and by Krull-Schmidt neither has any Fitting piece of
-    it, so `_split_simples` runs on M only.
-    """
-    n, simples = (m, []) if all(d <= 1 for d in m.dims) else _split_simples(m)
-    return _fitting_summands(n, rng) + simples
-
-
 def _fitting_summands(m: Representation, rng: random.Random) -> list[Representation]:
-    """Summands of M by Fitting splits with endomorphisms drawn from rng."""
-    if m.is_zero():
-        return []
+    """Summands of M by Fitting splits with the `_hom_candidates` of End(M)."""
     if all(d <= 1 for d in m.dims):
-        return _thin_components(m)
+        return _thin_components(m)  # none for M = 0
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [_known_end(m, 1)]
-    p = m.field.p
-
-    def candidates():
-        # The RREF basis of End(M) carries matrix-unit-like elements (idempotent on
-        # isotypic blocks), so single elements split where dense random combos,
-        # being generically invertible, never would.
-        for b in endos:
-            yield b if p is None else [tuple(tuple(x % p for x in row) for row in mat) for mat in b]
-        lo, hi = (-9, 9) if p is None else (0, p - 1)
-        for _ in range(8):
-            cf = [0] * len(endos)
-            for _ in range(min(3, len(endos))):
-                cf[rng.randrange(len(endos))] = rng.randint(lo, hi) or 1
-            yield _combine_endos(m, endos, cf)
-        for _ in range(8):
-            yield _combine_endos(m, endos, [rng.randint(lo, hi) for _ in endos])
-
-    for phi in candidates():
+    for phi in _hom_candidates(m, endos, rng):
         split = _fitting_split(m, phi)
         if split is not None:
             ker, im = split
@@ -513,19 +489,23 @@ def _fitting_summands(m: Representation, rng: random.Random) -> list[Representat
     return [_known_end(m, len(endos))]
 
 
-def decompose(m: Representation, rng_seed: int = 0) -> list[Representation]:
-    """Summands of M from one seeded pass: simple summands split off linearly, the rest by Fitting splits.
+def decompose(m: Representation) -> list[Representation]:
+    """Summands of M in one pass: simple summands split off linearly, the rest by Fitting splits.
 
     S_v is a direct summand of M exactly dim K_v - dim(K_v ∩ I_v) times, where K_v
     is the common kernel of the arrows out of v and I_v the sum of the images of
     the arrows into v; those copies come last, after the summands of the rest N,
     which is a subrepresentation because its basis at v contains I_v
-    (`_split_simples`). N is split by Fitting with endomorphisms drawn from the
-    seed. A summand that is a brick (thin components are; otherwise dim End = 1)
-    is indecomposable. A summand that is not a brick is returned unsplit; the
-    certificates downstream (`split_non_brick`) detect it and refine the sample.
+    (`_split_simples`). N, and by Krull-Schmidt each Fitting piece of it, has no
+    simple summand; it is split by Fitting with the `_hom_candidates` of each
+    piece, whose combinations come from one fixed-seed generator per call, so the
+    summands are a function of M. A summand that is a brick (thin components are;
+    otherwise dim End = 1) is indecomposable. A summand that is not a brick is
+    returned unsplit; the certificates downstream (`split_non_brick`) detect it
+    and refine the sample.
     """
-    return _decompose_once(m, random.Random(mix_seed(rng_seed, 1)))
+    n, simples = (m, []) if all(d <= 1 for d in m.dims) else _split_simples(m)
+    return _fitting_summands(n, random.Random(_CANDIDATE_SEED)) + simples
 
 
 # --- certified generic representations ---
@@ -632,7 +612,7 @@ def generic_representation(
 
     def sample(block: tuple[int, ...], seed0: int, k: int) -> tuple:
         x = random_representation(q, et_map(q, block, inverse=True), QQ, rng_seed=mix_seed(seed0, k), bound=bound)
-        return x, decompose(x, rng_seed=mix_seed(seed0, 99, k)), zero
+        return x, decompose(x), zero
 
     samples, parts, _, _ = _refine_blocks(
         q, et_map(q, d), sample, mix_seed(rng_seed, 0), f"could not certify a generic representative of {d}"
@@ -685,27 +665,6 @@ def _subspaces(p: int, d: int, e: int) -> tuple:
             )
             out.append((tuple(tuple(r) for r in rows), ann))
     return tuple(out)
-
-
-def _rank_mod(vectors: list[list[int]], p: int) -> int:
-    """Rank over F_p of vectors with entries in [0, p)."""
-    rows = list(vectors)
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        inv = pow(top[c], -1, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] * inv % p
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 @lru_cache(maxsize=4096)
@@ -798,8 +757,8 @@ def count_subreps(m: Representation, e: Sequence[int], cap: int = 5_000_000) -> 
         f = [x for a in outs[v] for x in pullbacks[a]]
         if any(sum(i * j for i, j in zip(x, y)) % p for x in f for y in w):
             return 0  # W is not inside K
-        dim_w = _rank_mod(w, p)
-        return gaussian_binomial(dims[v - 1] - _rank_mod(f, p) - dim_w, e[v - 1] - dim_w, p)
+        dim_w = linalg.rank(w, field)
+        return gaussian_binomial(dims[v - 1] - linalg.rank(f, field) - dim_w, e[v - 1] - dim_w, p)
 
     def walk(k: int) -> int:
         if k == len(order):

@@ -301,10 +301,7 @@ def suite_cone_table_a3(q: Quiver, config: RunConfig) -> SuiteReport:
             dec = ProjDecomposition(gamma0=(c, 0, 0), gamma1=(0, 0, a))
 
             def draw(attempt: int, s: int):
-                return sample_cone(
-                    q, dec, mix_seed(config.rng_seed, 73, a, c, attempt, s),
-                    mix_seed(config.rng_seed, 79, a, c, attempt, s), config.sample_bound,
-                )[1:]
+                return sample_cone(q, dec, mix_seed(config.rng_seed, 73, a, c, attempt, s), config.sample_bound)[1:]
 
             try:
                 parts, shifted = certify(draw, config.retries, (), f"cone of {name}", key=cone_signature)

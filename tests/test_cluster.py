@@ -80,7 +80,19 @@ def test_a1_exchange(a1):
 
 def test_enumeration_limit_kronecker(kronecker):
     r = enumerate_seeds(kronecker, limit=25)
-    assert not r.closed
+    assert not r.closed and len(r.seeds) == 25
+
+
+def test_enumeration_stops_at_the_limit(a2, kronecker):
+    for q in (a2, kronecker):
+        r = enumerate_seeds(q, limit=1)
+        assert len(r.seeds) == 1 and not r.closed and len(r.variables) == 2
+    exact = enumerate_seeds(a2, limit=5)  # A2 has exactly 5 seeds
+    assert len(exact.seeds) == 5 and exact.closed
+    assert len(exact.variables) == len(enumerate_seeds(a2).variables) == 5
+    short = enumerate_seeds(a2, limit=4)
+    assert len(short.seeds) == 4 and not short.closed
+    assert set(short.variables) == {v for seed in short.seeds for v in seed.cluster}
 
 
 def test_laurent_phenomenon_monomial_denominators(a3):

@@ -253,7 +253,7 @@ def test_d4_non_brick_cone_summand_is_caught_with_its_end_dimension():
     gamma = et_map(d4, (1, 2, 1, 2))
     caught = 0
     for seed in range(6):
-        _, parts, _ = generic.sample_cone(d4, min_proj_decomposition(gamma), seed, seed + 100, 10)
+        _, parts, _ = generic.sample_cone(d4, min_proj_decomposition(gamma), seed, 10)
         for x in parts:
             fresh = Representation(d4, QQ, x.dims, x.maps)  # no End dimension recorded
             assert x.end_dim == hom_dim(fresh, fresh)
@@ -293,6 +293,68 @@ def test_generic_character_cache(tmp_path, a2):
     reloaded = CharacterCache(path)
     assert reloaded.get(a2, (2, -1)) == v1
     assert len(reloaded._mem) == 1
+
+
+def test_cache_file_of_one_object_loads_and_takes_appends(tmp_path, a2):
+    # a file written as one JSON object with no final newline
+    path = tmp_path / "cache.json"
+    x = generic_character(a2, (1, 0), cache=CharacterCache())
+    y = generic_character(a2, (0, 1), cache=CharacterCache())
+    path.write_text(json.dumps({CharacterCache.key_for(a2, (1, 0)): x.to_json()}, sort_keys=True))
+    cache = CharacterCache(str(path))
+    assert cache.get(a2, (1, 0)) == x
+    cache.put(a2, (0, 1), y)
+    lines = path.read_text().split("\n")
+    assert len(lines) == 3 and lines[2] == "" and [len(json.loads(line)) for line in lines[:2]] == [1, 1]
+    reloaded = CharacterCache(str(path))
+    assert reloaded.get(a2, (1, 0)) == x and reloaded.get(a2, (0, 1)) == y
+
+
+def test_caches_sharing_a_file_keep_every_entry(tmp_path, a2):
+    path = str(tmp_path / "cache.json")
+    first, second = CharacterCache(path), CharacterCache(path)
+    gammas = [(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1)]
+    values = {g: generic_character(a2, g, cache=CharacterCache()) for g in gammas}
+    for k, g in enumerate(gammas):
+        (first if k % 2 else second).put(a2, g, values[g])
+    second.put(a2, gammas[0], values[gammas[1]])  # a later line wins
+    reloaded = CharacterCache(path)
+    assert len(reloaded._mem) == len(gammas)
+    assert all(reloaded.get(a2, g) == values[g] for g in gammas[1:])
+    assert reloaded.get(a2, gammas[0]) == values[gammas[1]]
+
+
+def _proj_map_blocks_by_every_pair(q, dec, rng_seed, bound):
+    """The blocks of `sample_generic_proj_map` as drawn when every pair (i, j)
+    looked up its paths first, empty blocks included."""
+    rng = random.Random(rng_seed)
+    blocks = {}
+    for i in range(1, q.n + 1):
+        for j in range(1, q.n + 1):
+            paths = q.paths(i, j)
+            if not paths:
+                continue
+            rows = tuple(
+                tuple(tuple(rng.randint(-bound, bound) for _ in paths) for _c1 in range(dec.gamma1[j - 1]))
+                for _c0 in range(dec.gamma0[i - 1])
+            )
+            if rows and rows[0]:
+                blocks[(i, j)] = rows
+    return blocks
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.quiver")))
+def test_sampled_maps_skip_empty_blocks_without_changing_the_draws(name):
+    q = quiver_from_text((QUIVERS / f"{name}.quiver").read_text())
+    rng = random.Random(name)
+    for _ in range(40):
+        dec = ProjDecomposition(
+            gamma0=tuple(rng.choice((0, 0, 1, 2)) for _ in range(q.n)),
+            gamma1=tuple(rng.choice((0, 0, 1, 2)) for _ in range(q.n)),
+        )
+        seed, bound = rng.randrange(10**6), rng.choice((1, 10))
+        f = sample_generic_proj_map(q, dec, rng_seed=seed, bound=bound)
+        assert f.blocks == _proj_map_blocks_by_every_pair(q, dec, seed, bound)
 
 
 def test_generic_decomposition_examples(a2, kronecker):

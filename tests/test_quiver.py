@@ -1,4 +1,6 @@
-from itertools import product
+from itertools import combinations, permutations, product
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from clusterchar.errors import (
     NotDynkin,
     TwoCycleFound,
 )
-from clusterchar.quiver import et_map
+from clusterchar.quiver import et_map, is_dynkin
 
 
 def test_validate_a2():
@@ -145,3 +147,42 @@ def test_paths_a3(a3):
     assert a3.paths(1, 3) == [(0, 1)]
     assert a3.paths(1, 1) == [()]
     assert a3.paths(3, 1) == []
+
+
+_SIGNED_PERMUTATIONS = {
+    k: [(perm, (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(k), 2))) for perm in permutations(range(k))]
+    for k in range(1, 5)
+}
+
+
+def _leading_minors_positive(q) -> bool:
+    """Sylvester's criterion by definition: every leading principal minor of the
+    symmetrized Euler form, each by the Leibniz formula, is positive."""
+    s = [[2 * (i == j) for j in range(q.n)] for i in range(q.n)]
+    for a, b in q.arrows:
+        s[a - 1][b - 1] -= 1
+        s[b - 1][a - 1] -= 1
+    return all(
+        sum(sign * prod(s[i][perm[i]] for i in range(k)) for perm, sign in _SIGNED_PERMUTATIONS[k]) > 0
+        for k in range(1, q.n + 1)
+    )
+
+
+def _small_quivers():
+    """Every acyclic quiver on at most 4 vertices with at most 2 arrows between any pair."""
+    for n in range(1, 5):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for counts in product(range(-2, 3), repeat=len(pairs)):
+            arrows = [(i, j) if c > 0 else (j, i) for (i, j), c in zip(pairs, counts) for _ in range(abs(c))]
+            try:
+                yield validate_quiver(n, arrows)
+            except CycleFound:
+                continue
+
+
+def test_is_dynkin_matches_the_leading_minors():
+    quivers = list(_small_quivers())
+    quivers += [quiver_from_text(f.read_text()) for f in sorted((Path(__file__).resolve().parent.parent / "quivers").glob("*.quiver"))]
+    verdicts = [is_dynkin(q) for q in quivers]
+    assert verdicts == [_leading_minors_positive(q) for q in quivers]
+    assert len(quivers) > 5000 and 0 < sum(verdicts) < len(quivers)

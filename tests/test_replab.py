@@ -22,7 +22,7 @@ from clusterchar import (
     validate_quiver,
     zero_representation,
 )
-from clusterchar import replab
+from clusterchar import linalg, replab
 from clusterchar.errors import (
     CapExceeded,
     DecompositionUncertified,
@@ -35,7 +35,6 @@ from clusterchar.replab import (
     Representation,
     _certify_pattern,
     _combine_endos,
-    _decompose_once,
     _fitting_split,
     _newton,
     _newton_eval,
@@ -146,14 +145,15 @@ def test_decompose_isotypic(a2, kronecker):
 
 
 def _passes(monkeypatch, m) -> tuple[list, int]:
-    """decompose(m) and the number of `_decompose_once` passes over all of m."""
+    """decompose(m) and the number of passes over all of m: each pass splits the
+    simple summands off m once."""
     calls = []
 
-    def counted(x, rng):
+    def counted(x):
         calls.append(x is m)
-        return _decompose_once(x, rng)
+        return _split_simples(x)
 
-    monkeypatch.setattr(replab, "_decompose_once", counted)
+    monkeypatch.setattr(replab, "_split_simples", counted)
     return decompose(m), sum(calls)
 
 
@@ -217,7 +217,7 @@ def test_decompose_records_the_end_dimension_of_its_summands(kronecker, d4):
         for _ in range(6):
             d = tuple(rng.randint(0, 3) for _ in range(q.n))
             m = random_representation(q, d, rng_seed=rng.randrange(10**6), bound=rng.choice((1, 3)))
-            for part in decompose(m, rng_seed=rng.randrange(100)):
+            for part in decompose(m):
                 assert "end_dim" in vars(part)
                 assert part.end_dim == hom_dim(_fresh(part), _fresh(part))
 
@@ -284,7 +284,7 @@ def test_decompose_matches_fitting_only_with_simple_summands(q, sink, source, mi
         for _ in range(3):
             d = tuple(rng.randint(0, 2) for _ in range(q.n))
             m = _with_simples(random_representation(q, d, rng_seed=rng.randrange(10**6), bound=2), v, rng.randint(1, 3))
-            parts = decompose(m, rng_seed=5)
+            parts = decompose(m)
             oracle = _fitting_only(m, random.Random(5))
             assert sorted(x.dims for x in parts) == sorted(x.dims for x in oracle)
             assert is_isomorphic(direct_sum_all(parts, q, QQ), m)
@@ -327,7 +327,7 @@ def test_split_simples_with_unreduced_prime_field_entries(a3, kronecker, p):
             red = _with_simples(random_representation(q, d, GF(p), rng_seed=rng.randrange(10**6)), v, rng.randint(1, 2))
             maps = tuple(tuple(tuple(x + p * rng.choice((-2, -1, 1, 3)) for x in row) for row in mat) for mat in red.maps)
             raw = Representation(q, GF(p), red.dims, maps)
-            parts = decompose(raw, rng_seed=2)
+            parts = decompose(raw)
             assert sorted(x.dims for x in parts) == sorted(x.dims for x in _fitting_only(red, random.Random(2)))
             assert all(0 <= x < p for part in parts for mat in part.maps for row in mat for x in row)
             assert is_isomorphic(direct_sum_all(parts, q, GF(p)), red)
@@ -347,14 +347,14 @@ def test_decompose_semisimple_needs_no_hom_basis(monkeypatch, d4):
     assert calls == []
 
 
-def test_decompose_seed_stability(a2, a3):
+def test_decompose_is_a_function_of_the_module(a2, a3, d4):
     rng = random.Random(8)
-    for q in (a2, a3):
+    for q in (a2, a3, d4):
         for _ in range(5):
             d = tuple(rng.randint(0, 2) for _ in range(q.n))
             m = random_representation(q, d, rng_seed=rng.randint(0, 10**6))
-            sigs = {tuple(sorted(p.dims for p in decompose(m, rng_seed=s))) for s in range(5)}
-            assert len(sigs) == 1
+            first, second = decompose(m), decompose(m)
+            assert first == second and [x.end_dim for x in first] == [x.end_dim for x in second]
 
 
 def test_count_subreps_examples(point, a2):
@@ -724,6 +724,38 @@ def test_is_isomorphic(a2):
     scaled = make_representation(a2, QQ, (1, 1), [((7,),)])
     assert is_isomorphic(p1, scaled)
     assert not is_isomorphic(p1, direct_sum(simple_representation(a2, 1), simple_representation(a2, 2)))
+
+
+def _change_of_basis(m, rng):
+    """m after a random invertible change of basis g_v at each vertex: M'(a) = g_t M(a) g_s^-1."""
+    gs = []
+    for d in m.dims:
+        while True:
+            g = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            if linalg.rank(g, QQ) == d:
+                break
+        gs.append(g)
+    inverses = [linalg.solve_columns(g, [[int(i == j) for j in range(len(g))] for i in range(len(g))], QQ) for g in gs]
+    maps = [
+        linalg.mat_mul(linalg.mat_mul(gs[t - 1], mat, QQ), inverses[s - 1], QQ) if mat and mat[0] else mat
+        for (s, t), mat in zip(m.quiver.arrows, m.maps)
+    ]
+    return make_representation(m.quiver, QQ, m.dims, maps)
+
+
+def test_is_isomorphic_needs_a_combination_of_basis_elements(a3):
+    p1, p2 = projective_representation(a3, 1), projective_representation(a3, 2)
+    s1, s3 = simple_representation(a3, 1), simple_representation(a3, 3)
+    m = direct_sum_all([p1, p1, s3, s3], a3)
+    copy = _change_of_basis(m, random.Random(3))
+    assert copy != m
+    basis = hom_basis(m, copy)
+    assert len(basis) == 12
+    assert not any(all(linalg.rank(b[v], QQ) == d for v, d in enumerate(m.dims)) for b in basis)
+    assert is_isomorphic(m, copy) and is_isomorphic(copy, m)
+    other = direct_sum_all([p1, s1, p2, s3, s3], a3)
+    assert other.dims == m.dims == (2, 2, 4)
+    assert not is_isomorphic(m, other) and not is_isomorphic(other, copy)
 
 
 def test_representation_json_round_trip(a2):
