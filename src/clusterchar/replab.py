@@ -35,6 +35,7 @@ from .seeds import mix_seed
 
 MatrixT = tuple[tuple, ...]
 _CANDIDATE_SEED = mix_seed(0, 1)  # seeds the random combinations of `_hom_candidates`
+_SCREEN_PRIME = 1_000_003  # `_hom_candidates` proves combinations over Q invertible mod this prime
 
 
 @dataclass(frozen=True)
@@ -287,12 +288,15 @@ def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Rep
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
     """Exact iso test: look for an invertible element of Hom(M, N) among the
-    `_hom_candidates` of its basis. True is proven; False means no candidate was
-    invertible."""
+    `_hom_candidates` of its basis. A candidate the screen mod a prime proved
+    invertible (None) proves the isomorphism unbuilt; the others are decided by
+    exact ranks. True is proven; False means no candidate was invertible."""
     if m.quiver != n.quiver or m.field != n.field or m.dims != n.dims:
         return False
     candidates = _hom_candidates(m, hom_basis(m, n), random.Random(_CANDIDATE_SEED))
-    return any(all(linalg.rank(phi[v], m.field) == d for v, d in enumerate(m.dims)) for phi in candidates)
+    return any(
+        phi is None or all(linalg.rank(phi[v], m.field) == d for v, d in enumerate(m.dims)) for phi in candidates
+    )
 
 
 # --- Krull-Schmidt via the fitting lemma ---
@@ -317,7 +321,11 @@ def _subrep_on_bases(m: Representation, bases: list[list[list]]) -> Representati
 
 
 def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Representation, Representation] | None:
-    """Split M = ker(phi^N) ⊕ im(phi^N) when both sides are nonzero."""
+    """Split M = ker(phi^N) ⊕ im(phi^N) when both sides are nonzero.
+
+    Ranks of powers never increase, so an invertible phi (full rank at every
+    vertex) or phi = 0 returns None on its first ranks, with no squaring.
+    """
     field = m.field
     q = m.quiver
     powers = [list(map(list, phi[v])) for v in range(q.n)]
@@ -327,6 +335,8 @@ def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Represent
         return sum(linalg.rank(mats[v], field) for v in range(q.n))
 
     prev = total_rank(powers)
+    if prev in (0, total):
+        return None
     # square until the rank stabilizes; at most log2(total)+1 steps
     for _ in range(max(1, total.bit_length() + 1)):
         squared = [linalg.mat_mul(powers[v], powers[v], field) for v in range(q.n)]
@@ -336,8 +346,7 @@ def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Represent
         powers = squared
         prev = r
     psi = powers
-    ker_dim = total - prev
-    if ker_dim == 0 or prev == 0:
+    if prev == 0:  # phi is nilpotent; its rank started below total and cannot rise
         return None
     ker_bases = []
     im_bases = []
@@ -427,17 +436,38 @@ def _hom_candidates(m: Representation, basis, rng: random.Random):
     blocks), so single elements split where dense combinations, being generically
     invertible, never would. Then 8 sparse combinations (at most 3 terms) and 8
     dense ones, with coefficients from rng: in [-9, 9] over Q, in F_p over F_p.
+
+    Over Q each combination is first screened mod `_SCREEN_PRIME`, with the basis
+    reduced there once, when the first combination is asked for. A reduction of
+    full rank at every vertex has det ≢ 0 mod the prime, so det != 0: the
+    combination is invertible, and None stands for it unbuilt. Any other
+    combination is built exactly; so is every one when a denominator of the basis
+    is divisible by the prime.
     """
     yield from basis
     p = m.field.p
     lo, hi = (-9, 9) if p is None else (0, p - 1)
-    for _ in range(8):
-        cf = [0] * len(basis)
-        for _ in range(min(3, len(basis))):
-            cf[rng.randrange(len(basis))] = rng.randint(lo, hi) or 1
-        yield _combine_endos(m, basis, cf)
-    for _ in range(8):
-        yield _combine_endos(m, basis, [rng.randint(lo, hi) for _ in basis])
+    screen = _reduce_basis(basis, GF(_SCREEN_PRIME)) if p is None else []
+    for k in range(16):
+        if k < 8:
+            cf = [0] * len(basis)
+            for _ in range(min(3, len(basis))):
+                cf[rng.randrange(len(basis))] = rng.randint(lo, hi) or 1
+        else:
+            cf = [rng.randint(lo, hi) for _ in basis]
+        reduced = _combine_endos(m, screen, cf) if screen else None
+        if reduced and all(linalg.rank(mat, GF(_SCREEN_PRIME)) == d for mat, d in zip(reduced, m.dims)):
+            yield None
+        else:
+            yield _combine_endos(m, basis, cf)
+
+
+def _reduce_basis(basis, field: Field) -> list:
+    """The basis elements with entries in F_p, or [] when a denominator is divisible by p."""
+    try:
+        return [tuple(tuple(tuple(linalg.to_field(x, field) for x in row) for row in mat) for mat in b) for b in basis]
+    except ZeroDivisionError:
+        return []
 
 
 def _split_simples(m: Representation) -> tuple[Representation, list[Representation]]:
@@ -481,7 +511,7 @@ def _fitting_summands(m: Representation, rng: random.Random) -> list[Representat
     if len(endos) == 1:
         return [_known_end(m, 1)]
     for phi in _hom_candidates(m, endos, rng):
-        split = _fitting_split(m, phi)
+        split = None if phi is None else _fitting_split(m, phi)
         if split is not None:
             ker, im = split
             return _fitting_summands(ker, rng) + _fitting_summands(im, rng)

@@ -54,3 +54,34 @@ def test_pair_plan_alternates_the_first_side():
         ("kronecker-frontier", 201, "parent"),
         ("kronecker-frontier", 202, "change"),
     ]
+
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def test_claimed_names_a_workload_and_an_end_to_end_metric():
+    assert bench_pairs.parse_claimed("kronecker-frontier:wall_s", SPEC) == {
+        "workload": "kronecker-frontier", "metric": "wall_s"}
+    for text, named in [
+        ("kronecker-frontier", "not WORKLOAD:METRIC"),
+        ("foo:wall_s", "unknown workload 'foo'"),
+        ("d4-suites:walls", "unknown end-to-end metric 'walls'"),
+        ("d4-suites:linalg.rref_qq.calls", "unknown end-to-end metric"),  # a per-layer metric
+        (":wall_s", "unknown workload ''"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            bench_pairs.parse_claimed(text, SPEC)
+
+
+def test_a_bad_claim_exits_2_before_any_run(monkeypatch, tmp_path, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_side", no_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(ROOT), str(ROOT), "--out", str(out), "--parent", "p", "--change", "c",
+                          "--claimed", "foo"])
+    assert exc.value.code == 2
+    assert "--claimed 'foo' is not WORKLOAD:METRIC" in capsys.readouterr().err
+    assert not out.exists()

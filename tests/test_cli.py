@@ -118,6 +118,18 @@ def test_gendecomp_and_vgendecomp_match_golden(capsys, case):
     assert run(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])
 
 
+FRONTIER_CASES = json.loads((ROOT / "tests" / "golden" / "genchar-kronecker-frontier.json").read_text())
+
+
+@pytest.mark.parametrize("case", FRONTIER_CASES, ids=[" ".join(c["argv"]) for c in FRONTIER_CASES])
+def test_kronecker_frontier_matches_golden(capsys, case):
+    """stdout, stderr and exit code of `genchar --json` for Kronecker X(k,-k), k = 2..5,
+    and X(3,-4), and of `cc --dim 2,2 --json`, as pinned in
+    tests/golden/genchar-kronecker-frontier.json."""
+    argv = [str(ROOT / a) if a.startswith("quivers/") else a for a in case["argv"]]
+    assert run(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])
+
+
 def test_mutate(capsys, a2_file):
     code, out, _ = run(capsys, "mutate", a2_file, "--at", "1")
     assert code == 0

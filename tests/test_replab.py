@@ -185,7 +185,7 @@ def test_unit_candidates_are_the_basis_endomorphisms(monkeypatch, kronecker, p):
     # End = Q(sqrt 2) (over F_5 too: 2 is not a square mod 5), so no candidate splits
     field = QQ if p is None else GF(p)
     m = make_representation(kronecker, field, (2, 2), [((1, 0), (0, 1)), ((0, 1), (2, 0))])
-    bases, phis = [], []
+    bases, phis, combined = [], [], []
 
     def basis(x, y):
         bases.append(hom_basis(x, y))
@@ -195,16 +195,29 @@ def test_unit_candidates_are_the_basis_endomorphisms(monkeypatch, kronecker, p):
         phis.append(phi)
         return _fitting_split(x, phi)
 
+    def combine(x, endos, coeffs):
+        combined.append((endos, coeffs))
+        return _combine_endos(x, endos, coeffs)
+
     monkeypatch.setattr(replab, "hom_basis", basis)
     monkeypatch.setattr(replab, "_fitting_split", split)
+    monkeypatch.setattr(replab, "_combine_endos", combine)
     assert decompose(m) == [m]
     (endos,) = bases
+    if p is None:
+        # The 16 combinations are screened mod a prime: each is proven invertible
+        # there, so none is built over Q and only the unit candidates are tried.
+        assert len(endos) == 2 and len(phis) == len(endos)
+        assert all(phi is b for phi, b in zip(phis, endos))
+        assert len(combined) == 16 and not any(e is endos for e, _ in combined)
+        for screen, coeffs in combined:
+            assert all(0 <= x < replab._SCREEN_PRIME for b in screen for mat in b for row in mat for x in row)
+            phi = _combine_endos(m, endos, coeffs)
+            assert all(linalg.rank(phi[v], QQ) == d for v, d in enumerate(m.dims))
+        return
     assert len(endos) == 2 and len(phis) == len(endos) + 16
     for phi, b in zip(phis, endos):
-        if p is None:
-            assert phi is b
-        else:
-            assert [tuple(map(tuple, mat)) for mat in phi] == [tuple(tuple(x % p for x in row) for row in mat) for mat in b]
+        assert [tuple(map(tuple, mat)) for mat in phi] == [tuple(tuple(x % p for x in row) for row in mat) for mat in b]
 
 
 def test_decompose_records_the_end_dimension_of_its_summands(kronecker, d4):

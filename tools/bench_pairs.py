@@ -63,6 +63,21 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def parse_claimed(text: str, spec: dict) -> dict:
+    """{"workload": W, "metric": M} of a claim `W:M`; W must name a workload and M an
+    end-to-end metric of the BENCHMARK.json `spec`, else ValueError says which is wrong."""
+    workload, sep, metric = text.partition(":")
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if not sep:
+        raise ValueError(f"--claimed {text!r} is not WORKLOAD:METRIC")
+    if workload not in workloads:
+        raise ValueError(f"--claimed names unknown workload {workload!r}; one of {', '.join(workloads)}")
+    if metric not in metrics:
+        raise ValueError(f"--claimed names unknown end-to-end metric {metric!r}; one of {', '.join(metrics)}")
+    return {"workload": workload, "metric": metric}
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run in a checkout: its env block, result and failed ops."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -88,11 +103,15 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--parent", required=True, help="the parent revision, as recorded in the file")
     ap.add_argument("--change", required=True, help="one line saying what the change does")
-    ap.add_argument("--claimed", help="WORKLOAD:METRIC of the claimed gain, if any")
+    ap.add_argument("--claimed", help="WORKLOAD:METRIC of the claimed gain, if any (an end-to-end metric)")
     ap.add_argument("--first-seed", type=int, default=101)
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change_dir / "BENCHMARK.json").read_text(encoding="utf-8"))
+    try:
+        claimed = parse_claimed(args.claimed, spec) if args.claimed else None
+    except ValueError as exc:
+        ap.error(str(exc))  # exits 2 before any run
     seconds = spec["run_seconds"]
     workloads = {w["name"]: 10 for w in spec["workloads"]}
     dirs = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
@@ -137,7 +156,7 @@ def main(argv: list[str]) -> int:
         "change": args.change,
         "host": (f"{env['cpus_usable']} CPUs, Python {env['python']} ({env['implementation']}), "
                  f"{env['platform']}; timings from wall clock and process CPU time only"),
-        "claimed": dict(zip(("workload", "metric"), args.claimed.split(":", 1))) if args.claimed else None,
+        "claimed": claimed,
         "workloads": out_workloads,
         "traced": traced,
     }
