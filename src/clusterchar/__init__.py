@@ -62,7 +62,6 @@ from .replab import (
     grassmannian_euler,
     hom_dim,
     injective_representation,
-    is_isomorphic,
     projective_representation,
     random_representation,
     simple_representation,

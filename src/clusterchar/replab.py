@@ -34,8 +34,6 @@ from .quiver import Quiver, et_map, euler_form, vertex_vector
 from .seeds import mix_seed
 
 MatrixT = tuple[tuple, ...]
-_CANDIDATE_SEED = mix_seed(0, 1)  # seeds the random combinations of `_hom_candidates`
-_SCREEN_PRIME = 1_000_003  # `_hom_candidates` proves combinations over Q invertible mod this prime
 
 
 @dataclass(frozen=True)
@@ -286,19 +284,6 @@ def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Rep
     return None
 
 
-def is_isomorphic(m: Representation, n: Representation) -> bool:
-    """Exact iso test: look for an invertible element of Hom(M, N) among the
-    `_hom_candidates` of its basis. A candidate the screen mod a prime proved
-    invertible (None) proves the isomorphism unbuilt; the others are decided by
-    exact ranks. True is proven; False means no candidate was invertible."""
-    if m.quiver != n.quiver or m.field != n.field or m.dims != n.dims:
-        return False
-    candidates = _hom_candidates(m, hom_basis(m, n), random.Random(_CANDIDATE_SEED))
-    return any(
-        phi is None or all(linalg.rank(phi[v], m.field) == d for v, d in enumerate(m.dims)) for phi in candidates
-    )
-
-
 # --- Krull-Schmidt via the fitting lemma ---
 
 
@@ -409,67 +394,6 @@ def _known_end(m: Representation, end_dim: int) -> Representation:
     return m
 
 
-def _combine_endos(m: Representation, endos, coeffs) -> list[MatrixT]:
-    """sum(coeffs[k] * endos[k]) for maps M -> N with dim N = dim M."""
-    p = m.field.p
-    terms = [(cf, b) for cf, b in zip(coeffs, endos) if cf]
-    phi = []
-    for v, d in enumerate(m.dims):
-        mat = [[0] * d for _ in range(d)]
-        for cf, b in terms:
-            for out, row in zip(mat, b[v]):
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] += cf * x
-        if p is not None:
-            mat = [[x % p for x in row] for row in mat]
-        phi.append(tuple(tuple(r) for r in mat))
-    return phi
-
-
-def _hom_candidates(m: Representation, basis, rng: random.Random):
-    """Elements of Hom(M, N), dim N = dim M, from its basis: the maps tried as a
-    splitting endomorphism (`_fitting_summands`) and as an isomorphism (`is_isomorphic`).
-
-    First the basis elements, which `hom_basis` gives reduced mod p over F_p: the
-    RREF basis of End(M) carries matrix-unit-like elements (idempotent on isotypic
-    blocks), so single elements split where dense combinations, being generically
-    invertible, never would. Then 8 sparse combinations (at most 3 terms) and 8
-    dense ones, with coefficients from rng: in [-9, 9] over Q, in F_p over F_p.
-
-    Over Q each combination is first screened mod `_SCREEN_PRIME`, with the basis
-    reduced there once, when the first combination is asked for. A reduction of
-    full rank at every vertex has det ≢ 0 mod the prime, so det != 0: the
-    combination is invertible, and None stands for it unbuilt. Any other
-    combination is built exactly; so is every one when a denominator of the basis
-    is divisible by the prime.
-    """
-    yield from basis
-    p = m.field.p
-    lo, hi = (-9, 9) if p is None else (0, p - 1)
-    screen = _reduce_basis(basis, GF(_SCREEN_PRIME)) if p is None else []
-    for k in range(16):
-        if k < 8:
-            cf = [0] * len(basis)
-            for _ in range(min(3, len(basis))):
-                cf[rng.randrange(len(basis))] = rng.randint(lo, hi) or 1
-        else:
-            cf = [rng.randint(lo, hi) for _ in basis]
-        reduced = _combine_endos(m, screen, cf) if screen else None
-        if reduced and all(linalg.rank(mat, GF(_SCREEN_PRIME)) == d for mat, d in zip(reduced, m.dims)):
-            yield None
-        else:
-            yield _combine_endos(m, basis, cf)
-
-
-def _reduce_basis(basis, field: Field) -> list:
-    """The basis elements with entries in F_p, or [] when a denominator is divisible by p."""
-    try:
-        return [tuple(tuple(tuple(linalg.to_field(x, field) for x in row) for row in mat) for mat in b) for b in basis]
-    except ZeroDivisionError:
-        return []
-
-
 def _split_simples(m: Representation) -> tuple[Representation, list[Representation]]:
     """M = N ⊕ (⊕_v S_v^c_v), where N has no simple direct summand.
 
@@ -503,20 +427,58 @@ def _split_simples(m: Representation) -> tuple[Representation, list[Representati
     return _subrep_on_bases(m, bases), simples
 
 
-def _fitting_summands(m: Representation, rng: random.Random) -> list[Representation]:
-    """Summands of M by Fitting splits with the `_hom_candidates` of End(M)."""
+def _quadratic_split(m: Representation, endos) -> tuple[Representation, Representation] | None:
+    """Fitting split of M when End(M) has the basis endos of length 2, else None.
+
+    For a basis element phi not in k·id, End(M) = k[phi], and one elimination of
+    the columns (id | phi | phi²) gives phi² = a·phi + b·id. A root c of
+    x² - a·x - b in k (over Q, a² + 4b is a square; over F_p, a search of F_p)
+    makes phi - c·id a zero divisor, which splits M unless c is a double root: then
+    it is nilpotent and End(M) is local. Without a root End(M) is a field. In both
+    cases M is indecomposable and the answer is None.
+    """
+    field, p = m.field, m.field.p
+    ident = [int(i == j) for d in m.dims for i in range(d) for j in range(d)]
+    for phi in endos:
+        mats = [list(map(list, mat)) for mat in phi]
+        square = [linalg.mat_mul(mat, mat, field) for mat in mats]
+        flat = ([x for mat in ms for row in mat for x in row] for ms in (mats, square))
+        red, pivots = linalg.rref([list(r) for r in zip(ident, *flat)], field)
+        if pivots[:2] == [0, 1]:  # phi is not a multiple of id
+            break
+    b, a = red[0][2], red[1][2]
+    if p is None:
+        disc = Fraction(a * a + 4 * b)
+        num, den = isqrt(max(disc.numerator, 0)), isqrt(disc.denominator)
+        if (num * num, den * den) != (disc.numerator, disc.denominator):
+            return None
+        c = (a + Fraction(num, den)) / 2
+    else:
+        c = next((c for c in range(p) if (c * c - a * c - b) % p == 0), None)
+        if c is None:
+            return None
+    shifted = [[[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mat)] for mat in mats]
+    return _fitting_split(m, shifted)
+
+
+def _fitting_summands(m: Representation) -> list[Representation]:
+    """Summands of M by Fitting splits: with the first End(M) basis element that
+    splits, else, when dim End(M) = 2, with `_quadratic_split`. No random number
+    is drawn. A summand no step splits is returned with its End dimension."""
     if all(d <= 1 for d in m.dims):
         return _thin_components(m)  # none for M = 0
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [_known_end(m, 1)]
-    for phi in _hom_candidates(m, endos, rng):
-        split = None if phi is None else _fitting_split(m, phi)
+    for phi in endos:
+        split = _fitting_split(m, phi)
         if split is not None:
-            ker, im = split
-            return _fitting_summands(ker, rng) + _fitting_summands(im, rng)
-    # no splitting endomorphism found: End local as far as the procedure sees
-    return [_known_end(m, len(endos))]
+            break
+    else:
+        split = _quadratic_split(m, endos) if len(endos) == 2 else None
+    if split is None:  # End local or a field when dim End = 2; beyond that, as far as the basis sees
+        return [_known_end(m, len(endos))]
+    return _fitting_summands(split[0]) + _fitting_summands(split[1])
 
 
 def decompose(m: Representation) -> list[Representation]:
@@ -527,15 +489,16 @@ def decompose(m: Representation) -> list[Representation]:
     the arrows into v; those copies come last, after the summands of the rest N,
     which is a subrepresentation because its basis at v contains I_v
     (`_split_simples`). N, and by Krull-Schmidt each Fitting piece of it, has no
-    simple summand; it is split by Fitting with the `_hom_candidates` of each
-    piece, whose combinations come from one fixed-seed generator per call, so the
-    summands are a function of M. A summand that is a brick (thin components are;
-    otherwise dim End = 1) is indecomposable. A summand that is not a brick is
+    simple summand; it is split by Fitting with the End basis elements of each
+    piece and, for dim End = 2, the quadratic step (`_fitting_summands`). No random
+    number is drawn, so the summands are a function of M. A summand that is a
+    brick (thin components are; otherwise dim End = 1) is indecomposable, and so is
+    one with dim End = 2 that no step splits. A summand that is not a brick is
     returned unsplit; the certificates downstream (`split_non_brick`) detect it
     and refine the sample.
     """
     n, simples = (m, []) if all(d <= 1 for d in m.dims) else _split_simples(m)
-    return _fitting_summands(n, random.Random(_CANDIDATE_SEED)) + simples
+    return _fitting_summands(n) + simples
 
 
 # --- certified generic representations ---

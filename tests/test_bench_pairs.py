@@ -85,3 +85,49 @@ def test_a_bad_claim_exits_2_before_any_run(monkeypatch, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--claimed 'foo' is not WORKLOAD:METRIC" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _metrics(**values):
+    """A metrics block: names ending in _s are timed (unit s), the rest counts."""
+    return {name.replace("__", "."): {"value": v, "unit": "s" if name.endswith("_s") else "count"}
+            for name, v in values.items()}
+
+
+def test_traced_summary_of_fixed_numbers():
+    parent = [(1.0, 5, 7), (3.0, 5, 8), (2.0, 5, 7)]
+    change = [(1.5, 4, 9), (0.5, 4, 9), (1.0, 4, 9)]
+    rounds = [{"parent": _metrics(op__time_s=pt, op__calls=pc, cache__hits=ph),
+               "change": _metrics(op__time_s=ct, op__calls=cc, cache__hits=ch)}
+              for (pt, pc, ph), (ct, cc, ch) in zip(parent, change)]
+    s = bench_pairs.traced_summary(rounds)
+    assert s["rounds"] == 3
+    # inclusive quartiles of 1, 2, 3 are 1.5 and 2.5
+    assert s["layers"] == {"op.time_s": {"parent_median": 2.0, "change_median": 1.0, "parent_iqr": 1.0}}
+    assert s["counts"] == {"parent": {"op.calls": 5, "cache.hits": 7}, "change": {"op.calls": 4, "cache.hits": 9}}
+    assert s["varies"] == {"parent": {"cache.hits": [7, 8, 7]}, "change": {}}
+
+
+def test_traced_rounds_alternate_sides_on_one_seed(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "parent" if checkout.name == "p" else "change"
+        calls.append((workload, side, seed, seconds, trace))
+        env = {"cpus_usable": 1, "python": "3", "implementation": "CPython", "platform": "test"}
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in SPEC["end_to_end"]}
+        metrics["op.time_s"] = {"value": float(len(calls)), "unit": "s"}
+        return {"env": env, "result": {"metrics": metrics, "failed": 0}, "failed_ops": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    (tmp_path / "p").mkdir()
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "p"), str(ROOT), "--out", str(out), "--parent", "p", "--change", "c"]) == 0
+    traced = [c for c in calls if c[4] == 1]
+    for w in SPEC["workloads"]:
+        runs = [c for c in traced if c[0] == w["name"]]
+        assert [c[1] for c in runs] == ["parent", "change", "change", "parent", "parent", "change"]
+        assert {c[2:] for c in runs} == {(bench_pairs.TRACED_SEED, bench_pairs.TRACED_SECONDS, 1)}
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    block = doc["traced"][SPEC["workloads"][0]["name"]]
+    assert block["rounds"] == 3 and block["failed"] == {"parent": 0, "change": 0}
+    assert set(block["layers"]["op.time_s"]) == {"parent_median", "change_median", "parent_iqr"}

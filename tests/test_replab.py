@@ -15,7 +15,6 @@ from clusterchar import (
     generic_representation,
     grassmannian_euler,
     hom_dim,
-    is_isomorphic,
     projective_representation,
     random_representation,
     simple_representation,
@@ -31,14 +30,16 @@ from clusterchar.errors import (
     SubdimensionOutOfRange,
     SupportNotDisjoint,
 )
+from clusterchar.generic import cone_of_proj_map, min_proj_decomposition, sample_generic_proj_map
+from clusterchar.quiver import et_map
 from clusterchar.replab import (
     Representation,
     _certify_pattern,
-    _combine_endos,
     _fitting_split,
     _newton,
     _newton_eval,
     _primes,
+    _quadratic_split,
     _split_simples,
     _subrep_on_bases,
     _thin_components,
@@ -49,6 +50,7 @@ from clusterchar.replab import (
     representation_from_json,
 )
 from dynkin_oracle import indecomposable_for_root
+from fitting_oracle import hom_candidates, is_isomorphic
 
 
 @pytest.fixture(scope="module")
@@ -182,10 +184,11 @@ def _fresh(x):
 
 @pytest.mark.parametrize("p", [None, 5])
 def test_unit_candidates_are_the_basis_endomorphisms(monkeypatch, kronecker, p):
-    # End = Q(sqrt 2) (over F_5 too: 2 is not a square mod 5), so no candidate splits
+    # End = Q(sqrt 2) (over F_5 too: 2 is not a square mod 5), so nothing splits:
+    # the 2 basis elements are tried, the quadratic step finds no root, and that is all
     field = QQ if p is None else GF(p)
     m = make_representation(kronecker, field, (2, 2), [((1, 0), (0, 1)), ((0, 1), (2, 0))])
-    bases, phis, combined = [], [], []
+    bases, phis, quadratic = [], [], []
 
     def basis(x, y):
         bases.append(hom_basis(x, y))
@@ -195,29 +198,80 @@ def test_unit_candidates_are_the_basis_endomorphisms(monkeypatch, kronecker, p):
         phis.append(phi)
         return _fitting_split(x, phi)
 
-    def combine(x, endos, coeffs):
-        combined.append((endos, coeffs))
-        return _combine_endos(x, endos, coeffs)
+    def quad(x, endos):
+        quadratic.append(_quadratic_split(x, endos))
+        return quadratic[-1]
 
     monkeypatch.setattr(replab, "hom_basis", basis)
     monkeypatch.setattr(replab, "_fitting_split", split)
-    monkeypatch.setattr(replab, "_combine_endos", combine)
+    monkeypatch.setattr(replab, "_quadratic_split", quad)
     assert decompose(m) == [m]
     (endos,) = bases
-    if p is None:
-        # The 16 combinations are screened mod a prime: each is proven invertible
-        # there, so none is built over Q and only the unit candidates are tried.
-        assert len(endos) == 2 and len(phis) == len(endos)
-        assert all(phi is b for phi, b in zip(phis, endos))
-        assert len(combined) == 16 and not any(e is endos for e, _ in combined)
-        for screen, coeffs in combined:
-            assert all(0 <= x < replab._SCREEN_PRIME for b in screen for mat in b for row in mat for x in row)
-            phi = _combine_endos(m, endos, coeffs)
-            assert all(linalg.rank(phi[v], QQ) == d for v, d in enumerate(m.dims))
+    assert len(endos) == 2 and len(phis) == len(endos)
+    assert all(phi is b for phi, b in zip(phis, endos))
+    assert quadratic == [None]
+    if p is not None:
+        assert all(0 <= x < p for b in endos for mat in b for row in mat for x in row)
+
+
+def _companion(kronecker, field, a, b):
+    """Kronecker (2, 2) with maps id and the companion matrix B of x² - a·x - b:
+    End = k[B], of dim 2, which splits exactly when x² - a·x - b has a root in k."""
+    return make_representation(kronecker, field, (2, 2), [((1, 0), (0, 1)), ((0, b), (1, a))])
+
+
+@pytest.mark.parametrize(
+    "p, a, b, splits",
+    [
+        (None, 0, 1, True),  # x² - 1 = (x - 1)(x + 1): End = Q x Q
+        (None, 1, Fraction(3, 4), True),  # roots 3/2 and -1/2
+        (None, 0, 2, False),  # End = Q(sqrt 2)
+        (None, 0, Fraction(1, 8), False),  # a² + 4b = 1/2: a square numerator is not enough
+        (None, 0, -1, False),  # End = Q(i): a² + 4b < 0
+        (None, 2, -1, False),  # (x - 1)²: End local
+        (None, 0, 0, False),  # x²: B is a nilpotent Jordan block, End = Q[t]/t²
+        (2, 1, 0, True),  # x² + x = x(x + 1)
+        (2, 1, 1, False),  # x² + x + 1 is irreducible over F_2
+        (3, 0, 1, True),  # x² - 1
+        (3, 0, 2, False),  # x² + 1: -1 is not a square mod 3
+        (5, 0, 4, True),  # x² - 4 = (x - 2)(x + 2)
+        (5, 0, 2, False),  # 2 is not a square mod 5
+    ],
+)
+def test_quadratic_split_finds_a_root_of_the_minimal_polynomial(kronecker, p, a, b, splits):
+    field = QQ if p is None else GF(p)
+    m = _companion(kronecker, field, a, b)
+    assert len(hom_basis(m, m)) == 2
+    # the basis (id, B) at both vertices, id first: the step must pass over it
+    split = _quadratic_split(m, [(m.maps[0],) * 2, (m.maps[1],) * 2])
+    if not splits:
+        assert split is None
+        (x,) = decompose(m)
+        assert x is m and x.end_dim == 2
         return
-    assert len(endos) == 2 and len(phis) == len(endos) + 16
-    for phi, b in zip(phis, endos):
-        assert [tuple(map(tuple, mat)) for mat in phi] == [tuple(tuple(x % p for x in row) for row in mat) for mat in b]
+    assert sorted(x.dims for x in split) == [(1, 1), (1, 1)]
+    assert all(hom_dim(x, x) == 1 for x in split)
+    assert sorted(x.dims for x in decompose(m)) == [(1, 1), (1, 1)]
+
+
+def test_decompose_draws_no_random_number(monkeypatch, kronecker, d4):
+    dec = min_proj_decomposition(et_map(d4, (1, 2, 1, 2)))
+    cone = cone_of_proj_map(sample_generic_proj_map(d4, dec, rng_seed=1000, bound=10)).module
+    field_ext = make_representation(kronecker, QQ, (2, 2), [((1, 0), (0, 1)), ((0, 1), (2, 0))])
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(replab.random, "Random", no_rng)
+    parts = decompose(cone)
+    assert len(parts) >= 2 and all(x.end_dim == 1 for x in parts)
+    assert decompose(field_ext) == [field_ext]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_d4_generic_representation_certifies_for_every_seed(d4, seed):
+    rep, parts = generic_representation(d4, (1, 2, 1, 2), rng_seed=seed)
+    assert rep.dims == (1, 2, 1, 2) and all(x.end_dim == 1 for x in parts)
 
 
 def test_decompose_records_the_end_dimension_of_its_summands(kronecker, d4):
@@ -254,21 +308,8 @@ def _fitting_only(m, rng):
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [m]
-
-    def candidates():
-        for k in range(len(endos)):
-            yield [int(j == k) for j in range(len(endos))]
-        lo, hi = (-9, 9) if m.field.p is None else (0, m.field.p - 1)
-        for _ in range(8):
-            cf = [0] * len(endos)
-            for _ in range(min(3, len(endos))):
-                cf[rng.randrange(len(endos))] = rng.randint(lo, hi) or 1
-            yield cf
-        for _ in range(8):
-            yield [rng.randint(lo, hi) for _ in endos]
-
-    for coeffs in candidates():
-        split = _fitting_split(m, _combine_endos(m, endos, coeffs))
+    for phi in hom_candidates(m, endos, rng):
+        split = _fitting_split(m, phi)
         if split is not None:
             return _fitting_only(split[0], rng) + _fitting_only(split[1], rng)
     return [m]

@@ -13,9 +13,12 @@ workload runs
 
 once in each checkout, one run at a time, with S = first seed + 100·w + k and T
 the `run_seconds` of BENCHMARK.json. The parent runs first on even k, the change
-on odd k. Then one `--trace 1 --seconds 40 --seed 3` run per side and workload
-fills the `traced` block. Each run's env block, result and failed ops
-are kept (from the record `perfbench/run.py` leaves in `.perfbench_run/`).
+on odd k. Each run's env block, result and failed ops are kept (from the record
+`perfbench/run.py` leaves in `.perfbench_run/`). Then `--trace 1 --seconds 40
+--seed 3` runs 3 times per side and workload, in alternating pairs as above, and
+fills the `traced` block (`traced_summary`): each timed layer's medians and the
+parent's interquartile range, so that host drift between rounds shows as spread
+rather than as a change, and the call counts and counters once per side.
 
 For every end-to-end metric of the change's BENCHMARK.json, the summary gives the
 parent and change medians, their inclusive quartiles, the ratio of the medians
@@ -34,6 +37,8 @@ from pathlib import Path
 
 TRACED_SEED = 3
 TRACED_SECONDS = 40
+TRACED_ROUNDS = 3
+SIDES = ("parent", "change")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -61,6 +66,31 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
         "pairs": len(parent),
     }
+
+
+def traced_summary(rounds: list[dict]) -> dict:
+    """Summary of one workload's traced rounds; rounds[k][side] is the metrics block
+    ({name: {"value", "unit"}}) of round k's traced run on that side.
+
+    Each timed metric (unit s) gets both sides' medians and the parent's IQR. Every
+    other metric, a call count or counter, is given once per side, from the first
+    round; `varies` lists, per side, those that differ between rounds, with each
+    round's value.
+    """
+    out = {"rounds": len(rounds), "layers": {}, "counts": {s: {} for s in SIDES}, "varies": {s: {} for s in SIDES}}
+    for name, first in rounds[0]["parent"].items():
+        values = {side: [r[side][name]["value"] for r in rounds] for side in SIDES}
+        if first["unit"] == "s":
+            q = quartiles(values["parent"])
+            out["layers"][name] = {"parent_median": statistics.median(values["parent"]),
+                                   "change_median": statistics.median(values["change"]),
+                                   "parent_iqr": q[1] - q[0]}
+            continue
+        for side, vals in values.items():
+            out["counts"][side][name] = vals[0]
+            if len(set(vals)) > 1:
+                out["varies"][side][name] = vals
+    return out
 
 
 def parse_claimed(text: str, spec: dict) -> dict:
@@ -116,31 +146,34 @@ def main(argv: list[str]) -> int:
     workloads = {w["name"]: 10 for w in spec["workloads"]}
     dirs = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
 
+    def run_pair(name: str, seed: int, secs: float, trace: int, first: str) -> dict:
+        pair = {}
+        for side in (first, "change" if first == "parent" else "parent"):
+            print(f"bench_pairs: {name} seed {seed} trace {trace} {side}", file=sys.stderr, flush=True)
+            pair[side] = run_side(dirs[side], name, seed, secs, trace)
+        return pair
+
     runs: dict[str, list[dict]] = {name: [] for name in workloads}
     for name, seed, first in pair_plan(workloads, args.first_seed):
-        order = (first, "change" if first == "parent" else "parent")
-        pair = {"seed": seed, "first": first}
-        for side in order:
-            print(f"bench_pairs: {name} seed {seed} {side}", file=sys.stderr, flush=True)
-            pair[side] = run_side(dirs[side], name, seed, seconds, 0)
-        runs[name].append(pair)
+        runs[name].append({"seed": seed, "first": first, **run_pair(name, seed, seconds, 0, first)})
 
     out_workloads = {}
     for name, pairs in runs.items():
         summary = {}
         for metric in spec["end_to_end"]:
             values = {side: [p[side]["result"]["metrics"][metric["name"]]["value"] for p in pairs]
-                      for side in ("parent", "change")}
+                      for side in SIDES}
             summary[metric["name"]] = summarize(values["parent"], values["change"], metric["better"])
-        failed = {side: sum(p[side]["result"]["failed"] for p in pairs) for side in ("parent", "change")}
+        failed = {side: sum(p[side]["result"]["failed"] for p in pairs) for side in SIDES}
         out_workloads[name] = {"summary": summary, "failed": failed, "pairs": pairs}
 
+    traced_runs: dict[str, list[dict]] = {name: [] for name in workloads}
+    for name, _, first in pair_plan({name: TRACED_ROUNDS for name in workloads}, TRACED_SEED):
+        traced_runs[name].append(run_pair(name, TRACED_SEED, TRACED_SECONDS, 1, first))
     traced = {}
-    for name in workloads:
-        traced[name] = {}
-        for side in ("parent", "change"):
-            print(f"bench_pairs: {name} traced {side}", file=sys.stderr, flush=True)
-            traced[name][side] = run_side(dirs[side], name, TRACED_SEED, TRACED_SECONDS, 1)
+    for name, rounds in traced_runs.items():
+        traced[name] = traced_summary([{side: r[side]["result"]["metrics"] for side in SIDES} for r in rounds])
+        traced[name]["failed"] = {side: sum(r[side]["result"]["failed"] for r in rounds) for side in SIDES}
 
     env = runs[next(iter(runs))][0]["parent"]["env"]
     doc = {
@@ -149,8 +182,10 @@ def main(argv: list[str]) -> int:
             f"--seconds {seconds:g} --trace 0`, each side run from its own checkout, one run at a time; "
             f"the side that ran first alternates from pair to pair (parent first on even pair index). "
             f"Per-round records are left out; each run's env block, result and failed ops are kept. "
-            f"`traced` holds one `--trace 1 --seconds {TRACED_SECONDS} --seed {TRACED_SEED}` "
-            f"run per side and workload. Written by tools/bench_pairs.py."
+            f"`traced` summarizes {TRACED_ROUNDS} alternating pairs of `--trace 1 --seconds {TRACED_SECONDS} "
+            f"--seed {TRACED_SEED}` per workload: each timed layer's medians and the parent's IQR, and the "
+            f"counts and counters once per side, with those that differ between rounds under `varies`. "
+            f"Written by tools/bench_pairs.py."
         ),
         "parent": args.parent,
         "change": args.change,
