@@ -15,6 +15,13 @@ outlive one value, so values compared with each other (cc-agreement,
 multiplicativity) are computed independently. What does outlive a value is the
 plan of a cone (`_cone_plan`): bases and index tables fixed by (quiver, gamma1,
 gamma0), never a sampled coefficient, so sharing it shares no evidence.
+
+An index gamma >= 0 needs no decomposition: gamma1 = 0, the map is 0 and its cone
+is P(gamma0) = ⊕ P_i^gamma0_i on every sample, so X(gamma) is a cluster monomial
+in the CC(P_i) (Caldero-Keller). The summands are the quiver's projectives, one
+shared object per (quiver, i) (`_projective_summand`). Like a plan, such an
+object is structure and holds no count: the rigid counts above still live for
+one value, and the samples still pass the same pattern certificate.
 """
 
 from __future__ import annotations
@@ -43,8 +50,10 @@ from .quiver import Quiver, et_map, euler_form, vertex_vector
 from .replab import (
     Representation,
     _certify_pattern,
+    _known_end,
     _refine_blocks,
     decompose,
+    projective_representation,
 )
 from .seeds import Reject, certify, mix_seed
 
@@ -214,15 +223,31 @@ class ConePattern:
     refined: bool
 
 
+@lru_cache(maxsize=4096)
+def _projective_summand(q: Quiver, i: int) -> Representation:
+    """P_i over Q, with dim End P_i = 1 recorded: End P_i = e_i kQ e_i = k on an
+    acyclic quiver. One object per (quiver, i) serves every sample of every value;
+    it is structure, like a `_cone_plan`, and carries no count."""
+    return _known_end(projective_representation(q, i), 1)
+
+
 def sample_cone(
     q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int
 ) -> tuple[Representation, list[Representation], IntVec]:
     """Module part, its summands and shifted part of the cone of one sampled P(gamma1) -> P(gamma0).
 
-    The seed draws the map; `decompose` is a function of the cone's module.
+    The seed draws the map; `decompose` is a function of the cone's module. When
+    gamma1 = 0 the map is 0 and the cone is P(gamma0) = ⊕ P_i^gamma0_i whatever the
+    seed, so its summands are read off the quiver (`_projective_summand`), not
+    decomposed: each P_i is a brick and projectives have no Ext. The P_i objects
+    are shared between samples and values as structure; no count is kept on them.
     """
     cone = cone_of_proj_map(sample_generic_proj_map(q, dec, rng_seed, bound))
-    return cone.module, decompose(cone.module), cone.shifted
+    if any(dec.gamma1):
+        parts = decompose(cone.module)
+    else:
+        parts = [_projective_summand(q, i) for i, g in enumerate(dec.gamma0, start=1) for _ in range(g)]
+    return cone.module, parts, cone.shifted
 
 
 def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:

@@ -165,9 +165,12 @@ def nullspace(mat: Sequence[Sequence], field, ncols: int | None = None) -> list[
     if not mat:
         n = ncols if ncols is not None else 0
         return [[int(i == j) for i in range(n)] for j in range(n)]
-    n = len(mat[0])
+    return rref_kernel(*rref(mat, field), len(mat[0]), field)
+
+
+def rref_kernel(red: Sequence[Sequence], pivots: Sequence[int], n: int, field) -> list[list]:
+    """`nullspace` of a matrix with n columns, read off its RREF (red, pivots)."""
     p = field.p
-    red, pivots = rref(mat, field)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = []

@@ -341,9 +341,9 @@ def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Represent
             ker_bases.append([])
             im_bases.append([])
             continue
-        kb = linalg.nullspace(psi[v], field, ncols=d)
+        red, pivots = linalg.rref(psi[v], field)
+        kb = linalg.rref_kernel(red, pivots, d, field)
         ker_bases.append([[kb[j][i] for j in range(len(kb))] for i in range(d)] if kb else [[] for _ in range(d)])
-        pivots = linalg.rref(psi[v], field)[1]
         im_bases.append([[row[j] for j in pivots] for row in psi[v]])
     ker = _subrep_on_bases(m, ker_bases)
     im = _subrep_on_bases(m, im_bases)

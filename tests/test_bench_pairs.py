@@ -101,8 +101,9 @@ def test_traced_summary_of_fixed_numbers():
               for (pt, pc, ph), (ct, cc, ch) in zip(parent, change)]
     s = bench_pairs.traced_summary(rounds)
     assert s["rounds"] == 3
-    # inclusive quartiles of 1, 2, 3 are 1.5 and 2.5
-    assert s["layers"] == {"op.time_s": {"parent_median": 2.0, "change_median": 1.0, "parent_iqr": 1.0}}
+    # inclusive quartiles of 1, 2, 3 are 1.5 and 2.5; of 0.5, 1, 1.5 they are 0.75 and 1.25
+    assert s["layers"] == {"op.time_s": {"parent_median": 2.0, "change_median": 1.0,
+                                         "parent_iqr": 1.0, "change_iqr": 0.5}}
     assert s["counts"] == {"parent": {"op.calls": 5, "cache.hits": 7}, "change": {"op.calls": 4, "cache.hits": 9}}
     assert s["varies"] == {"parent": {"cache.hits": [7, 8, 7]}, "change": {}}
 
@@ -130,4 +131,60 @@ def test_traced_rounds_alternate_sides_on_one_seed(monkeypatch, tmp_path):
     doc = json.loads(out.read_text(encoding="utf-8"))
     block = doc["traced"][SPEC["workloads"][0]["name"]]
     assert block["rounds"] == 3 and block["failed"] == {"parent": 0, "change": 0}
-    assert set(block["layers"]["op.time_s"]) == {"parent_median", "change_median", "parent_iqr"}
+    assert set(block["layers"]["op.time_s"]) == {"parent_median", "change_median", "parent_iqr", "change_iqr"}
+    assert doc["verdict"]["claimed"] is None
+    assert {w["name"] for w in SPEC["workloads"]} == set(doc["verdict"]["bounds"])
+
+
+def _summaries(**pairs):
+    """{workload: {metric: summarize(parent, change, better)}} for the metrics of SPEC,
+    every metric taking the same parent and change values as wall_s unless given."""
+    out = {}
+    for workload, (parent, change) in pairs.items():
+        out[workload] = {m["name"]: bench_pairs.summarize(parent, change, m["better"]) for m in SPEC["end_to_end"]}
+    return out
+
+
+def test_verdict_of_a_claimed_gain():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # median 1.2, IQR 0.2
+    ten_wins = [x - 0.3 for x in parent]  # median 0.9: gain 0.3 > 0.2
+    nine_wins = ten_wins[:9] + [1.5]
+    eight_wins = ten_wins[:8] + [1.5, 1.5]
+    close = [x - 0.15 for x in parent]  # wins all ten pairs, gain 0.15 < 0.2
+    claim = {"workload": "w", "metric": "wall_s"}
+    for change, wins, beats in [(ten_wins, True, True), (nine_wins, True, True),
+                                (eight_wins, False, True), (close, True, False)]:
+        v = bench_pairs.verdict(_summaries(w=(parent, change)), SPEC, claim)["claimed"]
+        assert (v["wins_9_of_10"], v["beats_parent_iqr"], v["holds"]) == (wins, beats, wins and beats)
+        assert v["parent_iqr"] == pytest.approx(0.2) and v["pairs"] == 10
+    v = bench_pairs.verdict(_summaries(w=(parent, ten_wins)), SPEC, claim)
+    assert v["claimed"]["change_better_pairs"] == 10 and v["claimed"]["gain"] == pytest.approx(0.3)
+    assert "wall_s" not in v["bounds"]["w"]  # the claimed pair is judged by the claim rule only
+    assert bench_pairs.verdict(_summaries(w=(parent, ten_wins)), SPEC, None)["claimed"] is None
+
+
+def test_verdict_checks_every_other_metric_against_its_bound():
+    bounds = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
+    parent = [2.0] * 10
+    for change, within in [([2.0] * 10, True), ([2.0 * (1 + bounds["wall_s"])] * 10, True),
+                           ([2.0 * (1 + bounds["wall_s"]) + 0.01] * 10, False), ([1.0] * 10, True)]:
+        v = bench_pairs.verdict(_summaries(a=(parent, change), b=(parent, parent)), SPEC, None)
+        assert v["bounds"]["a"]["wall_s"]["within"] is within
+        assert v["bounds"]["a"]["wall_s"]["bound"] == bounds["wall_s"]
+        assert all(c["within"] for c in v["bounds"]["b"].values())
+    v = bench_pairs.verdict(_summaries(a=(parent, [2.5] * 10)), SPEC, None)["bounds"]["a"]
+    assert v["wall_s"]["worse_by"] == pytest.approx(0.25) and not v["wall_s"]["within"]  # bound 0.2
+    assert v["op_p50_s"]["worse_by"] == pytest.approx(0.25) and v["op_p50_s"]["within"]  # bound 0.25
+    # a parent median of 0: any rise is outside the bound, no rise is within it
+    v = bench_pairs.verdict(_summaries(a=([0.0] * 10, [0.1] * 10), b=([0.0] * 10, [0.0] * 10)), SPEC, None)
+    assert v["bounds"]["a"]["wall_s"] == {"bound": bounds["wall_s"], "worse_by": None, "within": False}
+    assert v["bounds"]["b"]["wall_s"]["within"]
+
+
+def test_verdict_reads_each_metric_in_its_own_direction():
+    spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.1}]}
+    summaries = {"a": {"ops_per_s": bench_pairs.summarize([10.0] * 10, [8.0] * 10, "higher")},
+                 "b": {"ops_per_s": bench_pairs.summarize([10.0] * 10, [12.0] * 10, "higher")}}
+    v = bench_pairs.verdict(summaries, spec, {"workload": "b", "metric": "ops_per_s"})
+    assert v["bounds"] == {"a": {"ops_per_s": {"bound": 0.1, "worse_by": pytest.approx(0.2), "within": False}}}
+    assert v["claimed"]["gain"] == pytest.approx(2.0) and v["claimed"]["holds"]

@@ -261,6 +261,39 @@ def test_d4_cone_summands_with_end_q_x_q_are_split():
         assert split_non_brick([parts]) is None
 
 
+# every shipped quiver, the affine Ã2 and the 3-Kronecker, as quiver file text
+PROJECTIVE_CONE_QUIVERS = {path.stem: path.read_text() for path in sorted(QUIVERS.glob("*.quiver"))}
+PROJECTIVE_CONE_QUIVERS.update({"a2-affine": "3\n1 2\n2 3\n1 3\n", "kronecker3": "2\n1 2\n1 2\n1 2\n"})
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTIVE_CONE_QUIVERS))
+def test_nonnegative_cone_summands_come_from_the_quiver(monkeypatch, name):
+    # gamma >= 0: the cone is P(gamma0), whose summands `sample_cone` takes from
+    # the quiver without decomposing; they must be what `decompose` finds
+    q = quiver_from_text(PROJECTIVE_CONE_QUIVERS[name])
+    decompose = generic.decompose
+    calls = []
+
+    def counting(m):
+        calls.append(m.dims)
+        return decompose(m)
+
+    monkeypatch.setattr(generic, "decompose", counting)
+    for gamma in product(range(3), repeat=q.n):
+        if not any(gamma):
+            continue
+        module, parts, shifted = generic.sample_cone(q, min_proj_decomposition(gamma), 5, 10)
+        assert not calls, (name, gamma)
+        assert shifted == (0,) * q.n
+        assert sorted(x.dims for x in parts) == sorted(x.dims for x in decompose(module)), (name, gamma)
+        for x in parts:
+            fresh = Representation(q, QQ, x.dims, x.maps)  # no End dimension recorded
+            assert x.end_dim == hom_dim(fresh, fresh) == 1
+    mixed = (1, -1) + (0,) * (q.n - 2)
+    generic.sample_cone(q, min_proj_decomposition(mixed), 5, 10)
+    assert len(calls) == 1
+
+
 def test_generic_character_frozen_values(a2):
     assert generic_character(a2, (-1, 0)) == monomial(2, (1, 0))
     assert generic_character(a2, (0, -1)) == monomial(2, (0, 1))

@@ -16,14 +16,16 @@ the `run_seconds` of BENCHMARK.json. The parent runs first on even k, the change
 on odd k. Each run's env block, result and failed ops are kept (from the record
 `perfbench/run.py` leaves in `.perfbench_run/`). Then `--trace 1 --seconds 40
 --seed 3` runs 3 times per side and workload, in alternating pairs as above, and
-fills the `traced` block (`traced_summary`): each timed layer's medians and the
-parent's interquartile range, so that host drift between rounds shows as spread
+fills the `traced` block (`traced_summary`): each timed layer's medians and both
+sides' interquartile ranges, so that host drift between rounds shows as spread
 rather than as a change, and the call counts and counters once per side.
 
 For every end-to-end metric of the change's BENCHMARK.json, the summary gives the
 parent and change medians, their inclusive quartiles, the ratio of the medians
 (change / parent), the parent's interquartile range and the number of pairs in
-which the change is better, in the metric's own direction.
+which the change is better, in the metric's own direction. The `verdict` block
+(`verdict`) says whether the `--claimed` gain holds, and whether every other
+(workload, metric) median is within that metric's `bound`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def traced_summary(rounds: list[dict]) -> dict:
     """Summary of one workload's traced rounds; rounds[k][side] is the metrics block
     ({name: {"value", "unit"}}) of round k's traced run on that side.
 
-    Each timed metric (unit s) gets both sides' medians and the parent's IQR. Every
+    Each timed metric (unit s) gets both sides' medians and IQRs. Every
     other metric, a call count or counter, is given once per side, from the first
     round; `varies` lists, per side, those that differ between rounds, with each
     round's value.
@@ -81,15 +83,45 @@ def traced_summary(rounds: list[dict]) -> dict:
     for name, first in rounds[0]["parent"].items():
         values = {side: [r[side][name]["value"] for r in rounds] for side in SIDES}
         if first["unit"] == "s":
-            q = quartiles(values["parent"])
+            pq, cq = quartiles(values["parent"]), quartiles(values["change"])
             out["layers"][name] = {"parent_median": statistics.median(values["parent"]),
                                    "change_median": statistics.median(values["change"]),
-                                   "parent_iqr": q[1] - q[0]}
+                                   "parent_iqr": pq[1] - pq[0], "change_iqr": cq[1] - cq[0]}
             continue
         for side, vals in values.items():
             out["counts"][side][name] = vals[0]
             if len(set(vals)) > 1:
                 out["varies"][side][name] = vals
+    return out
+
+
+def verdict(summaries: dict[str, dict[str, dict]], spec: dict, claimed: dict | None) -> dict:
+    """The claim's outcome and every other (workload, metric)'s bound check.
+
+    summaries[workload][metric] is a `summarize` result for an end-to-end metric of
+    the BENCHMARK.json `spec`. The claimed gain holds when the change is better in
+    at least 9 of 10 pairs and its median beats the parent's by more than the
+    parent's IQR. Any other metric is within its bound when the change median is
+    worse than the parent's by at most `bound` times the parent median.
+    """
+    out: dict = {"claimed": None, "bounds": {}}
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        for workload, summary in summaries.items():
+            s = summary[name]
+            worse = sign * (s["change_median"] - s["parent_median"])
+            if claimed == {"workload": workload, "metric": name}:
+                wins = 10 * s["change_better_pairs"] >= 9 * s["pairs"]
+                beats = -worse > s["parent_iqr"]
+                out["claimed"] = {**claimed, "change_better_pairs": s["change_better_pairs"],
+                                  "pairs": s["pairs"], "wins_9_of_10": wins,
+                                  "gain": -worse, "parent_iqr": s["parent_iqr"],
+                                  "beats_parent_iqr": beats, "holds": wins and beats}
+                continue
+            parent = abs(s["parent_median"])
+            out["bounds"].setdefault(workload, {})[name] = {
+                "bound": metric["bound"], "worse_by": worse / parent if parent else None,
+                "within": worse <= metric["bound"] * parent}
     return out
 
 
@@ -166,6 +198,7 @@ def main(argv: list[str]) -> int:
             summary[metric["name"]] = summarize(values["parent"], values["change"], metric["better"])
         failed = {side: sum(p[side]["result"]["failed"] for p in pairs) for side in SIDES}
         out_workloads[name] = {"summary": summary, "failed": failed, "pairs": pairs}
+    checks = verdict({name: w["summary"] for name, w in out_workloads.items()}, spec, claimed)
 
     traced_runs: dict[str, list[dict]] = {name: [] for name in workloads}
     for name, _, first in pair_plan({name: TRACED_ROUNDS for name in workloads}, TRACED_SEED):
@@ -183,8 +216,11 @@ def main(argv: list[str]) -> int:
             f"the side that ran first alternates from pair to pair (parent first on even pair index). "
             f"Per-round records are left out; each run's env block, result and failed ops are kept. "
             f"`traced` summarizes {TRACED_ROUNDS} alternating pairs of `--trace 1 --seconds {TRACED_SECONDS} "
-            f"--seed {TRACED_SEED}` per workload: each timed layer's medians and the parent's IQR, and the "
+            f"--seed {TRACED_SEED}` per workload: each timed layer's medians and both sides' IQRs, and the "
             f"counts and counters once per side, with those that differ between rounds under `varies`. "
+            f"`verdict`: whether the claimed metric is better in at least 9 of 10 pairs and by more than "
+            f"the parent IQR in the median, and whether every other (workload, metric) median is worse "
+            f"than the parent's by at most its BENCHMARK.json bound (a fraction of the parent median). "
             f"Written by tools/bench_pairs.py."
         ),
         "parent": args.parent,
@@ -192,6 +228,7 @@ def main(argv: list[str]) -> int:
         "host": (f"{env['cpus_usable']} CPUs, Python {env['python']} ({env['implementation']}), "
                  f"{env['platform']}; timings from wall clock and process CPU time only"),
         "claimed": claimed,
+        "verdict": checks,
         "workloads": out_workloads,
         "traced": traced,
     }
@@ -200,6 +237,10 @@ def main(argv: list[str]) -> int:
         for metric, s in w["summary"].items():
             print(f"{name} {metric}: {s['parent_median']:.6g} -> {s['change_median']:.6g} "
                   f"(parent IQR {s['parent_iqr']:.3g}; change better in {s['change_better_pairs']}/{s['pairs']})")
+    if checks["claimed"] is not None:
+        print(f"claimed {claimed['workload']}:{claimed['metric']} holds: {checks['claimed']['holds']}")
+    outside = [f"{w}:{m}" for w, ms in checks["bounds"].items() for m, c in ms.items() if not c["within"]]
+    print(f"outside their bounds: {', '.join(outside) or 'none'}")
     return 0
 
 
