@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import reduce
 from typing import Sequence
 
 from .characters import cc_generic, cc_module
@@ -16,8 +17,7 @@ from .cluster import enumerate_seeds, initial_seed, mutate_seed
 from .config import RunConfig, load_config
 from .errors import ClusterCharError, NotFiniteType, ParseError, QuiverMismatch
 from .generic import CharacterCache, generic_character, generic_decomposition, virtual_generic_decomposition
-from .laurent import LaurentPoly
-from .quiver import Quiver, is_dynkin, quiver_from_text
+from .quiver import Quiver, is_dynkin, quiver_from_dict, quiver_from_text
 from .replab import representation_from_json
 from .verify import SUITES, run_suite
 
@@ -47,19 +47,9 @@ def _parse_json(text: str, path: str):
 def _load_quiver(path: str) -> Quiver:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        from .quiver import quiver_from_dict
-
+    if text.lstrip().startswith("{"):
         return quiver_from_dict(_parse_json(text, path))
     return quiver_from_text(text)
-
-
-def _emit_poly(p: LaurentPoly, config: RunConfig) -> None:
-    if config.output == "json":
-        print(json.dumps(p.to_json(), sort_keys=True))
-    else:
-        print(p.to_text())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,9 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rng-seed", type=int, default=argparse.SUPPRESS, help="override the configured seed")
     common.add_argument("--sample-bound", type=int, default=argparse.SUPPRESS, help="entry range for generic samples")
     common.add_argument("--retries", type=int, default=argparse.SUPPRESS, help="certification retry rounds")
-    common.add_argument("--cap", type=int, default=argparse.SUPPRESS, help="subspace enumeration cap")
-    common.add_argument("--cache", default=argparse.SUPPRESS, help="character cache file")
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output")
+    common.add_argument("--cap", dest="enumeration_cap", metavar="CAP", type=int, default=argparse.SUPPRESS,
+                        help="subspace enumeration cap")
+    common.add_argument("--cache", dest="cache_path", metavar="CACHE", default=argparse.SUPPRESS,
+                        help="character cache file")
+    common.add_argument("--json", dest="output", action="store_const", const="json", default=argparse.SUPPRESS,
+                        help="machine-readable output")
 
     parser = argparse.ArgumentParser(prog="clusterchar", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,89 +106,64 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    """The config file (or defaults) with the command-line values over it, validated as a whole."""
-    overrides = {}
-    for option, key in (("rng_seed", "rng_seed"), ("sample_bound", "sample_bound"), ("retries", "retries"),
-                        ("cap", "enumeration_cap"), ("cache", "cache_path")):
-        if getattr(args, option, None) is not None:
-            overrides[key] = getattr(args, option)
-    if getattr(args, "json", False):
-        overrides["output"] = "json"
+    """The config file (or defaults) with the command-line values over it, validated as a whole.
+
+    An option that sets a config field stores under the field's name, and only when given.
+    """
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
     return dataclasses.replace(load_config(getattr(args, "config", None)), **overrides)
 
 
-def _run(args: argparse.Namespace, config: RunConfig) -> int:
+def _betas_text(betas: Sequence[Sequence[int]]) -> str:
+    return " + ".join(str(tuple(b)) for b in betas) if betas else "0"
+
+
+def _result(args: argparse.Namespace, config: RunConfig) -> tuple[object, str, int]:
+    """(JSON value, text form, exit code) of the command."""
     q = _load_quiver(args.file)
     if args.command == "quiver":
-        if config.output == "json":
-            print(json.dumps({"valid": True, **q.to_dict()}, sort_keys=True))
-        else:
-            print(f"valid quiver: {q.n} vertices, {len(q.arrows)} arrows")
-        return 0
+        return {"valid": True, **q.to_dict()}, f"valid quiver: {q.n} vertices, {len(q.arrows)} arrows", 0
 
     if args.command == "cc":
         if args.dim is not None:
             alpha = _int_vector(args.dim, q.n, "--dim")
-            value = cc_generic(
-                q, alpha, rng_seed=config.rng_seed, bound=config.sample_bound,
-                retries=config.retries, cap=config.enumeration_cap,
-            )
+            value = cc_generic(q, alpha, rng_seed=config.rng_seed, **config.library_kwargs())
         else:
             with open(args.rep, "r", encoding="utf-8") as fh:
                 rep = representation_from_json(_parse_json(fh.read(), args.rep))
             if rep.quiver != q:
                 raise QuiverMismatch(f"{args.rep} is a representation of another quiver than {args.file}")
             value = cc_module(rep, cap=config.enumeration_cap)
-        _emit_poly(value, config)
-        return 0
+        return value.to_json(), value.to_text(), 0
 
     if args.command == "genchar":
         gamma = _int_vector(args.gamma, q.n, "--gamma")
         cache = CharacterCache(config.cache_path)
-        value = generic_character(
-            q, gamma, rng_seed=config.rng_seed, bound=config.sample_bound,
-            retries=config.retries, cap=config.enumeration_cap, cache=cache,
-        )
-        _emit_poly(value, config)
-        return 0
+        value = generic_character(q, gamma, rng_seed=config.rng_seed, cache=cache, **config.library_kwargs())
+        return value.to_json(), value.to_text(), 0
 
     if args.command == "gendecomp":
         d = _int_vector(args.dim, q.n, "--dim")
-        betas = generic_decomposition(q, d, rng_seed=config.rng_seed, bound=config.sample_bound, retries=config.retries)
-        if config.output == "json":
-            print(json.dumps({"betas": [list(b) for b in betas]}, sort_keys=True))
-        else:
-            print(" + ".join(str(tuple(b)) for b in betas) if betas else "0")
-        return 0
+        betas = generic_decomposition(q, d, rng_seed=config.rng_seed, **config.library_kwargs(cap=False))
+        return {"betas": [list(b) for b in betas]}, _betas_text(betas), 0
 
     if args.command == "vgendecomp":
         alpha = _int_vector(args.alpha, q.n, "--alpha")
         betas, shift = virtual_generic_decomposition(
-            q, alpha, rng_seed=config.rng_seed, bound=config.sample_bound, retries=config.retries
+            q, alpha, rng_seed=config.rng_seed, **config.library_kwargs(cap=False)
         )
-        if config.output == "json":
-            print(json.dumps({"betas": [list(b) for b in betas], "gamma": list(shift)}, sort_keys=True))
-        else:
-            beta_text = " + ".join(str(tuple(b)) for b in betas) if betas else "0"
-            print(f"betas: {beta_text}")
-            print(f"gamma: {tuple(shift)}")
-        return 0
+        data = {"betas": [list(b) for b in betas], "gamma": list(shift)}
+        return data, f"betas: {_betas_text(betas)}\ngamma: {tuple(shift)}", 0
 
     if args.command == "mutate":
         try:
             seq = [int(x) for x in args.at.replace(",", " ").split()]
         except ValueError:
             raise SystemExit2(f"--at must be a comma-separated vertex sequence, got {args.at!r}")
-        seed = initial_seed(q)
-        for k in seq:
-            seed = mutate_seed(seed, k)
-        if config.output == "json":
-            print(json.dumps({"b": [list(r) for r in seed.b], "cluster": [c.to_json() for c in seed.cluster]}, sort_keys=True))
-        else:
-            for i, c in enumerate(seed.cluster, start=1):
-                print(f"x{i} = {c.to_text()}")
-            print(f"B = {[list(r) for r in seed.b]}")
-        return 0
+        seed = reduce(mutate_seed, seq, initial_seed(q))
+        data = {"b": [list(r) for r in seed.b], "cluster": [c.to_json() for c in seed.cluster]}
+        lines = [f"x{i} = {c.to_text()}" for i, c in enumerate(seed.cluster, start=1)]
+        return data, "\n".join(lines + [f"B = {[list(r) for r in seed.b]}"]), 0
 
     if args.command == "enumerate":
         if args.limit is not None and args.limit < 1:
@@ -203,26 +171,22 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         if args.limit is None and not is_dynkin(q):
             raise NotFiniteType(f"quiver {q.key()} is not Dynkin, so its cluster type is infinite; pass --limit")
         result = enumerate_seeds(q) if args.limit is None else enumerate_seeds(q, limit=args.limit)
-        if config.output == "json":
-            print(json.dumps(result.to_json(), sort_keys=True))
-        else:
-            print(f"clusters: {len(result.seeds)}")
-            print(f"variables: {len(result.variables)}")
-            print(f"closed: {str(result.closed).lower()}")
-            for v in result.variables:
-                print(v.to_text())
-        return 0 if result.closed else 1
+        lines = [f"clusters: {len(result.seeds)}", f"variables: {len(result.variables)}",
+                 f"closed: {str(result.closed).lower()}"] + [v.to_text() for v in result.variables]
+        return result.to_json(), "\n".join(lines), 0 if result.closed else 1
 
     if args.command == "verify":
         report = run_suite(args.suite, q, config)
-        if config.output == "json":
-            print(json.dumps(report.to_json(), sort_keys=True))
-        else:
-            for line in report.lines():
-                print(line)
-        return 0 if report.passed else 1
+        return report.to_json(), "\n".join(report.lines()), 0 if report.passed else 1
 
     raise SystemExit2(f"unknown command {args.command!r}")
+
+
+def _run(args: argparse.Namespace, config: RunConfig) -> int:
+    """Print the command's result, as sorted JSON under --json and as text otherwise."""
+    data, text, code = _result(args, config)
+    print(json.dumps(data, sort_keys=True) if config.output == "json" else text)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:

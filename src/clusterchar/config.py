@@ -6,6 +6,7 @@ import os
 from dataclasses import dataclass, fields
 
 ENV_CONFIG = "CLUSTERCHAR_CONFIG"
+INT_FIELDS = ("rng_seed", "sample_bound", "retries", "enumeration_cap")
 
 
 @dataclass
@@ -18,11 +19,16 @@ class RunConfig:
     output: str = "text"
 
     def __post_init__(self):
-        for name in ("rng_seed", "sample_bound", "retries", "enumeration_cap"):
+        for name in INT_FIELDS:
             if int(getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.output not in ("text", "json"):
             raise ValueError(f"output must be 'text' or 'json', got {self.output!r}")
+
+    def library_kwargs(self, cap: bool = True) -> dict[str, int]:
+        """The `bound`, `retries` and (with `cap`) `cap` keywords of a certified library call."""
+        kwargs = {"bound": self.sample_bound, "retries": self.retries}
+        return {**kwargs, "cap": self.enumeration_cap} if cap else kwargs
 
 
 def load_config(path: str | None = None) -> RunConfig:
@@ -47,8 +53,5 @@ def load_config(path: str | None = None) -> RunConfig:
                 raw = raw.strip()
                 if key not in known:
                     raise ValueError(f"unknown config key: {key!r}")
-                if key in ("rng_seed", "sample_bound", "retries", "enumeration_cap"):
-                    values[key] = int(raw)
-                else:
-                    values[key] = raw
+                values[key] = int(raw) if key in INT_FIELDS else raw
     return RunConfig(**values)

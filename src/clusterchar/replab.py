@@ -275,9 +275,13 @@ def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Rep
     The parts must be bricks. Two bricks X, Y on one dimension vector d with
     <d, d> = 1 are rigid (ext = 1 - <d, d> = 0), so both are the exceptional module
     of d and Ext(X, Y) = ext(X, X) = 0: such pairs are skipped without computing.
+    For the same reason a rigid brick of index E^t·d = e_i is P_i, and Ext(P_i, -) = 0:
+    it is skipped as X.
     """
     for i, x in enumerate(parts):
         rigid = euler_form(x.quiver, x.dims, x.dims) == 1
+        if rigid and sorted(et_map(x.quiver, x.dims)) == [0] * (len(x.dims) - 1) + [1]:
+            continue
         for j, y in enumerate(parts):
             if i != j and not (rigid and y.dims == x.dims) and ext_dim(x, y) != 0:
                 return x, y

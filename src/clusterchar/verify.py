@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from typing import Callable
 
@@ -17,19 +18,17 @@ from .config import RunConfig
 from .errors import ClusterCharError, GenericityUncertified
 from .generic import (
     CharacterCache,
-    ProjDecomposition,
     _cone_pattern_once,
     check_multiplicativity,
     cone_pattern_is_plain,
-    cone_signature,
     generic_character,
-    sample_cone,
     stability_check,
+    virtual_generic_decomposition,
 )
 from .laurent import LaurentPoly, denominator_vector
 from .quiver import Quiver, et_map, euler_data
 from .replab import direct_sum_all, injective_representation, projective_representation
-from .seeds import certify, mix_seed
+from .seeds import mix_seed
 
 A3_KEY = "3;1-2,2-3"
 KRONECKER_KEY = "2;1-2,1-2"
@@ -51,6 +50,14 @@ class SuiteReport:
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.cases.append(CaseResult(name, passed, detail))
+
+    def check(self, name: str, run: Callable[[], tuple[bool, str]]) -> None:
+        """Add the case (passed, detail) = run(); a ClusterCharError fails it with its name and message."""
+        try:
+            passed, detail = run()
+        except ClusterCharError as exc:
+            passed, detail = False, f"{exc.name}: {exc}"
+        self.add(name, passed, detail)
 
     @property
     def passed(self) -> bool:
@@ -82,10 +89,7 @@ class SuiteReport:
 
 def _character(q: Quiver, gamma: tuple[int, ...], config: RunConfig, cache: CharacterCache) -> LaurentPoly:
     """X(gamma) with the run's seed, sample bound, retries and enumeration cap."""
-    return generic_character(
-        q, gamma, rng_seed=config.rng_seed, bound=config.sample_bound,
-        retries=config.retries, cap=config.enumeration_cap, cache=cache,
-    )
+    return generic_character(q, gamma, rng_seed=config.rng_seed, cache=cache, **config.library_kwargs())
 
 
 def suite_finite_type_equality(q: Quiver, config: RunConfig) -> SuiteReport:
@@ -105,14 +109,13 @@ def suite_finite_type_equality(q: Quiver, config: RunConfig) -> SuiteReport:
     degree_bound = 2 * q.n  # max summand count over the box (2n at gamma = ±2·(1,…,1))
     box = sorted(product(range(-2, 3), repeat=q.n))
     values: dict[tuple[int, ...], LaurentPoly] = {}
+
+    def member(gamma: tuple[int, ...]) -> tuple[bool, str]:
+        x = values[gamma] = _character(q, gamma, config, cache)
+        return is_cluster_monomial(q, x, degree_bound), x.to_text()
+
     for gamma in box:
-        try:
-            x = _character(q, gamma, config, cache)
-            values[gamma] = x
-            member = is_cluster_monomial(q, x, degree_bound)
-            report.add(f"X{gamma} is a cluster monomial", member, x.to_text())
-        except ClusterCharError as exc:
-            report.add(f"X{gamma} is a cluster monomial", False, f"{exc.name}: {exc}")
+        report.check(f"X{gamma} is a cluster monomial", lambda: member(gamma))
     image = set(values.values())
     report.add(
         f"gamma -> X(gamma) injective on the box ({len(image)}/{len(box)})",
@@ -144,23 +147,18 @@ def suite_monomial_containment(q: Quiver, config: RunConfig) -> SuiteReport:
         report.add("quiver is the Kronecker quiver (two arrows 1->2)", False, q.key())
         return report
     cache = CharacterCache(config.cache_path)
-    for beta, seq in KRONECKER_MUTATION_SEQUENCES.items():
-        try:
-            lhs = _character(q, et_map(q, beta), config, cache)
-            seed = initial_seed(q)
-            for k in seq:
-                seed = mutate_seed(seed, k)
-            rhs = seed.cluster[seq[-1] - 1]
-            report.add(f"X(ind {beta}) = mutation {list(seq)} variable", lhs == rhs, lhs.to_text())
-        except ClusterCharError as exc:
-            report.add(f"X(ind {beta}) = mutation {list(seq)} variable", False, f"{exc.name}: {exc}")
+
+    def equals(gamma: tuple[int, ...], variable: LaurentPoly) -> tuple[bool, str]:
+        x = _character(q, gamma, config, cache)
+        return x == variable, x.to_text()
+
     init = initial_seed(q)
+    for beta, seq in KRONECKER_MUTATION_SEQUENCES.items():
+        report.check(f"X(ind {beta}) = mutation {list(seq)} variable",
+                     lambda: equals(et_map(q, beta), reduce(mutate_seed, seq, init).cluster[seq[-1] - 1]))
     for i in (1, 2):
-        try:
-            x = _character(q, tuple(-1 if k == i - 1 else 0 for k in range(2)), config, cache)
-            report.add(f"X(P_{i}[1]) = x{i}", x == init.cluster[i - 1], x.to_text())
-        except ClusterCharError as exc:
-            report.add(f"X(P_{i}[1]) = x{i}", False, f"{exc.name}: {exc}")
+        gamma = tuple(-1 if k == i - 1 else 0 for k in range(2))
+        report.check(f"X(P_{i}[1]) = x{i}", lambda: equals(gamma, init.cluster[i - 1]))
     return report
 
 
@@ -169,18 +167,15 @@ def suite_multiplicativity(q: Quiver, config: RunConfig) -> SuiteReport:
     report = SuiteReport("multiplicativity", q.key())
     cache = CharacterCache(config.cache_path)
     rng = random.Random(mix_seed(config.rng_seed, 41, q.n, len(q.arrows)))
+    settings = config.library_kwargs()
+
+    def multiplicative(alpha: tuple[int, ...], index: int) -> tuple[bool, str]:
+        r = check_multiplicativity(q, alpha, rng_seed=mix_seed(config.rng_seed, 43, index), cache=cache, **settings)
+        return r.equal, f"betas={r.betas} shift={r.gamma_shift}"
+
     for index in range(SUITE_COUNT):
         alpha = tuple(rng.randint(-3, 3) for _ in range(q.n))
-        try:
-            r = check_multiplicativity(
-                q, alpha, rng_seed=mix_seed(config.rng_seed, 43, index),
-                bound=config.sample_bound, retries=config.retries,
-                cap=config.enumeration_cap, cache=cache,
-            )
-            detail = f"betas={r.betas} shift={r.gamma_shift}"
-            report.add(f"alpha={alpha}", r.equal, detail)
-        except ClusterCharError as exc:
-            report.add(f"alpha={alpha}", False, f"{exc.name}: {exc}")
+        report.check(f"alpha={alpha}", lambda: multiplicative(alpha, index))
     return report
 
 
@@ -188,32 +183,28 @@ def suite_cc_agreement(q: Quiver, config: RunConfig) -> SuiteReport:
     """X(E^t alpha) (cone path) equals CC(alpha) (direct sampling) on [0,2]^n."""
     report = SuiteReport("cc-agreement", q.key())
     cache = CharacterCache(config.cache_path)
+
+    def agree(alpha: tuple[int, ...]) -> tuple[bool, str]:
+        lhs = _character(q, et_map(q, alpha), config, cache)
+        rhs = cc_generic(q, alpha, rng_seed=mix_seed(config.rng_seed, 47), **config.library_kwargs())
+        return lhs == rhs, lhs.to_text()
+
     for alpha in sorted(product(range(3), repeat=q.n)):
-        try:
-            lhs = _character(q, et_map(q, alpha), config, cache)
-            rhs = cc_generic(
-                q, alpha, rng_seed=mix_seed(config.rng_seed, 47), bound=config.sample_bound,
-                retries=config.retries, cap=config.enumeration_cap,
-            )
-            report.add(f"alpha={alpha}", lhs == rhs, lhs.to_text())
-        except ClusterCharError as exc:
-            report.add(f"alpha={alpha}", False, f"{exc.name}: {exc}")
+        report.check(f"alpha={alpha}", lambda: agree(alpha))
     return report
 
 
 def suite_denominators(q: Quiver, config: RunConfig) -> SuiteReport:
     """denominator_vector(CC(alpha)) = alpha on [0,2]^n."""
     report = SuiteReport("denominators", q.key())
+
+    def denominator(alpha: tuple[int, ...]) -> tuple[bool, str]:
+        value = cc_generic(q, alpha, rng_seed=mix_seed(config.rng_seed, 53), **config.library_kwargs())
+        d = denominator_vector(value)
+        return d == alpha, f"denominator {d}"
+
     for alpha in sorted(product(range(3), repeat=q.n)):
-        try:
-            value = cc_generic(
-                q, alpha, rng_seed=mix_seed(config.rng_seed, 53), bound=config.sample_bound,
-                retries=config.retries, cap=config.enumeration_cap,
-            )
-            d = denominator_vector(value)
-            report.add(f"alpha={alpha}", d == tuple(alpha), f"denominator {d}")
-        except ClusterCharError as exc:
-            report.add(f"alpha={alpha}", False, f"{exc.name}: {exc}")
+        report.check(f"alpha={alpha}", lambda: denominator(alpha))
     return report
 
 
@@ -258,6 +249,7 @@ def suite_stability(q: Quiver, config: RunConfig) -> SuiteReport:
     report = SuiteReport("stability", q.key())
     cache = CharacterCache(config.cache_path)
     rng = random.Random(mix_seed(config.rng_seed, 61, q.n, len(q.arrows)))
+    settings = config.library_kwargs()
     checked = 0
     attempts = 0
     while checked < SUITE_COUNT and attempts < 40 * SUITE_COUNT:
@@ -269,51 +261,45 @@ def suite_stability(q: Quiver, config: RunConfig) -> SuiteReport:
             for s in range(3)
         ):
             continue
+        seed = mix_seed(config.rng_seed, 71, attempts)
         try:
-            r = stability_check(
-                q, gamma, pad, rng_seed=mix_seed(config.rng_seed, 71, attempts),
-                bound=config.sample_bound, retries=config.retries,
-                cap=config.enumeration_cap, cache=cache,
-            )
+            r = stability_check(q, gamma, pad, rng_seed=seed, cache=cache, **settings)
+            passed, detail = r.equal, r.minimal.to_text()
         except GenericityUncertified:
             continue
         except ClusterCharError as exc:
-            checked += 1
-            report.add(f"gamma={gamma} pad={pad}", False, f"{exc.name}: {exc}")
-            continue
+            passed, detail = False, f"{exc.name}: {exc}"
         checked += 1
-        report.add(f"gamma={gamma} pad={pad}", r.equal, r.minimal.to_text())
+        report.add(f"gamma={gamma} pad={pad}", passed, detail)
     report.add(f"checked {checked} instances", checked >= SUITE_COUNT)
     return report
 
 
 def suite_cone_table_a3(q: Quiver, config: RunConfig) -> SuiteReport:
-    """Generic cones of P_3^a -> P_1^c on A3: I_2^min(a,c) ⊕ P_1^{c-a} ⊕ P_3^{a-c}[1]."""
+    """Generic cones of P_3^a -> P_1^c on A3: I_2^min(a,c) ⊕ P_1^{c-a} ⊕ P_3^{a-c}[1].
+
+    The virtual generic decomposition of E^{-t}·(c, 0, -a) certifies the cone (brick parts
+    without Ext between them, disjoint shifted support, indices adding up); its part
+    dimensions and shifted part are compared with the table.
+    """
     report = SuiteReport("cone-table-a3", q.key())
     if q.key() != A3_KEY:
         report.add("quiver is A3 (1->2->3)", False, q.key())
         return report
-    i2 = injective_representation(q, 2)
-    p1 = projective_representation(q, 1)
+    i2 = injective_representation(q, 2).dims
+    p1 = projective_representation(q, 1).dims
+
+    def cone(a: int, c: int) -> tuple[bool, str]:
+        alpha = et_map(q, (c, 0, -a), inverse=True)
+        parts, shifted = virtual_generic_decomposition(
+            q, alpha, rng_seed=mix_seed(config.rng_seed, 73, a, c), **config.library_kwargs(cap=False)
+        )
+        want = sorted([i2] * min(a, c) + [p1] * max(0, c - a))
+        return parts == want and shifted == (0, 0, max(0, a - c)), f"parts={parts} shifted={shifted}"
+
     for a in (1, 2, 3):
         for c in (1, 2, 3):
-            name = f"P3^{a} -> P1^{c}"
-            dec = ProjDecomposition(gamma0=(c, 0, 0), gamma1=(0, 0, a))
-
-            def draw(attempt: int, s: int):
-                return sample_cone(q, dec, mix_seed(config.rng_seed, 73, a, c, attempt, s), config.sample_bound)[1:]
-
-            try:
-                parts, shifted = certify(draw, config.retries, (), f"cone of {name}", key=cone_signature)
-                sig = sorted(p.dims for p in parts)
-                want_sig = sorted([i2.dims] * min(a, c) + [p1.dims] * max(0, c - a))
-                want_shift = (0, 0, max(0, a - c))
-                # parts on these thin dims d are bricks (thin components on a tree) with <d, d> = 1, so rigid (ext =
-                # dim End - <d, d> = 0): each is the exceptional module of d (Happel-Ringel), so sig == want_sig proves iso
-                ok = sig == want_sig and shifted == want_shift
-                report.add(name, ok, f"parts={sig} shifted={shifted}")
-            except ClusterCharError as exc:
-                report.add(name, False, f"{exc.name}: {exc}")
+            report.check(f"P3^{a} -> P1^{c}", lambda: cone(a, c))
     return report
 
 

@@ -134,6 +134,20 @@ def test_traced_rounds_alternate_sides_on_one_seed(monkeypatch, tmp_path):
     assert set(block["layers"]["op.time_s"]) == {"parent_median", "change_median", "parent_iqr", "change_iqr"}
     assert doc["verdict"]["claimed"] is None
     assert {w["name"] for w in SPEC["workloads"]} == set(doc["verdict"]["bounds"])
+    assert doc["src_lines"] == {"parent": 0, "change": bench_pairs.src_lines(ROOT)}
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "clusterchar"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline
+    (package / "notes.txt").write_text("not code\n")
+    (tmp_path / "src" / "other.py").write_text("outside\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("nested\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+    assert bench_pairs.src_lines(tmp_path / "missing") == 0
 
 
 def _summaries(**pairs):

@@ -130,6 +130,18 @@ def test_kronecker_frontier_matches_golden(capsys, case):
     assert run(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])
 
 
+CLI_CASES = json.loads((ROOT / "tests" / "golden" / "cli-commands.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[" ".join(c["argv"]) for c in CLI_CASES])
+def test_cli_commands_match_golden(capsys, case):
+    """stdout, stderr and exit code of every subcommand, text and --json, on the
+    shipped quivers (and tests/golden/kronecker-rep.json for `cc --rep`), as
+    pinned in tests/golden/cli-commands.json."""
+    argv = [str(ROOT / a) if a.startswith(("quivers/", "tests/")) else a for a in case["argv"]]
+    assert run(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])
+
+
 def test_mutate(capsys, a2_file):
     code, out, _ = run(capsys, "mutate", a2_file, "--at", "1")
     assert code == 0

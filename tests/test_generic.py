@@ -32,9 +32,9 @@ from clusterchar import (
     virtual_generic_decomposition,
     zero_representation,
 )
-from clusterchar import generic, linalg
+from clusterchar import generic, linalg, replab
 from clusterchar.config import RunConfig
-from clusterchar.errors import GenericityUncertified, SubdimensionOutOfRange
+from clusterchar.errors import ClusterCharError, GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import (
     ProjDecomposition,
     ProjectiveMap,
@@ -645,3 +645,38 @@ def test_first_ext_pair_flags_a_non_rigid_repeat(kronecker):
     x = random_representation(kronecker, (1, 1), rng_seed=4)
     assert ext_dim(x, x) == 1
     assert first_ext_pair([x, x]) == (x, x)
+
+
+def test_first_ext_pair_keeps_a_rigid_non_projective_first_part(a2):
+    # S1 and S2 are both rigid; S2 = P2 is skipped, S1 (index (1, -1)) is not
+    s1, s2 = simple_representation(a2, 1), simple_representation(a2, 2)
+    assert first_ext_pair([s1, s2]) == (s1, s2)
+    assert first_ext_pair([s2, s1]) == (s1, s2)
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTIVE_CONE_QUIVERS))
+def test_no_ext_is_computed_from_a_projective_part(monkeypatch, name):
+    # a rigid brick of index e_i is P_i and Ext(P_i, -) = 0, so certifying a cone
+    # never computes Ext with a projective first argument: not on a gamma >= 0 cone,
+    # nor on a mixed cone with a P_i part
+    q = quiver_from_text(PROJECTIVE_CONE_QUIVERS[name])
+    projective = {projective_representation(q, i).dims for i in range(1, q.n + 1)}
+    ext = replab.ext_dim
+    firsts = []
+
+    def recording(x, y):
+        firsts.append(x.dims)
+        return ext(x, y)
+
+    monkeypatch.setattr(replab, "ext_dim", recording)
+    mixed_with_projective = 0
+    for gamma in product(range(-1, 3), repeat=q.n):
+        if not any(gamma):
+            continue
+        try:
+            pattern = _cone_pattern_once(q, gamma, 5)
+        except ClusterCharError:
+            continue
+        mixed_with_projective += min(gamma) < 0 and any(x.dims in projective for x in pattern.parts)
+    assert mixed_with_projective > 0
+    assert not [d for d in firsts if d in projective]

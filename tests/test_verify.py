@@ -10,25 +10,49 @@ from clusterchar import verify
 from clusterchar.cli import main
 from clusterchar.config import RunConfig
 from clusterchar.errors import CapExceeded
+from clusterchar.seeds import mix_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_monomial_containment_passes_settings_and_records_errors(kronecker, monkeypatch):
+STUBBED = ("generic_character", "cc_generic", "check_multiplicativity", "stability_check",
+           "virtual_generic_decomposition")
+# (suite, quiver, aggregate cases after the instances, seeds the library may be called with at rng_seed 5)
+SETTINGS_CASES = [
+    ("monomial-containment", "kronecker", 0, {5}),
+    ("finite-type-equality", "a2", 2, {5}),
+    ("multiplicativity", "a2", 0, {mix_seed(5, 43, i) for i in range(verify.SUITE_COUNT)}),
+    ("cc-agreement", "a2", 0, {5}),
+    ("denominators", "a2", 0, {mix_seed(5, 53)}),
+    ("stability", "a2", 1, {mix_seed(5, 71, t) for t in range(1, 40 * verify.SUITE_COUNT + 1)}),
+    ("cone-table-a3", "a3", 0, {mix_seed(5, 73, a, c) for a in (1, 2, 3) for c in (1, 2, 3)}),
+]
+
+
+@pytest.mark.parametrize("suite, quiver, aggregates, seeds", SETTINGS_CASES, ids=[c[0] for c in SETTINGS_CASES])
+def test_suites_pass_settings_and_record_errors(request, monkeypatch, suite, quiver, aggregates, seeds):
+    """Every library call of a suite gets the run's seed, sample bound, retries and
+    enumeration cap (the virtual generic decomposition takes no cap), and its
+    ClusterCharError becomes that instance's FAIL case."""
     calls = []
 
-    def failing_character(q, gamma, **kwargs):
-        calls.append(kwargs)
-        raise CapExceeded("stub")
+    def stub(name):
+        def failing(*args, **kwargs):
+            calls.append((name, kwargs))
+            raise CapExceeded("stub")
+        return failing
 
-    monkeypatch.setattr(verify, "generic_character", failing_character)
+    for name in STUBBED:
+        monkeypatch.setattr(verify, name, stub(name))
     config = RunConfig(rng_seed=5, sample_bound=4, retries=3, enumeration_cap=99)
-    report = verify.suite_monomial_containment(kronecker, config)
-    assert len(report.cases) == 8  # six rigid indecomposables, then X(P_1[1]) and X(P_2[1])
-    assert all(not c.passed and c.detail == "CapExceeded: stub" for c in report.cases)
-    assert all(
-        (kw["rng_seed"], kw["bound"], kw["retries"], kw["cap"]) == (5, 4, 3, 99) for kw in calls
-    )
+    report = verify.run_suite(suite, request.getfixturevalue(quiver), config)
+    instances = report.cases[: len(report.cases) - aggregates]
+    assert instances and len(calls) == len(instances)
+    assert all(not c.passed and c.detail == "CapExceeded: stub" for c in instances)
+    for name, kwargs in calls:
+        cap = None if name == "virtual_generic_decomposition" else 99
+        assert kwargs["rng_seed"] in seeds
+        assert (kwargs["bound"], kwargs["retries"], kwargs.get("cap")) == (4, 3, cap)
 
 
 def test_finite_type_equality_fails_fast_on_infinite_type(kronecker, monkeypatch, tmp_path, capsys):

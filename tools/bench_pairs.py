@@ -25,7 +25,9 @@ parent and change medians, their inclusive quartiles, the ratio of the medians
 (change / parent), the parent's interquartile range and the number of pairs in
 which the change is better, in the metric's own direction. The `verdict` block
 (`verdict`) says whether the `--claimed` gain holds, and whether every other
-(workload, metric) median is within that metric's `bound`.
+(workload, metric) median is within that metric's `bound`. `src_lines` gives each
+side's line count of `src/clusterchar/*.py`, the measure of the same behaviour
+from less code.
 """
 
 from __future__ import annotations
@@ -140,6 +142,12 @@ def parse_claimed(text: str, spec: dict) -> dict:
     return {"workload": workload, "metric": metric}
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of `src/clusterchar/*.py` in a checkout."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (checkout / "src" / "clusterchar").glob("*.py"))
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run in a checkout: its env block, result and failed ops."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -221,6 +229,7 @@ def main(argv: list[str]) -> int:
             f"`verdict`: whether the claimed metric is better in at least 9 of 10 pairs and by more than "
             f"the parent IQR in the median, and whether every other (workload, metric) median is worse "
             f"than the parent's by at most its BENCHMARK.json bound (a fraction of the parent median). "
+            f"`src_lines`: lines of src/clusterchar/*.py in each checkout. "
             f"Written by tools/bench_pairs.py."
         ),
         "parent": args.parent,
@@ -229,6 +238,7 @@ def main(argv: list[str]) -> int:
                  f"{env['platform']}; timings from wall clock and process CPU time only"),
         "claimed": claimed,
         "verdict": checks,
+        "src_lines": {side: src_lines(path) for side, path in dirs.items()},
         "workloads": out_workloads,
         "traced": traced,
     }
@@ -241,6 +251,7 @@ def main(argv: list[str]) -> int:
         print(f"claimed {claimed['workload']}:{claimed['metric']} holds: {checks['claimed']['holds']}")
     outside = [f"{w}:{m}" for w, ms in checks["bounds"].items() for m, c in ms.items() if not c["within"]]
     print(f"outside their bounds: {', '.join(outside) or 'none'}")
+    print(f"src lines: {doc['src_lines']['parent']} -> {doc['src_lines']['change']}")
     return 0
 
 
