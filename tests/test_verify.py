@@ -17,23 +17,25 @@ ROOT = Path(__file__).resolve().parent.parent
 
 STUBBED = ("generic_character", "cc_generic", "check_multiplicativity", "stability_check",
            "virtual_generic_decomposition")
-# (suite, quiver, aggregate cases after the instances, seeds the library may be called with at rng_seed 5)
+# (suite, quiver, instance cases, aggregate cases after them, seeds the library may be
+# called with at rng_seed 5)
 SETTINGS_CASES = [
-    ("monomial-containment", "kronecker", 0, {5}),
-    ("finite-type-equality", "a2", 2, {5}),
-    ("multiplicativity", "a2", 0, {mix_seed(5, 43, i) for i in range(verify.SUITE_COUNT)}),
-    ("cc-agreement", "a2", 0, {5}),
-    ("denominators", "a2", 0, {mix_seed(5, 53)}),
-    ("stability", "a2", 1, {mix_seed(5, 71, t) for t in range(1, 40 * verify.SUITE_COUNT + 1)}),
-    ("cone-table-a3", "a3", 0, {mix_seed(5, 73, a, c) for a in (1, 2, 3) for c in (1, 2, 3)}),
+    ("monomial-containment", "kronecker", 8, 0, {5}),
+    ("finite-type-equality", "a2", 25, 2, {5}),
+    ("multiplicativity", "a2", verify.SUITE_COUNT, 0, {mix_seed(5, 43, i) for i in range(verify.SUITE_COUNT)}),
+    ("cc-agreement", "a2", 9, 0, {5}),
+    ("denominators", "a2", 9, 0, {mix_seed(5, 53)}),
+    ("stability", "a2", verify.SUITE_COUNT, 1, {mix_seed(5, 71, t) for t in range(1, 40 * verify.SUITE_COUNT + 1)}),
+    ("cone-table-a3", "a3", 9, 0, {mix_seed(5, 73, a, c) for a in (1, 2, 3) for c in (1, 2, 3)}),
 ]
 
 
-@pytest.mark.parametrize("suite, quiver, aggregates, seeds", SETTINGS_CASES, ids=[c[0] for c in SETTINGS_CASES])
-def test_suites_pass_settings_and_record_errors(request, monkeypatch, suite, quiver, aggregates, seeds):
+@pytest.mark.parametrize("suite, quiver, count, aggregates, seeds", SETTINGS_CASES, ids=[c[0] for c in SETTINGS_CASES])
+def test_suites_pass_settings_and_record_errors(request, monkeypatch, suite, quiver, count, aggregates, seeds):
     """Every library call of a suite gets the run's seed, sample bound, retries and
-    enumeration cap (the virtual generic decomposition takes no cap), and its
-    ClusterCharError becomes that instance's FAIL case."""
+    enumeration cap (the virtual generic decomposition takes no cap), its
+    ClusterCharError becomes that instance's FAIL case, and a failure does not stop
+    the suite: every instance still runs and makes its one call."""
     calls = []
 
     def stub(name):
@@ -46,8 +48,9 @@ def test_suites_pass_settings_and_record_errors(request, monkeypatch, suite, qui
         monkeypatch.setattr(verify, name, stub(name))
     config = RunConfig(rng_seed=5, sample_bound=4, retries=3, enumeration_cap=99)
     report = verify.run_suite(suite, request.getfixturevalue(quiver), config)
-    instances = report.cases[: len(report.cases) - aggregates]
-    assert instances and len(calls) == len(instances)
+    assert len(report.cases) == count + aggregates
+    instances = report.cases[:count]
+    assert len(calls) == len(instances) == count
     assert all(not c.passed and c.detail == "CapExceeded: stub" for c in instances)
     for name, kwargs in calls:
         cap = None if name == "virtual_generic_decomposition" else 99
