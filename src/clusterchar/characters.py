@@ -115,12 +115,14 @@ def cc_generic(
 ) -> LaurentPoly:
     """CC(alpha) for alpha >= 0: character of the certified generic representative.
 
-    Five independently sampled representatives must give equal characters.
+    Five independently sampled representatives must give equal characters; the
+    blocks of the first certified sample are the later samples' block plan.
     """
     alpha = vertex_vector(q, alpha, "alpha")
+    plan: list[tuple[int, ...]] = []  # lives for this value only
 
     def draw(attempt: int, s: int) -> LaurentPoly:
-        m, _ = generic_representation(q, alpha, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound)
+        m, _ = generic_representation(q, alpha, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
         return cc_module(m, cap=cap)
 
     return certify(draw, retries, (NotPolynomialCount, GenericityUncertified), f"CC({alpha})")

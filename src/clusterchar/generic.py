@@ -10,7 +10,11 @@ Within one value, a rigid brick part (<d, d> = 1) is counted on the first sample
 that meets it and its count is reused after that: an exceptional module is
 unique for its dimension vector. So for an all-rigid pattern the five samples
 agree on the certified pattern, and rigidity proves that their values agree.
-Parts that are not rigid are counted on every sample. The reused counts never
+Parts that are not rigid are counted on every sample. A value also keeps a block
+plan: the blocks of the last round that certified (`_refine_blocks`). Its later
+samples and attempts start from it, so a non-brick cone such as the Kronecker
+(4, 4) is split once per value, not once per sample; each sample still draws its
+own maps and passes the same certificate. The reused counts and the plan never
 outlive one value, so values compared with each other (cc-agreement,
 multiplicativity) are computed independently. What does outlive a value is the
 plan of a cone (`_cone_plan`): bases and index tables fixed by (quiver, gamma1,
@@ -262,12 +266,14 @@ def _cone_pattern_once(
     rng_seed: int,
     bound: int = 10,
     rounds: int = 24,
+    *,
+    plan: list[IntVec] | None = None,
 ) -> ConePattern:
     def sample(block: IntVec, seed0: int, k: int) -> tuple:
         return sample_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), bound)
 
     _, parts, shifted, refined = _refine_blocks(
-        q, gamma, sample, rng_seed, f"no certified cone pattern for index {gamma}", rounds=rounds
+        q, gamma, sample, rng_seed, f"no certified cone pattern for index {gamma}", rounds=rounds, plan=plan
     )
     return ConePattern(parts=parts, shifted=shifted, refined=refined)
 
@@ -371,10 +377,11 @@ def generic_character(
     if hit is not None:
         return hit
 
-    rigid: dict[IntVec, LaurentPoly] = {}  # lives for this value only
+    rigid: dict[IntVec, LaurentPoly] = {}  # these two live for this value only
+    plan: list[IntVec] = []
 
     def draw(attempt: int, s: int) -> LaurentPoly:
-        pattern = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound)
+        pattern = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
         return _pattern_value(pattern.parts, pattern.shifted, cap, rigid)
 
     value = certify(draw, retries, (GenericityUncertified, NotPolynomialCount), f"X({g})")
@@ -420,9 +427,10 @@ def virtual_generic_decomposition(
     """
     a = vertex_vector(q, alpha, "alpha")
     gamma_idx = et_map(q, a)
+    plan: list[IntVec] = []  # lives for this value only
 
     def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
-        p = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound=bound)
+        p = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound=bound, plan=plan)
         return cone_signature((p.parts, p.shifted))
 
     def accept(result: tuple[list[IntVec], IntVec]) -> tuple[list[IntVec], IntVec]:

@@ -6,6 +6,7 @@ iteration and serialization order is ascending lexicographic on exponents.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -69,7 +70,7 @@ class LaurentPoly:
         out: dict[Exponent, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s

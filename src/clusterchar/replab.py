@@ -224,19 +224,24 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, 
         na = n.maps[a]  # n.dims[t-1] x n.dims[s-1]
         off_s, rs, cs = layout[s - 1]
         off_t, rt, ct = layout[t - 1]
-        # equation block: f_t · ma - na · f_s = 0, shape n.dims[t-1] x m.dims[s-1]
+        # equation block: f_t · ma - na · f_s = 0, shape n.dims[t-1] x m.dims[s-1].
+        # s != t (acyclic), so the f_t and f_s unknowns of a row are distinct and no
+        # entry is written twice: the row is nonzero iff a coefficient was written.
         for r in range(n.dims[t - 1]):
             for c in range(m.dims[s - 1]):
                 row = [0] * nun
+                written = False
                 for k in range(ct):  # ct == m.dims[t-1]
                     coeff = ma[k][c]
                     if coeff != 0:
-                        row[off_t + r * ct + k] += coeff
+                        row[off_t + r * ct + k] = coeff
+                        written = True
                 for k in range(rs):  # rs == n.dims[s-1]
                     coeff = na[r][k]
                     if coeff != 0:
-                        row[off_s + k * cs + c] -= coeff
-                if any(row):
+                        row[off_s + k * cs + c] = -coeff
+                        written = True
+                if written:
                     rows.append(row)
     return rows, nun, layout
 
@@ -543,18 +548,26 @@ def _certify_pattern(q: Quiver, gamma: tuple, parts: list[Representation], shift
         raise GenericityUncertified(f"index reconstruction {recon} != {gamma}")
 
 
-def _refine_blocks(q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, rounds: int = 24) -> tuple:
+def _refine_blocks(
+    q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, rounds: int = 24,
+    *, plan: list[tuple[int, ...]] | None = None,
+) -> tuple:
     """(modules, parts, shifted, refined) of the first round whose samples certify gamma.
 
-    Blocks are indices, starting from [gamma]; round r calls
-    sample(block, mix_seed(rng_seed, r), k) -> (module, summands, shifted) for each
-    block k. A non-brick X with m = dim End X dividing dim X replaces its block by
-    the block's other summands, m copies of dim X / m and the negated shifted part.
-    Any other failure resamples the same blocks in the next round; after the last,
-    GenericityUncertified gives `what` and the last reason.
+    Blocks are indices, starting from `plan` when it holds blocks and from [gamma]
+    otherwise; refined says whether the certified blocks are other than [gamma].
+    Round r calls sample(block, mix_seed(rng_seed, r), k) -> (module, summands,
+    shifted) for each block k. A non-brick X with m = dim End X dividing dim X
+    replaces its block by the block's other summands, m copies of dim X / m and the
+    negated shifted part. Any other failure resamples the same blocks in the next
+    round; after the last, GenericityUncertified gives `what` and the last reason.
+
+    `plan`, kept by the caller for one value, takes the blocks of the round that
+    certifies. It is a hint, not evidence: every round must pass `_certify_pattern`,
+    which proves the generic cone of gamma whichever blocks were drawn (semicontinuity).
     """
-    blocks: list[tuple[int, ...]] = [gamma]
-    refined = False
+    blocks: list[tuple[int, ...]] = list(plan) if plan else [gamma]
+    refined = blocks != [gamma]
     last = "unsampled"
     for round_no in range(rounds):
         seed0 = mix_seed(rng_seed, round_no)
@@ -578,6 +591,8 @@ def _refine_blocks(q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, ro
         except (SupportNotDisjoint, GenericityUncertified) as exc:
             last = str(exc)
             continue
+        if plan is not None:
+            plan[:] = blocks
         return [mod for mod, _, _ in drawn], parts, shifted, refined
     raise GenericityUncertified(f"{what} ({last})")
 
@@ -587,6 +602,8 @@ def generic_representation(
     d: Sequence[int],
     rng_seed: int = 0,
     bound: int = 10,
+    *,
+    plan: list[tuple[int, ...]] | None = None,
 ) -> tuple[Representation, list[Representation]]:
     """A certified generic representative of dimension d plus its indecomposable parts.
 
@@ -598,7 +615,8 @@ def generic_representation(
     geometrically m conjugate summands of dimension (dim X)/m, so its block is
     split and resampled; this is what makes e.g. twice an isotropic Schur root
     land on a split rational sample. The representative is the direct sum of
-    the block samples.
+    the block samples. `plan` is the caller's block plan for d, as in
+    `_refine_blocks`.
     """
     d = vertex_vector(q, d, "dimension vector")
     if any(x < 0 for x in d):
@@ -612,7 +630,8 @@ def generic_representation(
         return x, decompose(x), zero
 
     samples, parts, _, _ = _refine_blocks(
-        q, et_map(q, d), sample, mix_seed(rng_seed, 0), f"could not certify a generic representative of {d}"
+        q, et_map(q, d), sample, mix_seed(rng_seed, 0), f"could not certify a generic representative of {d}",
+        plan=plan,
     )
     return direct_sum_all(samples, q, QQ), parts
 

@@ -154,3 +154,62 @@ def test_last_round_names_the_last_reason():
         _refine_blocks(A2, gamma, sample, SEED, "no pattern", rounds=2)
     assert str(info.value) == "no pattern (Ext((1, 0),(0, 1)) nonzero on the sample)"
     assert len(calls) == 2
+
+
+# --- a value's block plan ---
+
+HALF = et_map(KRON3, (1, 1, 0))
+ZERO = (0, 0, 0)
+R3 = _regular(1, 1)
+
+
+def test_a_stored_plan_is_sampled_from_round_0_and_counts_as_refined():
+    gamma = et_map(KRON3, (2, 2, 0))
+    plan = [HALF, HALF]
+    sample, calls = _sampler([[(R1, [R1], ZERO), (R2, [R2], ZERO)]])
+    modules, parts, shifted, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
+    assert calls == [(0, HALF, 0), (0, HALF, 1)]
+    assert modules == [R1, R2] and parts == [R1, R2] and shifted == ZERO and refined
+    assert plan == [HALF, HALF]
+
+
+def test_a_run_that_never_certifies_leaves_the_plan_unchanged():
+    # round 0 splits (2, 2, 0); round 1 draws one point twice, with Ext(R1, R1) != 0
+    gamma = et_map(KRON3, (2, 2, 0))
+    sample, calls = _sampler([[(direct_sum(R1, R2), [direct_sum(R1, R2)], ZERO)], [(R1, [R1], ZERO)] * 2])
+    for start in ([], [gamma]):
+        plan = list(start)
+        with pytest.raises(GenericityUncertified, match=r"Ext\(\(1, 1, 0\),\(1, 1, 0\)\)"):
+            _refine_blocks(KRON3, gamma, sample, SEED, "x", rounds=2, plan=plan)
+        assert plan == start
+    assert calls[:3] == [(0, gamma, 0), (1, HALF, 0), (1, HALF, 1)]
+
+
+def test_a_planned_block_that_shows_a_non_brick_keeps_refining():
+    gamma = et_map(KRON3, (3, 3, 0))
+    double = et_map(KRON3, (2, 2, 0))
+    plan = [HALF, double]
+    x = direct_sum(R2, R3)
+    sample, calls = _sampler([
+        [(R1, [R1], ZERO), (x, [x], ZERO)],
+        [(R1, [R1], ZERO), (R2, [R2], ZERO), (R3, [R3], ZERO)],
+    ])
+    _, parts, _, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
+    assert calls == [(0, HALF, 0), (0, double, 1), (1, HALF, 0), (1, HALF, 1), (1, HALF, 2)]
+    assert parts == [R1, R2, R3] and refined
+    assert plan == [HALF, HALF, HALF]
+
+
+def test_the_plan_after_success_is_the_certified_blocks_with_the_negated_shift():
+    x = direct_sum(R1, R2)
+    shift = (0, 0, 1)
+    gamma = tuple(a - b for a, b in zip(et_map(KRON3, (2, 2, 0)), shift))
+    sample, _ = _sampler([[(x, [x], shift)], [(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
+    plan = []
+    _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
+    assert plan == [HALF, HALF, (0, 0, -1)]
+    # the next sample of the value starts from it and certifies in round 0
+    sample, calls = _sampler([[(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
+    _, parts, shifted, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
+    assert calls == [(0, HALF, 0), (0, HALF, 1), (0, (0, 0, -1), 2)]
+    assert parts == [R1, R2] and shifted == shift and refined

@@ -680,3 +680,79 @@ def test_no_ext_is_computed_from_a_projective_part(monkeypatch, name):
         mixed_with_projective += min(gamma) < 0 and any(x.dims in projective for x in pattern.parts)
     assert mixed_with_projective > 0
     assert not [d for d in firsts if d in projective]
+
+
+# --- a value's block plan: found by its first certified sample, used by the rest ---
+
+
+def _recording(monkeypatch, module, name, record):
+    """Replace module.name by a wrapper that calls record with its arguments, then the original."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _counting_splits(monkeypatch):
+    """The dims of each non-brick summand `_refine_blocks` splits, in order."""
+    split = replab.split_non_brick
+    splits = []
+
+    def counting(parts_per_block):
+        found = split(parts_per_block)
+        if found is not None and found[3] is not None:
+            splits.append(found[1].dims)
+        return found
+
+    monkeypatch.setattr(replab, "split_non_brick", counting)
+    return splits
+
+
+def test_kronecker_x_4_4_finds_its_block_plan_once_per_value(monkeypatch, kronecker):
+    # the (4, 4) cone has End of dim 4; its 32-unknown Hom system is solved by the
+    # first sample only, and each value (fresh cache) pays for it again
+    ends = []
+    _recording(monkeypatch, replab, "hom_basis", lambda m, n: ends.append(m.dims))
+    splits = _counting_splits(monkeypatch)
+    first = generic_character(kronecker, (4, -4), cache=CharacterCache())
+    assert ends.count((4, 4)) == 1 and splits == [(4, 4)]
+    second = generic_character(kronecker, (4, -4), cache=CharacterCache())
+    assert ends.count((4, 4)) == 2 and splits == [(4, 4)] * 2
+    assert first == second
+
+
+def test_cc_generic_splits_a_non_brick_once_per_value(monkeypatch, kronecker):
+    splits = _counting_splits(monkeypatch)
+    value = cc_generic(kronecker, (2, 2))
+    assert splits == [(2, 2)]
+    assert cc_generic(kronecker, (2, 2)) == value and splits == [(2, 2)] * 2
+
+
+def test_d4_samples_the_same_blocks_and_seeds_with_or_without_a_plan(monkeypatch):
+    # no D4 value here refines, so its plan is [gamma] and every sample draws what
+    # it drew before plans existed
+    d4 = quiver_from_text((QUIVERS / "d4.quiver").read_text())
+
+    def draws():
+        seen = []
+        splits = _counting_splits(monkeypatch)
+        _recording(monkeypatch, generic, "sample_cone", lambda q, dec, seed, bound: seen.append((dec, seed)))
+        _recording(monkeypatch, replab, "random_representation",
+                   lambda q, d, field, rng_seed, bound: seen.append((d, rng_seed)))
+        for gamma in (et_map(d4, (1, 2, 1, 2)), (1, -1, 0, 1), (-1, 1, 1, -1), (2, -1, 0, -1)):
+            generic_character(d4, gamma, cache=CharacterCache())
+        virtual_generic_decomposition(d4, (1, 2, 1, 2))
+        cc_generic(d4, (1, 2, 1, 1))
+        monkeypatch.undo()
+        assert not splits
+        return seen
+
+    planned = draws()
+    refine = replab._refine_blocks
+    unplanned = lambda *args, plan=None, **kwargs: refine(*args, **kwargs)  # noqa: E731
+    monkeypatch.setattr(generic, "_refine_blocks", unplanned)
+    monkeypatch.setattr(replab, "_refine_blocks", unplanned)
+    assert draws() == planned and len(planned) > 30, len(planned)

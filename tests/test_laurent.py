@@ -91,6 +91,28 @@ def test_ring_axioms_random():
         assert a - a == LaurentPoly.zero(2)
 
 
+def _zip_product_terms(a, b):
+    """The product's terms with exponents added pairwise by a generator, in insertion order."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return list(out.items())
+
+
+def test_mul_terms_and_their_order_match_the_reference():
+    rng = random.Random(29)
+    for nvars in (1, 2, 4):
+        for _ in range(100):
+            a, b = _random_poly(rng, nvars), _random_poly(rng, nvars)
+            assert list((a * b).terms.items()) == _zip_product_terms(a, b)
+
+
 def test_exact_divide():
     num = P("x1^2-1", 1)
     assert exact_divide(num, P("x1+1", 1)) == P("x1-1", 1)

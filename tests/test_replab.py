@@ -100,6 +100,41 @@ def test_ext_examples(a2):
             assert ext_dim(p, n) == 0
 
 
+def _hom_rows_reference(m, n):
+    """The equation rows of Hom(M, N), each added into a zero row and kept when any entry is nonzero."""
+    q = m.quiver
+    offsets = [sum(n.dims[u] * m.dims[u] for u in range(v)) for v in range(q.n)]
+    nun = sum(n.dims[v] * m.dims[v] for v in range(q.n))
+    rows = []
+    for a, (s, t) in enumerate(q.arrows):
+        for r in range(n.dims[t - 1]):
+            for c in range(m.dims[s - 1]):
+                row = [0] * nun
+                for k in range(m.dims[t - 1]):
+                    row[offsets[t - 1] + r * m.dims[t - 1] + k] += m.maps[a][k][c]
+                for k in range(n.dims[s - 1]):
+                    row[offsets[s - 1] + k * m.dims[s - 1] + c] -= n.maps[a][r][k]
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def test_hom_system_rows_match_the_reference(a2, a3, kronecker, d4, kronecker3):
+    # bound 1 makes zero entries, hence rows with one side or no side written, common
+    rng = random.Random(31)
+    empty = 0
+    for q in (a2, a3, kronecker, d4, kronecker3):
+        for field in (QQ, GF(3)):
+            for _ in range(12):
+                m, n = (random_representation(q, [rng.randint(0, 2) for _ in range(q.n)], field,
+                                              rng_seed=rng.randrange(10**6), bound=1) for _ in range(2))
+                rows, nun, _ = replab._hom_system(m, n)
+                assert rows == _hom_rows_reference(m, n), (q.key(), field, m, n)
+                assert nun == sum(a * b for a, b in zip(m.dims, n.dims))
+                empty += len(rows) < sum(n.dims[t - 1] * m.dims[s - 1] for s, t in q.arrows)
+    assert empty > 10
+
+
 def test_euler_identity_random(a2, a3, kronecker):
     rng = random.Random(42)
     for q in (a2, a3, kronecker):
