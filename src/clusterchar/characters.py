@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .errors import GenericityUncertified, NotPolynomialCount, SubdimensionOutOfRange
+from .errors import SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial
 from .quiver import Quiver, antisym_form_simple, et_map, euler_data, euler_form, vertex_vector
 from .replab import (
@@ -125,4 +125,4 @@ def cc_generic(
         m, _ = generic_representation(q, alpha, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
         return cc_module(m, cap=cap)
 
-    return certify(draw, retries, (NotPolynomialCount, GenericityUncertified), f"CC({alpha})")
+    return certify(draw, retries, f"CC({alpha})")

@@ -44,9 +44,17 @@ def _parse_json(text: str, path: str):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _read_text(path: str) -> str:
+    """The contents of an input file; one that is not UTF-8 text is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _load_quiver(path: str) -> Quiver:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         return quiver_from_dict(_parse_json(text, path))
     return quiver_from_text(text)
@@ -129,8 +137,7 @@ def _result(args: argparse.Namespace, config: RunConfig) -> tuple[object, str, i
             alpha = _int_vector(args.dim, q.n, "--dim")
             value = cc_generic(q, alpha, rng_seed=config.rng_seed, **config.library_kwargs())
         else:
-            with open(args.rep, "r", encoding="utf-8") as fh:
-                rep = representation_from_json(_parse_json(fh.read(), args.rep))
+            rep = representation_from_json(_parse_json(_read_text(args.rep), args.rep))
             if rep.quiver != q:
                 raise QuiverMismatch(f"{args.rep} is a representation of another quiver than {args.file}")
             value = cc_module(rep, cap=config.enumeration_cap)
@@ -205,7 +212,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a given path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClusterCharError as exc:

@@ -218,15 +218,6 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
 # --- certified cone patterns ---
 
 
-@dataclass
-class ConePattern:
-    """Certified generic cone of an index: brick parts plus shifted multiplicities."""
-
-    parts: list[Representation]
-    shifted: IntVec
-    refined: bool
-
-
 @lru_cache(maxsize=4096)
 def _projective_summand(q: Quiver, i: int) -> Representation:
     """P_i over Q, with dim End P_i = 1 recorded: End P_i = e_i kQ e_i = k on an
@@ -261,21 +252,15 @@ def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[
 
 
 def _cone_pattern_once(
-    q: Quiver,
-    gamma: IntVec,
-    rng_seed: int,
-    bound: int = 10,
-    rounds: int = 24,
-    *,
-    plan: list[IntVec] | None = None,
-) -> ConePattern:
+    q: Quiver, gamma: IntVec, rng_seed: int, bound: int = 10, *, plan: list[IntVec] | None = None
+) -> tuple[list[Representation], IntVec]:
+    """(parts, shifted) of one cone of index gamma, certified by `_refine_blocks` from `plan` or [gamma]."""
+
     def sample(block: IntVec, seed0: int, k: int) -> tuple:
         return sample_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), bound)
 
-    _, parts, shifted, refined = _refine_blocks(
-        q, gamma, sample, rng_seed, f"no certified cone pattern for index {gamma}", rounds=rounds, plan=plan
-    )
-    return ConePattern(parts=parts, shifted=shifted, refined=refined)
+    what = f"no certified cone pattern for index {gamma}"
+    return _refine_blocks(q, gamma, sample, rng_seed, what, plan=plan)[1:]
 
 
 def _pattern_value(
@@ -309,8 +294,8 @@ class CharacterCache:
 
     The file holds one JSON object of entries per line, and later lines win. `put`
     appends one line {key: value}, so a put costs the same at any cache size, and
-    caches that share a file keep each other's entries. Loading discards corrupt
-    lines and entries, never trusting them, and keeps their valid neighbours.
+    caches that share a file keep each other's entries. Loading discards corrupt (or
+    non-UTF-8) lines and entries, never trusting them, and keeps their valid neighbours.
     """
 
     def __init__(self, path: str | None = None):
@@ -321,14 +306,14 @@ class CharacterCache:
 
     def _load(self, path: str) -> None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 lines = fh.readlines()
         except OSError:
             return
         for line in lines:
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
+                raw = json.loads(line.decode("utf-8"))
+            except ValueError:  # not UTF-8, or not JSON
                 continue
             for key, val in raw.items() if isinstance(raw, dict) else ():
                 try:
@@ -381,10 +366,10 @@ def generic_character(
     plan: list[IntVec] = []
 
     def draw(attempt: int, s: int) -> LaurentPoly:
-        pattern = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
-        return _pattern_value(pattern.parts, pattern.shifted, cap, rigid)
+        parts, shifted = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
+        return _pattern_value(parts, shifted, cap, rigid)
 
-    value = certify(draw, retries, (GenericityUncertified, NotPolynomialCount), f"X({g})")
+    value = certify(draw, retries, f"X({g})")
     store.put(q, g, value)
     return value
 
@@ -430,18 +415,14 @@ def virtual_generic_decomposition(
     plan: list[IntVec] = []  # lives for this value only
 
     def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
-        p = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound=bound, plan=plan)
-        return cone_signature((p.parts, p.shifted))
+        return cone_signature(_cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound, plan=plan))
 
     def accept(result: tuple[list[IntVec], IntVec]) -> tuple[list[IntVec], IntVec]:
         if any(result[1]) and all(x >= 0 for x in a):
             raise Reject("nonnegative alpha with a shifted part")
         return result
 
-    return certify(
-        draw, retries, (GenericityUncertified, SupportNotDisjoint),
-        f"virtual generic decomposition of {a}", accept=accept,
-    )
+    return certify(draw, retries, f"virtual generic decomposition of {a}", accept=accept)
 
 
 @dataclass
@@ -524,21 +505,6 @@ def stability_check(
         except (SupportNotDisjoint, GenericityUncertified, NotPolynomialCount, CapExceeded) as exc:
             raise Reject(f"{type(exc).__name__}: {exc}") from exc
 
-    padded = certify(
-        draw, retries, (GenericityUncertified, NotPolynomialCount),
-        f"padded character for {g} + {pd}", key=cone_signature, accept=accept,
-    )
+    padded = certify(draw, retries, f"padded character for {g} + {pd}", key=cone_signature, accept=accept)
     return StabilityReport(gamma=g, pad=pd, minimal=minimal, padded=padded, equal=padded == minimal)
 
-
-def cone_pattern_is_plain(q: Quiver, gamma: Sequence[int], rng_seed: int = 0, bound: int = 10) -> bool:
-    """True when the plain uniform sample certifies without block refinement.
-
-    Indices that need refinement (imaginary-root multiplicities) cannot be
-    evaluated from a single padded sample; callers use this to pick instances.
-    """
-    try:
-        pattern = _cone_pattern_once(q, tuple(int(x) for x in gamma), rng_seed, bound=bound, rounds=6)
-    except GenericityUncertified:
-        return False
-    return not pattern.refined

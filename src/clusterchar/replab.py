@@ -548,28 +548,29 @@ def _certify_pattern(q: Quiver, gamma: tuple, parts: list[Representation], shift
         raise GenericityUncertified(f"index reconstruction {recon} != {gamma}")
 
 
+REFINE_ROUND_LIMIT = 24
+
+
 def _refine_blocks(
-    q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, rounds: int = 24,
-    *, plan: list[tuple[int, ...]] | None = None,
+    q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, *, plan: list[tuple[int, ...]] | None = None,
 ) -> tuple:
-    """(modules, parts, shifted, refined) of the first round whose samples certify gamma.
+    """(modules, parts, shifted) of the first round whose samples certify gamma.
 
     Blocks are indices, starting from `plan` when it holds blocks and from [gamma]
-    otherwise; refined says whether the certified blocks are other than [gamma].
-    Round r calls sample(block, mix_seed(rng_seed, r), k) -> (module, summands,
-    shifted) for each block k. A non-brick X with m = dim End X dividing dim X
-    replaces its block by the block's other summands, m copies of dim X / m and the
-    negated shifted part. Any other failure resamples the same blocks in the next
-    round; after the last, GenericityUncertified gives `what` and the last reason.
+    otherwise. Round r calls sample(block, mix_seed(rng_seed, r), k) -> (module,
+    summands, shifted) for each block k. A non-brick X with m = dim End X dividing
+    dim X replaces its block by the block's other summands, m copies of dim X / m
+    and the negated shifted part. Any other failure resamples the same blocks in
+    the next round; after REFINE_ROUND_LIMIT rounds, GenericityUncertified gives
+    `what` and the last reason.
 
     `plan`, kept by the caller for one value, takes the blocks of the round that
     certifies. It is a hint, not evidence: every round must pass `_certify_pattern`,
     which proves the generic cone of gamma whichever blocks were drawn (semicontinuity).
     """
     blocks: list[tuple[int, ...]] = list(plan) if plan else [gamma]
-    refined = blocks != [gamma]
     last = "unsampled"
-    for round_no in range(rounds):
+    for round_no in range(REFINE_ROUND_LIMIT):
         seed0 = mix_seed(rng_seed, round_no)
         drawn = [sample(b, seed0, k) for k, b in enumerate(blocks)]
         split = split_non_brick([pk for _, pk, _ in drawn])
@@ -581,7 +582,6 @@ def _refine_blocks(
             blocks = blocks[:k] + blocks[k + 1 :] + [et_map(q, d) for d in dims]
             if any(drawn[k][2]):
                 blocks.append(tuple(-s for s in drawn[k][2]))
-            refined = True
             last = f"split non-brick summand {x.dims}"
             continue
         parts = [x for _, pk, _ in drawn for x in pk]
@@ -593,7 +593,7 @@ def _refine_blocks(
             continue
         if plan is not None:
             plan[:] = blocks
-        return [mod for mod, _, _ in drawn], parts, shifted, refined
+        return [mod for mod, _, _ in drawn], parts, shifted
     raise GenericityUncertified(f"{what} ({last})")
 
 
@@ -629,10 +629,8 @@ def generic_representation(
         x = random_representation(q, et_map(q, block, inverse=True), QQ, rng_seed=mix_seed(seed0, k), bound=bound)
         return x, decompose(x), zero
 
-    samples, parts, _, _ = _refine_blocks(
-        q, et_map(q, d), sample, mix_seed(rng_seed, 0), f"could not certify a generic representative of {d}",
-        plan=plan,
-    )
+    what = f"could not certify a generic representative of {d}"
+    samples, parts, _ = _refine_blocks(q, et_map(q, d), sample, mix_seed(rng_seed, 0), what, plan=plan)
     return direct_sum_all(samples, q, QQ), parts
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import GenericityUncertified
+from .errors import GenericityUncertified, NotPolynomialCount
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -27,14 +27,14 @@ class Reject(Exception):
 def certify(
     draw: Callable[[int, int], object],
     retries: int,
-    retry_on: tuple[type[BaseException], ...],
     what: str,
     key: Callable[[object], object] | None = None,
     accept: Callable[[object], object] | None = None,
 ):
     """The first sample (or accept(it)) of the first attempt whose five samples agree.
 
-    `draw(attempt, s)` gives sample s; an exception in `retry_on` ends the attempt.
+    `draw(attempt, s)` gives sample s; a sample that does not certify or a count that
+    is not polynomial (GenericityUncertified, NotPolynomialCount) ends the attempt.
     Samples agree when their `key` (default: the sample) is equal. `accept` raises
     Reject to spend the attempt. Other exceptions propagate; after `retries`
     attempts GenericityUncertified names the last reason.
@@ -43,7 +43,7 @@ def certify(
     for attempt in range(retries):
         try:
             samples = [draw(attempt, s) for s in range(5)]
-        except retry_on as exc:
+        except (GenericityUncertified, NotPolynomialCount) as exc:
             last = f"{type(exc).__name__}: {exc}"
             continue
         keys = samples if key is None else [key(x) for x in samples]

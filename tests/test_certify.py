@@ -5,7 +5,7 @@ import pytest
 from clusterchar import QQ, direct_sum, simple_representation, validate_quiver
 from clusterchar.errors import CapExceeded, GenericityUncertified, NotPolynomialCount
 from clusterchar.quiver import et_map
-from clusterchar.replab import _refine_blocks, make_representation
+from clusterchar.replab import REFINE_ROUND_LIMIT, _refine_blocks, make_representation
 from clusterchar.seeds import Reject, certify, mix_seed
 
 
@@ -25,28 +25,29 @@ def _draw(table):
 
 def test_first_agreeing_attempt_wins():
     draw, calls = _draw([[3] * 5, [4] * 5])
-    assert certify(draw, 8, (), "x") == 3
+    assert certify(draw, 8, "x") == 3
     assert calls == [(0, s) for s in range(5)]
 
 
 def test_disagreement_costs_one_attempt():
     draw, calls = _draw([[1, 1, 2, 1, 1], [5] * 5])
-    assert certify(draw, 8, (), "x") == 5
+    assert certify(draw, 8, "x") == 5
     assert len(calls) == 10
 
 
 def test_key_decides_agreement_and_first_sample_is_returned():
     draw, _ = _draw([[("a", 1), ("a", 2), ("a", 3), ("a", 4), ("a", 5)]])
-    assert certify(draw, 1, (), "x", key=lambda v: v[0]) == ("a", 1)
+    assert certify(draw, 1, "x", key=lambda v: v[0]) == ("a", 1)
 
 
-def test_retry_on_is_retried_and_other_exceptions_propagate():
-    draw, calls = _draw([[1, NotPolynomialCount("p")], [2] * 5])
-    assert certify(draw, 8, (NotPolynomialCount,), "x") == 2
-    assert calls[:3] == [(0, 0), (0, 1), (1, 0)]
+def test_uncertified_samples_are_retried_and_other_exceptions_propagate():
+    for reason in (NotPolynomialCount("p"), GenericityUncertified("g")):
+        draw, calls = _draw([[1, reason], [2] * 5])
+        assert certify(draw, 8, "x") == 2
+        assert calls[:3] == [(0, 0), (0, 1), (1, 0)]
     draw, _ = _draw([[1, CapExceeded("cap")], [2] * 5])
     with pytest.raises(CapExceeded):
-        certify(draw, 8, (NotPolynomialCount,), "x")
+        certify(draw, 8, "x")
 
 
 def test_accept_can_reject_a_sample_set():
@@ -57,9 +58,9 @@ def test_accept_can_reject_a_sample_set():
             raise Reject("odd")
         return v * 10
 
-    assert certify(draw, 8, (), "x", accept=accept) == 20
+    assert certify(draw, 8, "x", accept=accept) == 20
     with pytest.raises(GenericityUncertified, match=r"\(odd\)"):
-        certify(_draw([[1] * 5])[0], 1, (), "x", accept=accept)
+        certify(_draw([[1] * 5])[0], 1, "x", accept=accept)
 
 
 def test_accept_exceptions_other_than_reject_propagate():
@@ -67,17 +68,17 @@ def test_accept_exceptions_other_than_reject_propagate():
         raise NotPolynomialCount("late")
 
     with pytest.raises(NotPolynomialCount):
-        certify(_draw([[1] * 5])[0], 8, (NotPolynomialCount,), "x", accept=accept)
+        certify(_draw([[1] * 5])[0], 8, "x", accept=accept)
 
 
 def test_exhausted_retries_name_the_last_reason():
     draw, calls = _draw([[1, 2, 1, 1, 1], [NotPolynomialCount("no poly")]])
     with pytest.raises(GenericityUncertified) as info:
-        certify(draw, 2, (NotPolynomialCount,), "X((1, 0))")
+        certify(draw, 2, "X((1, 0))")
     assert str(info.value) == "X((1, 0)) failed to certify after 2 rounds (NotPolynomialCount: no poly)"
     assert len(calls) == 6
     with pytest.raises(GenericityUncertified, match="after 1 rounds .sample disagreement across seeds"):
-        certify(_draw([[1, 2, 1, 1, 1]])[0], 1, (), "x")
+        certify(_draw([[1, 2, 1, 1, 1]])[0], 1, "x")
 
 
 # --- the block-refinement loop, driven by stub samplers ---
@@ -115,9 +116,9 @@ def test_non_brick_dividing_its_dimension_refines_its_block():
     half = et_map(KRON3, (1, 1, 0))
     zero = (0, 0, 0)
     sample, calls = _sampler([[(x, [x], zero)], [(R1, [R1], zero), (R2, [R2], zero)]])
-    modules, parts, shifted, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x")
+    modules, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x")
     assert calls == [(0, gamma, 0), (1, half, 0), (1, half, 1)]
-    assert modules == [R1, R2] and parts == [R1, R2] and shifted == zero and refined
+    assert modules == [R1, R2] and parts == [R1, R2] and shifted == zero
 
 
 def test_non_brick_not_dividing_its_dimension_resamples_the_same_blocks():
@@ -125,9 +126,9 @@ def test_non_brick_not_dividing_its_dimension_resamples_the_same_blocks():
     brick = make_representation(A2, QQ, (1, 1), [[[1]]])
     gamma = et_map(A2, (1, 1))
     sample, calls = _sampler([[(bundle, [bundle], (0, 0))], [(brick, [brick], (0, 0))]])
-    modules, parts, _, refined = _refine_blocks(A2, gamma, sample, SEED, "x")
+    modules, parts, _ = _refine_blocks(A2, gamma, sample, SEED, "x")
     assert calls == [(0, gamma, 0), (1, gamma, 0)]
-    assert modules == [brick] and parts == [brick] and not refined
+    assert modules == [brick] and parts == [brick]
 
 
 def test_a_cones_shifted_part_returns_as_a_negative_block():
@@ -140,20 +141,21 @@ def test_a_cones_shifted_part_returns_as_a_negative_block():
         [(x, [x], shift)],
         [(R1, [R1], zero), (R2, [R2], zero), (None, [], shift)],
     ])
-    _, parts, shifted, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x")
+    _, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x")
     assert calls == [(0, gamma, 0), (1, half, 0), (1, half, 1), (1, (0, 0, -1), 2)]
-    assert parts == [R1, R2] and shifted == shift and refined
+    assert parts == [R1, R2] and shifted == shift
 
 
 def test_last_round_names_the_last_reason():
     bundle = direct_sum(S1, S2)
     gamma = et_map(A2, (1, 1))
-    # round 0: a non-brick that cannot split; round 1: bricks with Ext(S1, S2) != 0
-    sample, calls = _sampler([[(bundle, [bundle], (0, 0))], [(bundle, [S1, S2], (0, 0))]])
+    # round 0: a non-brick that cannot split; every later round: bricks with Ext(S1, S2) != 0
+    later = [[(bundle, [S1, S2], (0, 0))]] * (REFINE_ROUND_LIMIT - 1)
+    sample, calls = _sampler([[(bundle, [bundle], (0, 0))]] + later)
     with pytest.raises(GenericityUncertified) as info:
-        _refine_blocks(A2, gamma, sample, SEED, "no pattern", rounds=2)
+        _refine_blocks(A2, gamma, sample, SEED, "no pattern")
     assert str(info.value) == "no pattern (Ext((1, 0),(0, 1)) nonzero on the sample)"
-    assert len(calls) == 2
+    assert len(calls) == REFINE_ROUND_LIMIT == 24
 
 
 # --- a value's block plan ---
@@ -163,24 +165,25 @@ ZERO = (0, 0, 0)
 R3 = _regular(1, 1)
 
 
-def test_a_stored_plan_is_sampled_from_round_0_and_counts_as_refined():
+def test_a_stored_plan_is_sampled_from_round_0():
     gamma = et_map(KRON3, (2, 2, 0))
     plan = [HALF, HALF]
     sample, calls = _sampler([[(R1, [R1], ZERO), (R2, [R2], ZERO)]])
-    modules, parts, shifted, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
+    modules, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, HALF, 0), (0, HALF, 1)]
-    assert modules == [R1, R2] and parts == [R1, R2] and shifted == ZERO and refined
+    assert modules == [R1, R2] and parts == [R1, R2] and shifted == ZERO
     assert plan == [HALF, HALF]
 
 
 def test_a_run_that_never_certifies_leaves_the_plan_unchanged():
-    # round 0 splits (2, 2, 0); round 1 draws one point twice, with Ext(R1, R1) != 0
+    # round 0 splits (2, 2, 0); every later round draws one point twice, with Ext(R1, R1) != 0
     gamma = et_map(KRON3, (2, 2, 0))
-    sample, calls = _sampler([[(direct_sum(R1, R2), [direct_sum(R1, R2)], ZERO)], [(R1, [R1], ZERO)] * 2])
+    later = [[(R1, [R1], ZERO)] * 2] * (REFINE_ROUND_LIMIT - 1)
+    sample, calls = _sampler([[(direct_sum(R1, R2), [direct_sum(R1, R2)], ZERO)]] + later)
     for start in ([], [gamma]):
         plan = list(start)
         with pytest.raises(GenericityUncertified, match=r"Ext\(\(1, 1, 0\),\(1, 1, 0\)\)"):
-            _refine_blocks(KRON3, gamma, sample, SEED, "x", rounds=2, plan=plan)
+            _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
         assert plan == start
     assert calls[:3] == [(0, gamma, 0), (1, HALF, 0), (1, HALF, 1)]
 
@@ -194,9 +197,9 @@ def test_a_planned_block_that_shows_a_non_brick_keeps_refining():
         [(R1, [R1], ZERO), (x, [x], ZERO)],
         [(R1, [R1], ZERO), (R2, [R2], ZERO), (R3, [R3], ZERO)],
     ])
-    _, parts, _, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
+    _, parts, _ = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, HALF, 0), (0, double, 1), (1, HALF, 0), (1, HALF, 1), (1, HALF, 2)]
-    assert parts == [R1, R2, R3] and refined
+    assert parts == [R1, R2, R3]
     assert plan == [HALF, HALF, HALF]
 
 
@@ -210,6 +213,6 @@ def test_the_plan_after_success_is_the_certified_blocks_with_the_negated_shift()
     assert plan == [HALF, HALF, (0, 0, -1)]
     # the next sample of the value starts from it and certifies in round 0
     sample, calls = _sampler([[(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
-    _, parts, shifted, refined = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
+    _, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, HALF, 0), (0, HALF, 1), (0, (0, 0, -1), 2)]
-    assert parts == [R1, R2] and shifted == shift and refined
+    assert parts == [R1, R2] and shifted == shift

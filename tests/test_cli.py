@@ -55,6 +55,28 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_unreadable_paths_exit_2(capsys, a2_file, tmp_path):
+    # a directory given as the quiver file or as the cache file is a usage error, not an internal one
+    code, out, err = run(capsys, "genchar", str(tmp_path), "--gamma", "1,0")
+    assert code == 2 and out == "" and err.startswith("error: [Errno") and "Is a directory" in err
+    code, out, err = run(capsys, "genchar", a2_file, "--gamma", "1,0", "--cache", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: [Errno") and "Is a directory" in err
+
+
+def test_quiver_file_that_is_not_utf8_exits_1(capsys, tmp_path):
+    p = tmp_path / "q.quiver"
+    p.write_bytes(b"\xff\xfe2\n1 2\n")
+    code, out, err = run(capsys, "quiver", "validate", str(p))
+    assert code == 1 and out == "" and err.startswith(f"error: ParseError: {p}: not UTF-8 text"), err
+
+
+def test_cache_lines_that_are_not_utf8_are_discarded(capsys, a2_file, tmp_path):
+    cache = tmp_path / "cache"
+    cache.write_bytes(b"\xff\xfe{}\n")
+    assert run(capsys, "genchar", a2_file, "--gamma", "1,0", "--cache", str(cache)) == (0, "(1+x2+x1)/(x1*x2)\n", "")
+    assert cache.read_bytes().startswith(b"\xff\xfe{}\n{")
+
+
 def test_usage_error_exits_2(capsys, a2_file):
     code, _, err = run(capsys, "cc", a2_file, "--dim", "1,0,0")
     assert code == 2

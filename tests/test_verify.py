@@ -1,6 +1,8 @@
-"""Suite plumbing: run settings reach every character, errors become FAIL cases, and
-the (suite, quiver) pairs outside the acceptance criteria keep their `verify --json` output."""
+"""Suite plumbing: run settings reach every character, errors become FAIL cases, the
+(suite, quiver) pairs outside the acceptance criteria keep their `verify --json` output,
+and verify and cli reach the library through its public names only."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -25,6 +27,7 @@ SETTINGS_CASES = [
     ("multiplicativity", "a2", verify.SUITE_COUNT, 0, {mix_seed(5, 43, i) for i in range(verify.SUITE_COUNT)}),
     ("cc-agreement", "a2", 9, 0, {5}),
     ("denominators", "a2", 9, 0, {mix_seed(5, 53)}),
+    ("gvectors", "a2", 25, 1, {mix_seed(5, 59)}),
     ("stability", "a2", verify.SUITE_COUNT, 1, {mix_seed(5, 71, t) for t in range(1, 40 * verify.SUITE_COUNT + 1)}),
     ("cone-table-a3", "a3", 9, 0, {mix_seed(5, 73, a, c) for a in (1, 2, 3) for c in (1, 2, 3)}),
 ]
@@ -58,6 +61,10 @@ def test_suites_pass_settings_and_record_errors(request, monkeypatch, suite, qui
         assert (kwargs["bound"], kwargs["retries"], kwargs.get("cap")) == (4, 3, cap)
 
 
+def test_settings_cases_cover_every_suite():
+    assert sorted(c[0] for c in SETTINGS_CASES) == sorted(verify.SUITES)
+
+
 def test_finite_type_equality_fails_fast_on_infinite_type(kronecker, monkeypatch, tmp_path, capsys):
     def no_character(*args, **kwargs):
         raise AssertionError("sampled a character on a quiver of infinite type")
@@ -88,3 +95,12 @@ PINNED = [
 def test_verify_json_matches_golden(capsys, suite, quiver, code):
     assert main(["verify", suite, str(ROOT / "quivers" / f"{quiver}.quiver"), "--json"]) == code
     assert capsys.readouterr().out == (ROOT / "tests" / "golden" / f"{suite}-{quiver}.json").read_text()
+
+
+@pytest.mark.parametrize("module", ["verify", "cli"])
+def test_clients_import_no_private_name(module):
+    """verify and cli are clients of the certified API: they import no `_`-prefixed name of the package."""
+    tree = ast.parse((ROOT / "src" / "clusterchar" / f"{module}.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("clusterchar")) for alias in node.names]
+    assert names and not [name for name in names if name.startswith("_")]
