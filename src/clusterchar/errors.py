@@ -43,7 +43,6 @@ NotPolynomialCount = _make("NotPolynomialCount")
 # generic
 KernelNotProjectiveShape = _make("KernelNotProjectiveShape", internal=True)
 GenericityUncertified = _make("GenericityUncertified")
-SupportNotDisjoint = _make("SupportNotDisjoint")
 
 # cluster-algebra
 BadVertex = _make("BadVertex")

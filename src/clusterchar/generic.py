@@ -40,14 +40,7 @@ from typing import Sequence
 
 from . import linalg
 from .characters import ClusterObject, cc_module
-from .errors import (
-    CapExceeded,
-    GenericityUncertified,
-    KernelNotProjectiveShape,
-    NotPolynomialCount,
-    SubdimensionOutOfRange,
-    SupportNotDisjoint,
-)
+from .errors import GenericityUncertified, KernelNotProjectiveShape, SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial
 from .linalg import QQ
 from .quiver import Quiver, et_map, euler_form, vertex_vector
@@ -59,7 +52,7 @@ from .replab import (
     decompose,
     projective_representation,
 )
-from .seeds import Reject, certify, mix_seed
+from .seeds import certify, mix_seed
 
 IntVec = tuple[int, ...]
 
@@ -305,11 +298,8 @@ class CharacterCache:
             self._load(path)
 
     def _load(self, path: str) -> None:
-        try:
-            with open(path, "rb") as fh:
-                lines = fh.readlines()
-        except OSError:
-            return
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
         for line in lines:
             try:
                 raw = json.loads(line.decode("utf-8"))
@@ -407,22 +397,20 @@ def virtual_generic_decomposition(
     certified: brick parts of dimensions betas with no Ext between them, and a
     shifted part gamma of disjoint support, whose indices add up to E^t·alpha.
     As E^t is invertible over Z, that is the identity above. For alpha >= 0 a
-    result with a shifted part is rejected, so the betas are Kac's canonical
-    decomposition of alpha (Kac; Schofield).
+    sample with a shifted part raises GenericityUncertified and ends its attempt,
+    so the betas are Kac's canonical decomposition of alpha (Kac; Schofield).
     """
     a = vertex_vector(q, alpha, "alpha")
     gamma_idx = et_map(q, a)
     plan: list[IntVec] = []  # lives for this value only
 
     def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
-        return cone_signature(_cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound, plan=plan))
+        cone = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound, plan=plan)
+        if any(cone[1]) and all(x >= 0 for x in a):
+            raise GenericityUncertified("nonnegative alpha with a shifted part")
+        return cone_signature(cone)
 
-    def accept(result: tuple[list[IntVec], IntVec]) -> tuple[list[IntVec], IntVec]:
-        if any(result[1]) and all(x >= 0 for x in a):
-            raise Reject("nonnegative alpha with a shifted part")
-        return result
-
-    return certify(draw, retries, f"virtual generic decomposition of {a}", accept=accept)
+    return certify(draw, retries, f"virtual generic decomposition of {a}")
 
 
 @dataclass
@@ -478,7 +466,13 @@ def stability_check(
     cap: int = 5_000_000,
     cache: CharacterCache | None = None,
 ) -> StabilityReport:
-    """Sample in the padded (non-minimal) Hom space and compare with X(gamma)."""
+    """Sample in the padded (non-minimal) Hom space and compare with X(gamma).
+
+    The padded samples must agree on their pattern, and the first sample of the
+    agreeing attempt must pass the certificate of the minimal cone of gamma
+    (`_certify_pattern`), or GenericityUncertified names the reason. The certificate
+    makes the character an invariant, so one counting pass gives the padded value.
+    """
     g = tuple(int(x) for x in gamma)
     pd = vertex_vector(q, pad, "pad")
     if any(x < 0 for x in pd):
@@ -493,18 +487,8 @@ def stability_check(
     def draw(attempt: int, s: int) -> tuple[list[Representation], IntVec]:
         return sample_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound)[1:]
 
-    def accept(cone: tuple[list[Representation], IntVec]) -> LaurentPoly:
-        # the certificate of a minimal cone (bricks, Ext vanishing, disjoint shifted
-        # support) makes the character an invariant: one counting pass suffices
-        parts, shift = cone
-        try:
-            if any(x.end_dim != 1 for x in parts):
-                raise Reject("padded cone has a non-brick summand")
-            _certify_pattern(q, g, parts, shift)
-            return _pattern_value(parts, shift, cap, {})
-        except (SupportNotDisjoint, GenericityUncertified, NotPolynomialCount, CapExceeded) as exc:
-            raise Reject(f"{type(exc).__name__}: {exc}") from exc
-
-    padded = certify(draw, retries, f"padded character for {g} + {pd}", key=cone_signature, accept=accept)
+    parts, shift = certify(draw, retries, f"padded character for {g} + {pd}", key=cone_signature)
+    _certify_pattern(q, g, parts, shift)
+    padded = _pattern_value(parts, shift, cap, {})
     return StabilityReport(gamma=g, pad=pd, minimal=minimal, padded=padded, equal=padded == minimal)
 

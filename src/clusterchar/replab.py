@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     QuiverMismatch,
     SubdimensionOutOfRange,
-    SupportNotDisjoint,
 )
 from .linalg import GF, QQ, Field
 from .quiver import Quiver, et_map, euler_form, vertex_vector
@@ -277,9 +276,10 @@ def ext_dim(m: Representation, n: Representation) -> int:
 def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Representation] | None:
     """The first ordered pair (X, Y) of distinct summands with Ext(X, Y) != 0, if any.
 
-    The parts must be bricks. Two bricks X, Y on one dimension vector d with
-    <d, d> = 1 are rigid (ext = 1 - <d, d> = 0), so both are the exceptional module
-    of d and Ext(X, Y) = ext(X, X) = 0: such pairs are skipped without computing.
+    The parts are bricks: `_certify_pattern` tests that first. Two bricks X, Y on
+    one dimension vector d with <d, d> = 1 are rigid (ext = 1 - <d, d> = 0), so
+    both are the exceptional module of d and Ext(X, Y) = ext(X, X) = 0: such pairs
+    are skipped without computing.
     For the same reason a rigid brick of index E^t·d = e_i is P_i, and Ext(P_i, -) = 0:
     it is skipped as X.
     """
@@ -503,8 +503,8 @@ def decompose(m: Representation) -> list[Representation]:
     number is drawn, so the summands are a function of M. A summand that is a
     brick (thin components are; otherwise dim End = 1) is indecomposable, and so is
     one with dim End = 2 that no step splits. A summand that is not a brick is
-    returned unsplit; the certificates downstream (`split_non_brick`) detect it
-    and refine the sample.
+    returned unsplit; `_refine_blocks` splits its block, or `_certify_pattern`
+    refuses it.
     """
     n, simples = (m, []) if all(d <= 1 for d in m.dims) else _split_simples(m)
     return _fitting_summands(n) + simples
@@ -514,11 +514,12 @@ def decompose(m: Representation) -> list[Representation]:
 
 
 def split_non_brick(parts_per_block: Sequence[Sequence[Representation]]) -> tuple | None:
-    """(k, X, m, dims) for the first summand X that is not a brick: X is in block k, m = dim End X.
+    """(k, X, dims) for the first summand X that is not a brick: X is in block k.
 
-    X is geometrically m conjugate summands of dimension dim X / m, so dims, which
-    replaces block k, lists the other summands of block k and then m copies of
-    dim X / m; it is None when m does not divide dim X. None when all are bricks.
+    With m = dim End X, X is geometrically m conjugate summands of dimension
+    dim X / m, so dims, which replaces block k, lists the other summands of block k
+    and then m copies of dim X / m. None when all are bricks, or when m does not
+    divide dim X: then `_certify_pattern` refuses X.
     """
     for k, parts in enumerate(parts_per_block):
         for x in parts:
@@ -526,19 +527,24 @@ def split_non_brick(parts_per_block: Sequence[Sequence[Representation]]) -> tupl
             if m == 1:
                 continue
             if any(v % m for v in x.dims):
-                return k, x, m, None
+                return None
             sub = tuple(v // m for v in x.dims)
-            return k, x, m, [p.dims for p in parts if p is not x] + [sub] * m
+            return k, x, [p.dims for p in parts if p is not x] + [sub] * m
     return None
 
 
 def _certify_pattern(q: Quiver, gamma: tuple, parts: list[Representation], shifted: tuple) -> None:
-    """Brick parts and a shifted part exhibit the generic cone of gamma: disjoint
-    supports, no Ext between parts, and the indices add up to gamma."""
+    """Brick parts and a shifted part exhibit the generic cone of gamma: bricks,
+    disjoint supports, no Ext between parts, and the indices add up to gamma. Each
+    failure raises GenericityUncertified naming it. `decompose` records `end_dim` on
+    every summand it returns, so the brick test computes no Hom."""
+    for x in parts:
+        if x.end_dim != 1:
+            raise GenericityUncertified(f"non-brick summand {x.dims} with End dim {x.end_dim}")
     supp_shift = {i for i, s in enumerate(shifted) if s}
     for x in parts:
         if supp_shift & {i for i, d in enumerate(x.dims) if d}:
-            raise SupportNotDisjoint(f"summand {x.dims} meets the shifted support {shifted}")
+            raise GenericityUncertified(f"summand {x.dims} meets the shifted support {shifted}")
     pair = first_ext_pair(parts)
     if pair is not None:
         raise GenericityUncertified(f"Ext({pair[0].dims},{pair[1].dims}) nonzero on the sample")
@@ -560,9 +566,9 @@ def _refine_blocks(
     otherwise. Round r calls sample(block, mix_seed(rng_seed, r), k) -> (module,
     summands, shifted) for each block k. A non-brick X with m = dim End X dividing
     dim X replaces its block by the block's other summands, m copies of dim X / m
-    and the negated shifted part. Any other failure resamples the same blocks in
-    the next round; after REFINE_ROUND_LIMIT rounds, GenericityUncertified gives
-    `what` and the last reason.
+    and the negated shifted part. Otherwise the round must pass `_certify_pattern`,
+    or the next round resamples the same blocks; after REFINE_ROUND_LIMIT rounds,
+    GenericityUncertified gives `what` and the last reason.
 
     `plan`, kept by the caller for one value, takes the blocks of the round that
     certifies. It is a hint, not evidence: every round must pass `_certify_pattern`,
@@ -575,10 +581,7 @@ def _refine_blocks(
         drawn = [sample(b, seed0, k) for k, b in enumerate(blocks)]
         split = split_non_brick([pk for _, pk, _ in drawn])
         if split is not None:
-            k, x, m_end, dims = split
-            if dims is None:
-                last = f"non-brick summand {x.dims} with End dim {m_end}"
-                continue
+            k, x, dims = split
             blocks = blocks[:k] + blocks[k + 1 :] + [et_map(q, d) for d in dims]
             if any(drawn[k][2]):
                 blocks.append(tuple(-s for s in drawn[k][2]))
@@ -588,7 +591,7 @@ def _refine_blocks(
         shifted = tuple(sum(sh[i] for _, _, sh in drawn) for i in range(q.n))
         try:
             _certify_pattern(q, gamma, parts, shifted)
-        except (SupportNotDisjoint, GenericityUncertified) as exc:
+        except GenericityUncertified as exc:
             last = str(exc)
             continue
         if plan is not None:

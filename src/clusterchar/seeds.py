@@ -20,24 +20,19 @@ def mix_seed(seed: int, *tags: int) -> int:
     return acc
 
 
-class Reject(Exception):
-    """Raised by an `accept` step of `certify`: the agreed samples do not certify."""
-
-
 def certify(
     draw: Callable[[int, int], object],
     retries: int,
     what: str,
     key: Callable[[object], object] | None = None,
-    accept: Callable[[object], object] | None = None,
 ):
-    """The first sample (or accept(it)) of the first attempt whose five samples agree.
+    """The first sample of the first attempt whose five samples agree.
 
     `draw(attempt, s)` gives sample s; a sample that does not certify or a count that
     is not polynomial (GenericityUncertified, NotPolynomialCount) ends the attempt.
-    Samples agree when their `key` (default: the sample) is equal. `accept` raises
-    Reject to spend the attempt. Other exceptions propagate; after `retries`
-    attempts GenericityUncertified names the last reason.
+    Samples agree when their `key` (default: the sample) is equal. Whether a sample
+    is generic is decided by `replab._certify_pattern`, never here. Other exceptions
+    propagate; after `retries` attempts GenericityUncertified names the last reason.
     """
     last = "no attempt"
     for attempt in range(retries):
@@ -47,13 +42,7 @@ def certify(
             last = f"{type(exc).__name__}: {exc}"
             continue
         keys = samples if key is None else [key(x) for x in samples]
-        if not all(k == keys[0] for k in keys[1:]):
-            last = "sample disagreement across seeds"
-            continue
-        if accept is None:
+        if all(k == keys[0] for k in keys[1:]):
             return samples[0]
-        try:
-            return accept(samples[0])
-        except Reject as exc:
-            last = str(exc)
+        last = "sample disagreement across seeds"
     raise GenericityUncertified(f"{what} failed to certify after {retries} rounds ({last})")

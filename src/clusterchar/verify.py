@@ -209,24 +209,26 @@ def suite_denominators(q: Quiver, config: RunConfig) -> SuiteReport:
 def suite_gvectors(q: Quiver, config: RunConfig) -> SuiteReport:
     """Module cones from the criterion boxes: index = gamma = E^t dim, C·(-coindex) = index.
 
-    The cone of gamma is the certified virtual generic decomposition of E^{-t}·gamma,
-    a module of dimension sum(betas) when its shifted part is 0."""
+    The cone of gamma is the certified virtual generic decomposition of alpha = E^{-t}·gamma.
+    A module cone has shifted part 0, so alpha = sum(betas) >= 0: an index whose alpha
+    has a negative entry is not sampled, and for alpha >= 0 the certified cone has no
+    shifted part."""
     report = SuiteReport("gvectors", q.key())
     ed = euler_data(q)
     n = q.n
     indices = set(product(range(-2, 3), repeat=n)) | {et_map(q, a) for a in product(range(3), repeat=n)}
     module_cones = 0
     for gamma in sorted(indices):
+        alpha = et_map(q, gamma, inverse=True)
+        if any(x < 0 for x in alpha):
+            continue  # not a module cone
         try:
-            betas, shifted = virtual_generic_decomposition(
-                q, et_map(q, gamma, inverse=True), rng_seed=mix_seed(config.rng_seed, 59),
-                **config.library_kwargs(cap=False),
+            betas, _ = virtual_generic_decomposition(
+                q, alpha, rng_seed=mix_seed(config.rng_seed, 59), **config.library_kwargs(cap=False)
             )
         except ClusterCharError as exc:
             report.add(f"gamma={gamma} cone", False, f"{exc.name}: {exc}")
             continue
-        if any(shifted):
-            continue  # not a module cone
         module_cones += 1
         dim = [sum(b[i] for b in betas) for i in range(n)]
         idx = et_map(q, dim)
@@ -246,10 +248,11 @@ def suite_stability(q: Quiver, config: RunConfig) -> SuiteReport:
 
     A padded cone is one sampled map, not split into blocks. So when a rational
     sample shows the generic cone of gamma as a non-brick (Kronecker (2, -2): two
-    regular bricks at the roots of a random quadratic), `stability_check` ends in
-    GenericityUncertified and the draw is replaced, as is any draw whose padded
-    samples fail to certify. An actual stability violation would surface as an
-    unequal certified value, never as a skip.
+    regular bricks at the roots of a random quadratic), `stability_check` raises
+    GenericityUncertified at its first agreeing attempt and the draw is replaced,
+    as is any draw whose padded samples fail to certify. An actual stability
+    violation would surface as an unequal certified value, never as a skip; a
+    failed count is that case's named FAIL.
     """
     report = SuiteReport("stability", q.key())
     cache = CharacterCache(config.cache_path)

@@ -6,7 +6,7 @@ from clusterchar import QQ, direct_sum, simple_representation, validate_quiver
 from clusterchar.errors import CapExceeded, GenericityUncertified, NotPolynomialCount
 from clusterchar.quiver import et_map
 from clusterchar.replab import REFINE_ROUND_LIMIT, _refine_blocks, make_representation
-from clusterchar.seeds import Reject, certify, mix_seed
+from clusterchar.seeds import certify, mix_seed
 
 
 def _draw(table):
@@ -48,27 +48,6 @@ def test_uncertified_samples_are_retried_and_other_exceptions_propagate():
     draw, _ = _draw([[1, CapExceeded("cap")], [2] * 5])
     with pytest.raises(CapExceeded):
         certify(draw, 8, "x")
-
-
-def test_accept_can_reject_a_sample_set():
-    draw, _ = _draw([[1] * 5, [2] * 5])
-
-    def accept(v):
-        if v == 1:
-            raise Reject("odd")
-        return v * 10
-
-    assert certify(draw, 8, "x", accept=accept) == 20
-    with pytest.raises(GenericityUncertified, match=r"\(odd\)"):
-        certify(_draw([[1] * 5])[0], 1, "x", accept=accept)
-
-
-def test_accept_exceptions_other_than_reject_propagate():
-    def accept(v):
-        raise NotPolynomialCount("late")
-
-    with pytest.raises(NotPolynomialCount):
-        certify(_draw([[1] * 5])[0], 8, "x", accept=accept)
 
 
 def test_exhausted_retries_name_the_last_reason():
@@ -129,6 +108,9 @@ def test_non_brick_not_dividing_its_dimension_resamples_the_same_blocks():
     modules, parts, _ = _refine_blocks(A2, gamma, sample, SEED, "x")
     assert calls == [(0, gamma, 0), (1, gamma, 0)]
     assert modules == [brick] and parts == [brick]
+    sample, _ = _sampler([[(bundle, [bundle], (0, 0))]] * REFINE_ROUND_LIMIT)
+    with pytest.raises(GenericityUncertified, match=r"^x \(non-brick summand \(1, 1\) with End dim 2\)$"):
+        _refine_blocks(A2, gamma, sample, SEED, "x")
 
 
 def test_a_cones_shifted_part_returns_as_a_negative_block():

@@ -63,6 +63,15 @@ def test_unreadable_paths_exit_2(capsys, a2_file, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: [Errno") and "Is a directory" in err
 
 
+def test_unreadable_cache_exits_2_before_any_value_is_computed(capsys, monkeypatch, a2_file, tmp_path):
+    def no_value(*args, **kwargs):
+        raise AssertionError("a value was computed before the cache was read")
+
+    monkeypatch.setattr("clusterchar.cli.generic_character", no_value)
+    code, out, err = run(capsys, "genchar", a2_file, "--gamma", "1,0", "--cache", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: [Errno") and "Is a directory" in err
+
+
 def test_quiver_file_that_is_not_utf8_exits_1(capsys, tmp_path):
     p = tmp_path / "q.quiver"
     p.write_bytes(b"\xff\xfe2\n1 2\n")

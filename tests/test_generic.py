@@ -34,7 +34,7 @@ from clusterchar import (
 )
 from clusterchar import generic, linalg, replab
 from clusterchar.config import RunConfig
-from clusterchar.errors import ClusterCharError, GenericityUncertified, SubdimensionOutOfRange
+from clusterchar.errors import CapExceeded, ClusterCharError, GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import (
     ProjDecomposition,
     ProjectiveMap,
@@ -516,12 +516,48 @@ def test_stability_examples(a2, a3):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("pad", [(0, 0), (1, 1)])
-def test_padded_sample_of_a_refined_cone_is_uncertified(kronecker, pad, seed):
+@pytest.mark.parametrize("pad", [(0, 0), (1, 0), (1, 1)])
+def test_padded_sample_of_a_refined_cone_is_uncertified(kronecker, monkeypatch, pad, seed):
     # X(2, -2) certifies only by splitting its non-brick cone into blocks; a padded
-    # cone is one map and is not split, so the stability suite replaces such a draw
+    # cone is one map and is not split, so the stability suite replaces such a draw.
+    # With a padding the five samples agree on the first attempt, whose certificate
+    # names the non-brick: no further attempt is drawn.
+    cache = CharacterCache()
+    generic_character(kronecker, (2, -2), rng_seed=seed, cache=cache)
+    real, calls = generic.sample_cone, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generic, "sample_cone", counting)
     with pytest.raises(GenericityUncertified, match="non-brick summand"):
-        stability_check(kronecker, (2, -2), pad, rng_seed=seed)
+        stability_check(kronecker, (2, -2), pad, rng_seed=seed, cache=cache)
+    if any(pad):
+        assert len(calls) == 5
+
+
+def test_a_failed_count_in_the_padded_cone_propagates(kronecker):
+    # the minimal value is a cache hit, so the only count is the padded one: the
+    # rigid part (2, 1) of X(2, -1)
+    cache = CharacterCache()
+    cache.put(kronecker, (2, -1), generic_character(kronecker, (2, -1)))
+    with pytest.raises(CapExceeded, match="exceeds cap 0"):
+        stability_check(kronecker, (2, -1), (1, 0), cap=0, cache=cache)
+
+
+def test_virtual_generic_decomposition_refuses_a_shifted_pattern_for_nonnegative_alpha(a2, monkeypatch):
+    real = generic._cone_pattern_once
+    attempt_0 = {mix_seed(0, 7, 0, s) for s in range(5)}
+
+    def shifted_on_attempt_0(q, gamma, rng_seed, *args, **kwargs):
+        parts, shifted = real(q, gamma, rng_seed, *args, **kwargs)
+        return (parts, (0, 1)) if rng_seed in attempt_0 else (parts, shifted)
+
+    monkeypatch.setattr(generic, "_cone_pattern_once", shifted_on_attempt_0)
+    assert virtual_generic_decomposition(a2, (1, 1)) == ([(1, 1)], (0, 0))
+    with pytest.raises(GenericityUncertified, match="nonnegative alpha with a shifted part"):
+        virtual_generic_decomposition(a2, (1, 1), retries=1)
 
 
 def test_kronecker_imaginary_multiplicativity(kronecker):
@@ -704,7 +740,7 @@ def _counting_splits(monkeypatch):
 
     def counting(parts_per_block):
         found = split(parts_per_block)
-        if found is not None and found[3] is not None:
+        if found is not None:
             splits.append(found[1].dims)
         return found
 

@@ -28,7 +28,6 @@ from clusterchar.errors import (
     FieldMismatch,
     GenericityUncertified,
     SubdimensionOutOfRange,
-    SupportNotDisjoint,
 )
 from clusterchar.generic import cone_of_proj_map, min_proj_decomposition, sample_generic_proj_map
 from clusterchar.quiver import et_map
@@ -313,7 +312,7 @@ def test_decompose_records_the_end_dimension_of_its_summands(kronecker, d4):
     non_brick = make_representation(kronecker, QQ, (2, 2), [((1, 0), (0, 1)), ((0, 1), (2, 0))])
     (x,) = decompose(non_brick)
     assert vars(x)["end_dim"] == hom_dim(_fresh(x), _fresh(x)) == 2  # recorded by decompose
-    assert replab.split_non_brick([[x]]) == (0, x, 2, [(1, 1), (1, 1)])
+    assert replab.split_non_brick([[x]]) == (0, x, [(1, 1), (1, 1)])
     rng = random.Random(12)
     for q in (kronecker, d4):
         for _ in range(6):
@@ -792,8 +791,15 @@ def test_certify_pattern_accepts_the_cone_of_p2_to_p1(a2):
     _certify_pattern(a2, (-1, 1), [simple_representation(a2, 2)], (1, 0))
 
 
+def test_certify_pattern_refuses_a_non_brick_part_naming_its_dims(a2):
+    # S1 ⊕ S1 has index (2, -2) and End of dimension 4: only the brick test refuses it
+    s1 = simple_representation(a2, 1)
+    with pytest.raises(GenericityUncertified, match=r"non-brick summand \(2, 0\) with End dim 4"):
+        _certify_pattern(a2, (2, -2), [direct_sum(s1, s1)], (0, 0))
+
+
 def test_certify_pattern_refuses_a_part_on_the_shifted_support(a2):
-    with pytest.raises(SupportNotDisjoint, match=r"summand \(1, 0\) meets the shifted support \(1, 0\)"):
+    with pytest.raises(GenericityUncertified, match=r"summand \(1, 0\) meets the shifted support \(1, 0\)"):
         _certify_pattern(a2, (0, -1), [simple_representation(a2, 1)], (1, 0))
 
 

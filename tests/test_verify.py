@@ -27,7 +27,7 @@ SETTINGS_CASES = [
     ("multiplicativity", "a2", verify.SUITE_COUNT, 0, {mix_seed(5, 43, i) for i in range(verify.SUITE_COUNT)}),
     ("cc-agreement", "a2", 9, 0, {5}),
     ("denominators", "a2", 9, 0, {mix_seed(5, 53)}),
-    ("gvectors", "a2", 25, 1, {mix_seed(5, 59)}),
+    ("gvectors", "a2", 12, 1, {mix_seed(5, 59)}),
     ("stability", "a2", verify.SUITE_COUNT, 1, {mix_seed(5, 71, t) for t in range(1, 40 * verify.SUITE_COUNT + 1)}),
     ("cone-table-a3", "a3", 9, 0, {mix_seed(5, 73, a, c) for a in (1, 2, 3) for c in (1, 2, 3)}),
 ]
