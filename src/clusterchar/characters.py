@@ -7,12 +7,15 @@ characteristics with exponents read off the (antisymmetrized) Euler form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial
+from .linalg import QQ
 from .quiver import Quiver, antisym_form_simple, et_map, euler_data, euler_form, vertex_vector
 from .replab import (
     ReductionPool,
@@ -58,26 +61,197 @@ def shifted_object(q: Quiver, shifted: Sequence[int]) -> ClusterObject:
     return ClusterObject(zero_representation(q), tuple(int(x) for x in shifted))
 
 
+def _character(q: Quiver, d: Sequence[int], chis: Mapping[tuple[int, ...], int]) -> LaurentPoly:
+    """sum_e chis[e] prod_i x_i^{<S_i,e>_a - <S_i, d>}, for the Euler characteristics chi(Gr_e)."""
+    n = q.n
+    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    base = [-euler_form(q, units[i], d) for i in range(n)]
+    out = LaurentPoly.zero(n)
+    for e, chi in chis.items():
+        if chi:
+            expo = tuple(base[i] + antisym_form_simple(q, i + 1, e) for i in range(n))
+            out = out + LaurentPoly(n, {expo: chi})
+    return out
+
+
 def cc_module(m: Representation, cap: int = 5_000_000) -> LaurentPoly:
     """The Caldero-Chapoton character of a module, by direct Grassmannian counting.
 
     X_M = sum_e chi(Gr_e(M)) prod_i x_i^{<S_i,e>_a - <S_i, dim M>}. One reduction
     pool (End dimension, good primes, reduced copies of M) serves every e.
     """
-    q = m.quiver
-    n = q.n
-    d = m.dims
-    out = LaurentPoly.zero(n)
-    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    base = [-euler_form(q, units[i], d) for i in range(n)]
     pool = ReductionPool(m)
-    for e in product(*(range(di + 1) for di in d)):
-        g = grassmannian_euler(m, e, cap=cap, pool=pool)
-        if g.euler == 0:
+    subdims = product(*(range(di + 1) for di in m.dims))
+    chis = {e: grassmannian_euler(m, e, cap=cap, pool=pool).euler for e in subdims}
+    return _character(m.quiver, m.dims, chis)
+
+
+# --- characters of exceptional modules from a tree basis ---
+
+Edge = tuple[int, int, int]  # (arrow a, basis index at the source of a, basis index at its target)
+Node = tuple[int, int]  # (vertex - 1, basis index there)
+
+
+def tree_representation(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> Representation:
+    """The representation of dims d whose arrow a sends basis vector i at its source to
+    basis vector j at its target for each edge (a, i, j), and every other basis vector to 0."""
+    maps = []
+    for a, (s, t) in enumerate(q.arrows):
+        m = [[0] * d[s - 1] for _ in range(d[t - 1])]
+        for b, i, j in edges:
+            if b == a:
+                m[j][i] = 1
+        maps.append(tuple(map(tuple, m)))
+    return Representation(q, QQ, tuple(d), tuple(maps))
+
+
+def _walk(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> list[tuple[Node, Node | None, int, bool]] | None:
+    """(node, parent, arrow, forward) for every basis vector of a forest, parents first, or
+    None when the edges close a cycle. A root has parent None; forward means parent -a-> node."""
+    adj: dict[Node, list] = {(v, k): [] for v in range(q.n) for k in range(d[v])}
+    for idx, (a, i, j) in enumerate(edges):
+        s, t = q.arrows[a]
+        adj[(s - 1, i)].append((idx, (t - 1, j), a, True))
+        adj[(t - 1, j)].append((idx, (s - 1, i), a, False))
+    order: list[tuple[Node, Node | None, int, bool]] = []
+    seen: set[Node] = set()
+    used: set[int] = set()
+    for root in adj:
+        if root in seen:
             continue
-        expo = tuple(base[i] + antisym_form_simple(q, i + 1, e) for i in range(n))
-        out = out + LaurentPoly(n, {expo: g.euler})
+        seen.add(root)
+        k = len(order)
+        order.append((root, None, -1, True))
+        while k < len(order):
+            node = order[k][0]
+            k += 1
+            for idx, other, a, forward in adj[node]:
+                if idx in used:
+                    continue
+                if other in seen:
+                    return None
+                used.add(idx)
+                seen.add(other)
+                order.append((other, node, a, forward))
+    return order
+
+
+def accepts_tree(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> bool:
+    """Whether the edges are a separated forest whose representation is a brick.
+
+    Separated: walking each tree and adding the unit vector e_a of Z^{arrows} along an
+    edge of arrow a (subtracting it when walked backwards) gives the basis vectors at
+    each vertex distinct degrees. Brick: End T = k, which also makes the forest a tree.
+    """
+    order = _walk(q, d, edges)
+    if order is None:
+        return False
+    degree: dict[Node, tuple[int, ...]] = {}
+    for node, parent, a, forward in order:
+        if parent is None:
+            degree[node] = (0,) * len(q.arrows)
+        else:
+            sign = 1 if forward else -1
+            degree[node] = tuple(x + sign * (b == a) for b, x in enumerate(degree[parent]))
+    if len({(v, deg) for (v, _), deg in degree.items()}) != len(degree):
+        return False
+    return tree_representation(q, d, edges).end_dim == 1
+
+
+def _poly_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
     return out
+
+
+def _poly_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def subset_counts(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> dict[tuple[int, ...], int]:
+    """e -> the number of successor-closed sets of basis vectors of dimension vector e.
+
+    A set is successor-closed when each edge x -> y with x in it has y in it. One pass
+    over the forest, leaves first, keeps two generating polynomials in y^e per node:
+    subsets of its subtree with the node in, and with it out. No subset is listed.
+    """
+    order = _walk(q, d, edges)
+    if order is None:
+        raise ValueError("the edges close a cycle")
+    n = q.n
+    zero = (0,) * n
+    inside = {node: {tuple(int(k == node[0]) for k in range(n)): 1} for node, *_ in order}
+    outside = {node: {zero: 1} for node, *_ in order}
+    total = {zero: 1}
+    for node, parent, _a, forward in reversed(order):
+        both = _poly_add(inside[node], outside[node])
+        if parent is None:
+            total = _poly_mul(total, both)
+        elif forward:  # parent -> node: parent in forces node in
+            inside[parent] = _poly_mul(inside[parent], inside[node])
+            outside[parent] = _poly_mul(outside[parent], both)
+        else:  # node -> parent: node in forces parent in
+            inside[parent] = _poly_mul(inside[parent], both)
+            outside[parent] = _poly_mul(outside[parent], outside[node])
+    return total
+
+
+@lru_cache(maxsize=4096)
+def tree_basis(q: Quiver, d: tuple[int, ...]) -> tuple[Edge, ...] | None:
+    """A 0/1 tree basis of the exceptional module of dims d, or None.
+
+    Two constructions are tried, and their result must pass `accepts_tree`:
+    - thin d (every d_v <= 1): the support, with every arrow inside it set to 1;
+    - a support of two vertices joined by exactly two parallel arrows a, b: s -> t
+      with |d_s - d_t| = 1, the zigzag string u_{j-1} -a-> v_j, u_j -b-> v_j for
+      j = 1..k when (d_s, d_t) = (k+1, k), and u_j -a-> v_{j-1}, u_j -b-> v_j for
+      (k, k+1).
+    Built once per (quiver, d). Like a cone plan it is structure and holds no count.
+    """
+    support = [v for v in range(q.n) if d[v]]
+    inner = [a for a, (s, t) in enumerate(q.arrows) if d[s - 1] and d[t - 1]]
+    if max(d) <= 1:
+        edges = tuple((a, 0, 0) for a in inner)
+    elif len(support) == 2 and len(inner) == 2 and q.arrows[inner[0]] == q.arrows[inner[1]]:
+        a, b = inner
+        s, t = q.arrows[a]
+        ds, dt = d[s - 1], d[t - 1]
+        if ds == dt + 1:
+            edges = tuple(x for j in range(1, dt + 1) for x in ((a, j - 1, j - 1), (b, j, j - 1)))
+        elif dt == ds + 1:
+            edges = tuple(x for j in range(1, ds + 1) for x in ((a, j - 1, j - 1), (b, j - 1, j)))
+        else:
+            return None
+    else:
+        return None
+    return edges if accepts_tree(q, d, edges) else None
+
+
+def tree_character(q: Quiver, d: Sequence[int]) -> LaurentPoly | None:
+    """The CC character of the exceptional module of dims d from a tree basis, or None.
+
+    Call it only for d with <d, d> = 1. An exceptional module has a basis whose
+    coefficient quiver is a tree (Ringel 1998, "Exceptional modules are tree
+    modules"); `tree_basis` builds one for thin d and for the Kronecker strings.
+    The tree T it returns is separated, so the torus (k*)^{arrows} acts on each
+    Gr_e(T) through the basis degrees with finitely many fixed points, the
+    coordinate subrepresentations, and chi(Gr_e(T)) is the number of
+    successor-closed basis subsets of dimension e (Haupt 2012, "Euler
+    characteristics of quiver Grassmannians and Ringel-Hall algebras of string
+    algebras"). T is a brick with <d, d> = 1, so ext(T, T) = 0: T is the
+    exceptional module of dims d, unique up to isomorphism (Kac). No prime is
+    used and nothing is sampled; None sends the caller to `cc_module`.
+    """
+    edges = tree_basis(q, tuple(d))
+    if edges is None:
+        return None
+    return _character(q, d, subset_counts(q, d, edges))
 
 
 def cc_object(x: ClusterObject, cap: int = 5_000_000) -> LaurentPoly:

@@ -6,19 +6,24 @@ certified operationally: each of five independently seeded samples must exhibit
 the virtual generic decomposition pattern exactly (brick summands, pairwise Ext
 vanishing, shifted part of disjoint support), and their values must agree.
 
-Within one value, a rigid brick part (<d, d> = 1) is counted on the first sample
-that meets it and its count is reused after that: an exceptional module is
-unique for its dimension vector. So for an all-rigid pattern the five samples
-agree on the certified pattern, and rigidity proves that their values agree.
-Parts that are not rigid are counted on every sample. A value also keeps a block
-plan: the blocks of the last round that certified (`_refine_blocks`). Its later
-samples and attempts start from it, so a non-brick cone such as the Kronecker
-(4, 4) is split once per value, not once per sample; each sample still draws its
-own maps and passes the same certificate. The reused counts and the plan never
-outlive one value, so values compared with each other (cc-agreement,
-multiplicativity) are computed independently. What does outlive a value is the
-plan of a cone (`_cone_plan`): bases and index tables fixed by (quiver, gamma1,
-gamma0), never a sampled coefficient, so sharing it shares no evidence.
+Within one value, the character of a rigid brick part (<d, d> = 1) is found on
+the first sample that meets it and reused after that: an exceptional module is
+unique for its dimension vector. It is read off a tree basis of dims d when one
+is built (`characters.tree_character`: successor-closed basis subsets, no
+primes), and counted by `cc_module` when none is. So for an all-rigid pattern
+the five samples agree on the certified pattern, and rigidity proves that their
+values agree. Parts that are not rigid are counted on every sample. The per-value
+rule is the same on both paths. A value also keeps a block plan: the blocks of
+the last round that certified (`_refine_blocks`). Its later samples and attempts
+start from it, so a non-brick cone such as the Kronecker (4, 4) is split once per
+value, not once per sample; each sample still draws its own maps and passes the
+same certificate. The reused counts and the plan never outlive one value, so
+values compared with each other (cc-agreement, multiplicativity) are computed
+independently. What does outlive a value is the plan of a cone (`_cone_plan`):
+bases and index tables fixed by (quiver, gamma1, gamma0), never a sampled
+coefficient, so sharing it shares no evidence. The same holds for a tree basis
+(`characters.tree_basis`), fixed by (quiver, d); the character read off it is
+found again for each value.
 
 An index gamma >= 0 needs no decomposition: gamma1 = 0, the map is 0 and its cone
 is P(gamma0) = ⊕ P_i^gamma0_i on every sample, so X(gamma) is a cluster monomial
@@ -39,7 +44,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
-from .characters import ClusterObject, cc_module
+from .characters import ClusterObject, cc_module, tree_character
 from .errors import GenericityUncertified, KernelNotProjectiveShape, SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial
 from .linalg import QQ
@@ -264,8 +269,9 @@ def _pattern_value(
     A brick X with <d, d> = 1 (d = dim X) has ext(X, X) = 1 - <d, d> = 0: it is
     exceptional, hence determined up to isomorphism by d (Kac; Ringel). Its
     character is therefore read from `rigid` (dims -> character), which the caller
-    keeps for one certified value; it is counted only on first sight. Every other
-    part is counted each time.
+    keeps for one certified value. On first sight it comes from a tree basis of
+    dims d (`tree_character`), or is counted by `cc_module` when d has none. Every
+    other part is counted each time.
     """
     value = monomial(len(shifted), shifted)
     for part in parts:
@@ -274,7 +280,8 @@ def _pattern_value(
             value = value * cc_module(part, cap=cap)
             continue
         if d not in rigid:
-            rigid[d] = cc_module(part, cap=cap)
+            tree = tree_character(part.quiver, d)
+            rigid[d] = tree if tree is not None else cc_module(part, cap=cap)
         value = value * rigid[d]
     return value
 

@@ -212,7 +212,13 @@ def suite_gvectors(q: Quiver, config: RunConfig) -> SuiteReport:
     The cone of gamma is the certified virtual generic decomposition of alpha = E^{-t}·gamma.
     A module cone has shifted part 0, so alpha = sum(betas) >= 0: an index whose alpha
     has a negative entry is not sampled, and for alpha >= 0 the certified cone has no
-    shifted part."""
+    shifted part.
+
+    Both identities hold by construction for a certified cone with alpha >= 0: its
+    betas sum to alpha, so ind = E^t·dim = E^t·alpha = gamma, and C·g = E^t·E^{-1}·E·dim
+    = E^t·dim = gamma. So a gvectors case can fail only by not certifying. A real
+    check, such as X(gamma) holding x^{-gamma} and x^g with coefficient 1, would
+    change the four gvectors goldens and is left open."""
     report = SuiteReport("gvectors", q.key())
     ed = euler_data(q)
     n = q.n

@@ -9,21 +9,33 @@ from clusterchar import (
     cc_module,
     cc_object,
     coindex_of,
+    decompose,
     denominator_vector,
     direct_sum,
+    euler_form,
     g_vector_of_index,
     generic_representation,
+    grassmannian_euler,
     index_of,
     monomial,
     parse_laurent,
+    positive_roots,
     projective_representation,
     random_representation,
     shifted_object,
     simple_representation,
+    validate_quiver,
     zero_object,
     zero_representation,
 )
-from clusterchar.characters import euler_data
+from clusterchar.characters import (
+    accepts_tree,
+    euler_data,
+    subset_counts,
+    tree_basis,
+    tree_character,
+    tree_representation,
+)
 from clusterchar.errors import SubdimensionOutOfRange
 
 
@@ -126,3 +138,73 @@ def test_dimension_vector_of_shifted(a2):
     ed = euler_data(a2)
     obj = shifted_object(a2, (1, 0))
     assert obj.dimension_vector() == tuple(-ed.Etinv[i][0] for i in range(2))
+
+
+# --- characters of exceptional modules from a tree basis ---
+
+D4 = validate_quiver(4, [(1, 2), (3, 2), (4, 2)])  # centre 2
+
+
+def _constructed_rigid_roots(a2, a3, kronecker):
+    roots = [(q, d) for q in (a2, a3, D4) for d in positive_roots(q)]
+    return roots + [(kronecker, d) for k in range(1, 4) for d in ((k + 1, k), (k, k + 1))]
+
+
+def test_tree_character_equals_counting_on_every_constructed_rigid_root(a2, a3, kronecker):
+    # the exceptional module of d is the generic representation of d, decomposed and
+    # counted prime by prime; only D4 (1, 2, 1, 1) has no construction
+    missing = []
+    for q, d in _constructed_rigid_roots(a2, a3, kronecker):
+        assert euler_form(q, d, d) == 1
+        tree = tree_character(q, d)
+        if tree is None:
+            missing.append(d)
+            continue
+        (x,) = decompose(generic_representation(q, d, rng_seed=5)[0])
+        assert tree == cc_module(x), (q.key(), d)
+    assert missing == [(1, 2, 1, 1)]
+
+
+def test_kronecker_tree_bases_are_zigzag_strings(kronecker):
+    # (k+1, k): u_{j-1} -a-> v_j and u_j -b-> v_j; (k, k+1): u_j -a-> v_{j-1} and u_j -b-> v_j
+    assert tree_basis(kronecker, (3, 2)) == ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 2, 1))
+    assert tree_basis(kronecker, (2, 3)) == ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2))
+    assert tree_basis(kronecker, (3, 1)) is None
+    assert tree_basis(kronecker, (1, 1)) is None  # arrows a and b close a cycle
+
+
+def test_unseparated_tree_is_refused():
+    # the exceptional (1, 2, 1, 1) on D4 has three distinct lines at the centre:
+    # leaf 1 -> c1, leaf 4 -> c2, and leaf 3 sent to both, c1 + c2. That 0/1 tree is
+    # a brick, but leaf 3's two edges give c1 and c2 one degree, so its coordinate
+    # subsets are not the torus fixed points: Gr_(0,1,1,0) is the point c1 + c2,
+    # which no successor-closed subset spans
+    d, e = (1, 2, 1, 1), (0, 1, 1, 0)
+    edges = ((1, 0, 0), (1, 0, 1), (0, 0, 0), (2, 0, 1))
+    t = tree_representation(D4, d, edges)
+    assert t.end_dim == 1
+    assert subset_counts(D4, d, edges).get(e, 0) == 0
+    assert grassmannian_euler(t, e).euler == 1
+    assert not accepts_tree(D4, d, edges)
+
+
+def test_thin_dimension_with_disconnected_support_is_refused(a3):
+    # (1, 0, 1): no arrow inside the support, so the forest has two trees; each is
+    # separated, but the module S1 + S3 is not a brick
+    assert accepts_tree(a3, (1, 1, 1), ((0, 0, 0), (1, 0, 0)))
+    assert not accepts_tree(a3, (1, 0, 1), ())
+    assert tree_basis(a3, (1, 0, 1)) is None
+
+
+def test_subset_counts_match_listing_every_subset(kronecker):
+    # the leaves-first pass against all 2^N subsets, on a string with both edge directions
+    d = (3, 4)
+    edges = tree_basis(kronecker, d)
+    nodes = [(v, k) for v in range(2) for k in range(d[v])]
+    listed: dict = {}
+    for bits in product((0, 1), repeat=len(nodes)):
+        chosen = {x for x, b in zip(nodes, bits) if b}
+        if all((1, j) in chosen for a, i, j in edges if (0, i) in chosen):
+            e = tuple(sum(v == w for w, _ in chosen) for v in range(2))
+            listed[e] = listed.get(e, 0) + 1
+    assert subset_counts(kronecker, d, edges) == listed

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from clusterchar import LaurentPoly, denominator_vector, initial_seed, mutate_seed, quiver_from_text
 from clusterchar.cli import main
 from clusterchar.replab import representation_from_json
 
@@ -155,10 +156,35 @@ FRONTIER_CASES = json.loads((ROOT / "tests" / "golden" / "genchar-kronecker-fron
 @pytest.mark.parametrize("case", FRONTIER_CASES, ids=[" ".join(c["argv"]) for c in FRONTIER_CASES])
 def test_kronecker_frontier_matches_golden(capsys, case):
     """stdout, stderr and exit code of `genchar --json` for Kronecker X(k,-k), k = 2..5,
-    and X(3,-4), and of `cc --dim 2,2 --json`, as pinned in
-    tests/golden/genchar-kronecker-frontier.json."""
+    X(3,-4), X(4,-3), X(5,-6) and X(6,-7), and of `cc --dim 2,2 --json`, as pinned
+    in tests/golden/genchar-kronecker-frontier.json."""
     argv = [str(ROOT / a) if a.startswith("quivers/") else a for a in case["argv"]]
     assert run(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])
+
+
+RIGID_FRONTIER = [c for c in FRONTIER_CASES if c["argv"][0] == "genchar" and c["argv"][2] not in
+                  {f"--gamma={k},{-k}" for k in range(2, 6)}]
+
+
+@pytest.fixture(scope="module")
+def kronecker_variables():
+    """Denominator vector -> cluster variable, along the two alternating mutation
+    chains from the initial seed of the Kronecker."""
+    q = quiver_from_text((ROOT / "quivers" / "kronecker.quiver").read_text(encoding="utf-8"))
+    variables = {}
+    for first in (1, 2):
+        s = initial_seed(q)
+        for step in range(16):
+            s = mutate_seed(s, first if step % 2 == 0 else 3 - first)
+            variables.update((denominator_vector(x), x) for x in s.cluster)
+    return variables
+
+
+@pytest.mark.parametrize("case", RIGID_FRONTIER, ids=[c["argv"][2] for c in RIGID_FRONTIER])
+def test_kronecker_frontier_golden_is_a_cluster_variable(case, kronecker_variables):
+    """Each rigid frontier golden is the cluster variable with its denominator vector."""
+    x = LaurentPoly.from_json(json.loads(case["stdout"]))
+    assert x == kronecker_variables[denominator_vector(x)]
 
 
 CLI_CASES = json.loads((ROOT / "tests" / "golden" / "cli-commands.json").read_text())

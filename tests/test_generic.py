@@ -33,6 +33,7 @@ from clusterchar import (
     zero_representation,
 )
 from clusterchar import generic, linalg, replab
+from clusterchar.characters import tree_character
 from clusterchar.config import RunConfig
 from clusterchar.errors import CapExceeded, ClusterCharError, GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import (
@@ -537,13 +538,14 @@ def test_padded_sample_of_a_refined_cone_is_uncertified(kronecker, monkeypatch, 
         assert len(calls) == 5
 
 
-def test_a_failed_count_in_the_padded_cone_propagates(kronecker):
+def test_a_failed_count_in_the_padded_cone_propagates():
     # the minimal value is a cache hit, so the only count is the padded one: the
-    # rigid part (2, 1) of X(2, -1)
+    # rigid part (1, 2, 1, 1) of the D4 X(1, -1, 1, 1), which has no tree basis
+    d4 = quiver_from_text((QUIVERS / "d4.quiver").read_text(encoding="utf-8"))
     cache = CharacterCache()
-    cache.put(kronecker, (2, -1), generic_character(kronecker, (2, -1)))
+    cache.put(d4, (1, -1, 1, 1), generic_character(d4, (1, -1, 1, 1)))
     with pytest.raises(CapExceeded, match="exceeds cap 0"):
-        stability_check(kronecker, (2, -1), (1, 0), cap=0, cache=cache)
+        stability_check(d4, (1, -1, 1, 1), (1, 0, 0, 0), cap=0, cache=cache)
 
 
 def test_virtual_generic_decomposition_refuses_a_shifted_pattern_for_nonnegative_alpha(a2, monkeypatch):
@@ -636,14 +638,49 @@ def _counting_cc_module(monkeypatch):
     return counted
 
 
+def _counting_tree_character(monkeypatch):
+    counted = []
+
+    def counting(q, d):
+        counted.append(d)
+        return tree_character(q, d)
+
+    monkeypatch.setattr(generic, "tree_character", counting)
+    return counted
+
+
 def test_rigid_map_lives_for_one_call(monkeypatch, kronecker):
-    # X(2, 0): every sample's cone is two copies of the rigid brick of dims (1, 2)
+    # X(2, 0): every sample's cone is two copies of the rigid brick of dims (1, 2),
+    # whose character comes from its tree basis once per value
     counted = _counting_cc_module(monkeypatch)
+    trees = _counting_tree_character(monkeypatch)
     first = generic_character(kronecker, (2, 0), cache=CharacterCache())
-    assert counted == [(1, 2)]
+    assert trees == [(1, 2)]
     second = generic_character(kronecker, (2, 0), cache=CharacterCache())
-    assert counted == [(1, 2), (1, 2)]
+    assert trees == [(1, 2), (1, 2)] and counted == []
     assert first == second == cc_module(random_representation(kronecker, (1, 2), rng_seed=3)) ** 2
+
+
+def test_frontier_rigid_value_is_not_counted(monkeypatch, kronecker):
+    # X(4, -3) is the character of the exceptional module of dims (4, 5): one tree
+    # basis, no point count. Its value is pinned, against the cluster variable of
+    # the same denominator, by the frontier golden tests of test_cli.py
+    assert et_map(kronecker, (4, 5)) == (4, -3)
+    counted = _counting_cc_module(monkeypatch)
+    trees = _counting_tree_character(monkeypatch)
+    generic_character(kronecker, (4, -3), cache=CharacterCache())
+    assert counted == [] and trees == [(4, 5)]
+
+
+def test_rigid_part_without_a_tree_basis_is_counted_once_per_value(monkeypatch):
+    # D4 (1, 2, 1, 1), of index E^t·d = (1, -1, 1, 1), has no tree construction
+    d4 = quiver_from_text((QUIVERS / "d4.quiver").read_text(encoding="utf-8"))
+    assert et_map(d4, (1, 2, 1, 1)) == (1, -1, 1, 1)
+    counted = _counting_cc_module(monkeypatch)
+    generic_character(d4, (1, -1, 1, 1), cache=CharacterCache())
+    assert counted == [(1, 2, 1, 1)]
+    generic_character(d4, (1, -1, 1, 1), cache=CharacterCache())
+    assert counted == [(1, 2, 1, 1)] * 2
 
 
 def test_non_rigid_part_counted_on_every_sample(monkeypatch, kronecker):
