@@ -18,6 +18,7 @@ from .laurent import LaurentPoly, monomial
 from .linalg import QQ
 from .quiver import Quiver, antisym_form_simple, et_map, euler_data, euler_form, vertex_vector
 from .replab import (
+    BlockPlan,
     ReductionPool,
     Representation,
     generic_representation,
@@ -290,10 +291,12 @@ def cc_generic(
     """CC(alpha) for alpha >= 0: character of the certified generic representative.
 
     Five independently sampled representatives must give equal characters; the
-    blocks of the first certified sample are the later samples' block plan.
+    first certified sample leaves the later ones its blocks and, when its parts are
+    all rigid, its parts (`replab.BlockPlan`). Each sample's own representative is
+    counted, so agreement stays an independent check.
     """
     alpha = vertex_vector(q, alpha, "alpha")
-    plan: list[tuple[int, ...]] = []  # lives for this value only
+    plan = BlockPlan()  # lives for this value only
 
     def draw(attempt: int, s: int) -> LaurentPoly:
         m, _ = generic_representation(q, alpha, rng_seed=mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)

@@ -13,13 +13,21 @@ is built (`characters.tree_character`: successor-closed basis subsets, no
 primes), and counted by `cc_module` when none is. So for an all-rigid pattern
 the five samples agree on the certified pattern, and rigidity proves that their
 values agree. Parts that are not rigid are counted on every sample. The per-value
-rule is the same on both paths. A value also keeps a block plan: the blocks of
-the last round that certified (`_refine_blocks`). Its later samples and attempts
-start from it, so a non-brick cone such as the Kronecker (4, 4) is split once per
-value, not once per sample; each sample still draws its own maps and passes the
-same certificate. The reused counts and the plan never outlive one value, so
-values compared with each other (cc-agreement, multiplicativity) are computed
-independently. What does outlive a value is the plan of a cone (`_cone_plan`):
+rule is the same on both paths. A value also keeps a block plan (`BlockPlan`):
+the blocks of the last round that certified (`_refine_blocks`). Its later samples
+and attempts start from it, so a non-brick cone such as the Kronecker (4, 4) is
+split once per value, not once per sample; each sample still draws its own maps.
+The plan also keeps the value's first certified round whose parts are all rigid.
+A later sample whose module has that round's dims and shifted part is certified
+by one Hom rank instead of a decomposition: dim End M = <dim M, dim M> means
+ext(M, M) = 0, so M is rigid. A rigid module has an open orbit in rep(d) (Voigt;
+Kac 1982), and two open orbits of the irreducible rep(d) meet, so M is isomorphic
+to the certified module, whose parts it takes: bricks, no Ext between them, the
+same disjoint shifted support. A module that fails the rank is decomposed and
+certified as any other. The reused counts, the plan and its certified round never
+outlive one value, so values compared with each other (cc-agreement,
+multiplicativity) are computed independently; `cc_generic` still counts each
+sample's own module. What does outlive a value is the plan of a cone (`_cone_plan`):
 bases and index tables fixed by (quiver, gamma1, gamma0), never a sampled
 coefficient, so sharing it shares no evidence. The same holds for a tree basis
 (`characters.tree_basis`), fixed by (quiver, d); the character read off it is
@@ -50,6 +58,7 @@ from .laurent import LaurentPoly, monomial
 from .linalg import QQ
 from .quiver import Quiver, et_map, euler_form, vertex_vector
 from .replab import (
+    BlockPlan,
     Representation,
     _certify_pattern,
     _known_end,
@@ -224,23 +233,31 @@ def _projective_summand(q: Quiver, i: int) -> Representation:
     return _known_end(projective_representation(q, i), 1)
 
 
+def _draw_cone(q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int) -> tuple:
+    """(module, summands or None, shifted) of the cone of one sampled P(gamma1) -> P(gamma0).
+
+    The seed draws the map. When gamma1 = 0 the map is 0 and the cone is P(gamma0) =
+    ⊕ P_i^gamma0_i whatever the seed, so its summands are read off the quiver
+    (`_projective_summand`): each P_i is a brick and projectives have no Ext. The
+    P_i objects are shared between samples and values as structure; no count is
+    kept on them. Otherwise the summands are None: the module is to be decomposed.
+    """
+    cone = cone_of_proj_map(sample_generic_proj_map(q, dec, rng_seed, bound))
+    if any(dec.gamma1):
+        return cone.module, None, cone.shifted
+    parts = [_projective_summand(q, i) for i, g in enumerate(dec.gamma0, start=1) for _ in range(g)]
+    return cone.module, parts, cone.shifted
+
+
 def sample_cone(
     q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int
 ) -> tuple[Representation, list[Representation], IntVec]:
     """Module part, its summands and shifted part of the cone of one sampled P(gamma1) -> P(gamma0).
 
-    The seed draws the map; `decompose` is a function of the cone's module. When
-    gamma1 = 0 the map is 0 and the cone is P(gamma0) = ⊕ P_i^gamma0_i whatever the
-    seed, so its summands are read off the quiver (`_projective_summand`), not
-    decomposed: each P_i is a brick and projectives have no Ext. The P_i objects
-    are shared between samples and values as structure; no count is kept on them.
+    `decompose` is a function of the cone's module; see `_draw_cone`.
     """
-    cone = cone_of_proj_map(sample_generic_proj_map(q, dec, rng_seed, bound))
-    if any(dec.gamma1):
-        parts = decompose(cone.module)
-    else:
-        parts = [_projective_summand(q, i) for i, g in enumerate(dec.gamma0, start=1) for _ in range(g)]
-    return cone.module, parts, cone.shifted
+    module, parts, shifted = _draw_cone(q, dec, rng_seed, bound)
+    return module, decompose(module) if parts is None else parts, shifted
 
 
 def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
@@ -250,12 +267,12 @@ def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[
 
 
 def _cone_pattern_once(
-    q: Quiver, gamma: IntVec, rng_seed: int, bound: int = 10, *, plan: list[IntVec] | None = None
+    q: Quiver, gamma: IntVec, rng_seed: int, bound: int = 10, *, plan: BlockPlan | None = None
 ) -> tuple[list[Representation], IntVec]:
     """(parts, shifted) of one cone of index gamma, certified by `_refine_blocks` from `plan` or [gamma]."""
 
     def sample(block: IntVec, seed0: int, k: int) -> tuple:
-        return sample_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), bound)
+        return _draw_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), bound)
 
     what = f"no certified cone pattern for index {gamma}"
     return _refine_blocks(q, gamma, sample, rng_seed, what, plan=plan)[1:]
@@ -360,7 +377,7 @@ def generic_character(
         return hit
 
     rigid: dict[IntVec, LaurentPoly] = {}  # these two live for this value only
-    plan: list[IntVec] = []
+    plan = BlockPlan()
 
     def draw(attempt: int, s: int) -> LaurentPoly:
         parts, shifted = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
@@ -409,7 +426,7 @@ def virtual_generic_decomposition(
     """
     a = vertex_vector(q, alpha, "alpha")
     gamma_idx = et_map(q, a)
-    plan: list[IntVec] = []  # lives for this value only
+    plan = BlockPlan()  # lives for this value only
 
     def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
         cone = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound, plan=plan)

@@ -557,28 +557,74 @@ def _certify_pattern(q: Quiver, gamma: tuple, parts: list[Representation], shift
 REFINE_ROUND_LIMIT = 24
 
 
+class BlockPlan:
+    """What one value's certified samples leave for its later ones (`_refine_blocks`).
+
+    `blocks` are the blocks of the round that certified last. `rigid` is the first
+    certified round whose parts are all rigid and whose blocks were all decomposed:
+    its shape (`_round_shape`), parts and shifted part. A caller keeps one plan per
+    value and never shares it between values.
+    """
+
+    def __init__(self, blocks: Sequence[tuple[int, ...]] = ()):
+        self.blocks: list[tuple[int, ...]] = list(blocks)
+        self.rigid: tuple | None = None
+
+
+def _round_shape(blocks: list, drawn: list) -> list:
+    """(block, module dims, shifted part) of each block of a round."""
+    return [(b, mod.dims, sh) for b, (mod, _, sh) in zip(blocks, drawn)]
+
+
+def _rigid_copy(q: Quiver, rigid: tuple | None, blocks: list, drawn: list) -> bool:
+    """Whether the round has the shape of the certified all-rigid round `rigid` and
+    every module it drew, left to decompose, is rigid. One Hom rank per nonzero
+    module: ext(M, M) = dim End M - <d, d> on a hereditary algebra."""
+    if rigid is None or rigid[0] != _round_shape(blocks, drawn):
+        return False
+    return all(pk is None and (mod.is_zero() or hom_dim(mod, mod) == euler_form(q, mod.dims, mod.dims))
+               for mod, pk, _ in drawn)
+
+
 def _refine_blocks(
-    q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, *, plan: list[tuple[int, ...]] | None = None,
+    q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, *, plan: BlockPlan | None = None,
 ) -> tuple:
     """(modules, parts, shifted) of the first round whose samples certify gamma.
 
-    Blocks are indices, starting from `plan` when it holds blocks and from [gamma]
-    otherwise. Round r calls sample(block, mix_seed(rng_seed, r), k) -> (module,
-    summands, shifted) for each block k. A non-brick X with m = dim End X dividing
+    Blocks are indices, starting from `plan.blocks` when it holds blocks and from
+    [gamma] otherwise. Round r calls sample(block, mix_seed(rng_seed, r), k) ->
+    (module, summands, shifted) for each block k; summands None means that the
+    module is to be decomposed here. A non-brick X with m = dim End X dividing
     dim X replaces its block by the block's other summands, m copies of dim X / m
     and the negated shifted part. Otherwise the round must pass `_certify_pattern`,
     or the next round resamples the same blocks; after REFINE_ROUND_LIMIT rounds,
     GenericityUncertified gives `what` and the last reason.
 
     `plan`, kept by the caller for one value, takes the blocks of the round that
-    certifies. It is a hint, not evidence: every round must pass `_certify_pattern`,
-    which proves the generic cone of gamma whichever blocks were drawn (semicontinuity).
+    certifies. They are a hint, not evidence: every round must pass
+    `_certify_pattern`, which proves the generic cone of gamma whichever blocks
+    were drawn (semicontinuity). The plan also keeps the value's first certified
+    round whose parts are all rigid (<d, d> = 1). Its block modules are rigid:
+    ext between its parts is 0, since each is an exceptional brick and the
+    certificate found no Ext between any two. A later round on the same blocks
+    still draws its own modules. If each has the certified dims and shifted part
+    and dim End M = <dim M, dim M>, it is rigid too. A rigid module has an open
+    orbit in the irreducible rep(d) (Voigt; Kac), so two rigid modules of one
+    dimension vector are isomorphic (over Q too, by Noether-Deuring). The round
+    is then the certified cone up to isomorphism and takes its parts, with no
+    decomposition. Any other round decomposes the modules it drew and is
+    certified as above.
     """
-    blocks: list[tuple[int, ...]] = list(plan) if plan else [gamma]
+    blocks: list[tuple[int, ...]] = list(plan.blocks) if plan is not None and plan.blocks else [gamma]
     last = "unsampled"
     for round_no in range(REFINE_ROUND_LIMIT):
         seed0 = mix_seed(rng_seed, round_no)
         drawn = [sample(b, seed0, k) for k, b in enumerate(blocks)]
+        if plan is not None and _rigid_copy(q, plan.rigid, blocks, drawn):
+            _, parts, shifted = plan.rigid
+            return [mod for mod, _, _ in drawn], parts, shifted
+        decomposed = all(pk is None for _, pk, _ in drawn)
+        drawn = [(mod, decompose(mod) if pk is None else pk, sh) for mod, pk, sh in drawn]
         split = split_non_brick([pk for _, pk, _ in drawn])
         if split is not None:
             k, x, dims = split
@@ -595,7 +641,9 @@ def _refine_blocks(
             last = str(exc)
             continue
         if plan is not None:
-            plan[:] = blocks
+            plan.blocks = blocks
+            if plan.rigid is None and decomposed and all(euler_form(q, x.dims, x.dims) == 1 for x in parts):
+                plan.rigid = (_round_shape(blocks, drawn), parts, shifted)
         return [mod for mod, _, _ in drawn], parts, shifted
     raise GenericityUncertified(f"{what} ({last})")
 
@@ -606,7 +654,7 @@ def generic_representation(
     rng_seed: int = 0,
     bound: int = 10,
     *,
-    plan: list[tuple[int, ...]] | None = None,
+    plan: BlockPlan | None = None,
 ) -> tuple[Representation, list[Representation]]:
     """A certified generic representative of dimension d plus its indecomposable parts.
 
@@ -630,7 +678,7 @@ def generic_representation(
 
     def sample(block: tuple[int, ...], seed0: int, k: int) -> tuple:
         x = random_representation(q, et_map(q, block, inverse=True), QQ, rng_seed=mix_seed(seed0, k), bound=bound)
-        return x, decompose(x), zero
+        return x, None, zero
 
     what = f"could not certify a generic representative of {d}"
     samples, parts, _ = _refine_blocks(q, et_map(q, d), sample, mix_seed(rng_seed, 0), what, plan=plan)

@@ -5,7 +5,7 @@ import pytest
 from clusterchar import QQ, direct_sum, simple_representation, validate_quiver
 from clusterchar.errors import CapExceeded, GenericityUncertified, NotPolynomialCount
 from clusterchar.quiver import et_map
-from clusterchar.replab import REFINE_ROUND_LIMIT, _refine_blocks, make_representation
+from clusterchar.replab import REFINE_ROUND_LIMIT, BlockPlan, _refine_blocks, make_representation
 from clusterchar.seeds import certify, mix_seed
 
 
@@ -149,12 +149,12 @@ R3 = _regular(1, 1)
 
 def test_a_stored_plan_is_sampled_from_round_0():
     gamma = et_map(KRON3, (2, 2, 0))
-    plan = [HALF, HALF]
+    plan = BlockPlan([HALF, HALF])
     sample, calls = _sampler([[(R1, [R1], ZERO), (R2, [R2], ZERO)]])
     modules, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, HALF, 0), (0, HALF, 1)]
     assert modules == [R1, R2] and parts == [R1, R2] and shifted == ZERO
-    assert plan == [HALF, HALF]
+    assert plan.blocks == [HALF, HALF]
 
 
 def test_a_run_that_never_certifies_leaves_the_plan_unchanged():
@@ -163,17 +163,17 @@ def test_a_run_that_never_certifies_leaves_the_plan_unchanged():
     later = [[(R1, [R1], ZERO)] * 2] * (REFINE_ROUND_LIMIT - 1)
     sample, calls = _sampler([[(direct_sum(R1, R2), [direct_sum(R1, R2)], ZERO)]] + later)
     for start in ([], [gamma]):
-        plan = list(start)
+        plan = BlockPlan(list(start))
         with pytest.raises(GenericityUncertified, match=r"Ext\(\(1, 1, 0\),\(1, 1, 0\)\)"):
             _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
-        assert plan == start
+        assert plan.blocks == start
     assert calls[:3] == [(0, gamma, 0), (1, HALF, 0), (1, HALF, 1)]
 
 
 def test_a_planned_block_that_shows_a_non_brick_keeps_refining():
     gamma = et_map(KRON3, (3, 3, 0))
     double = et_map(KRON3, (2, 2, 0))
-    plan = [HALF, double]
+    plan = BlockPlan([HALF, double])
     x = direct_sum(R2, R3)
     sample, calls = _sampler([
         [(R1, [R1], ZERO), (x, [x], ZERO)],
@@ -182,7 +182,7 @@ def test_a_planned_block_that_shows_a_non_brick_keeps_refining():
     _, parts, _ = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, HALF, 0), (0, double, 1), (1, HALF, 0), (1, HALF, 1), (1, HALF, 2)]
     assert parts == [R1, R2, R3]
-    assert plan == [HALF, HALF, HALF]
+    assert plan.blocks == [HALF, HALF, HALF]
 
 
 def test_the_plan_after_success_is_the_certified_blocks_with_the_negated_shift():
@@ -190,11 +190,74 @@ def test_the_plan_after_success_is_the_certified_blocks_with_the_negated_shift()
     shift = (0, 0, 1)
     gamma = tuple(a - b for a, b in zip(et_map(KRON3, (2, 2, 0)), shift))
     sample, _ = _sampler([[(x, [x], shift)], [(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
-    plan = []
+    plan = BlockPlan()
     _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
-    assert plan == [HALF, HALF, (0, 0, -1)]
+    assert plan.blocks == [HALF, HALF, (0, 0, -1)]
     # the next sample of the value starts from it and certifies in round 0
     sample, calls = _sampler([[(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
     _, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, HALF, 0), (0, HALF, 1), (0, (0, 0, -1), 2)]
     assert parts == [R1, R2] and shifted == shift
+
+
+# --- a value's first all-rigid round: later rounds take its parts when their modules are rigid ---
+
+BRICK = make_representation(A2, QQ, (1, 1), [[[1]]])  # rigid: dim End = 1 = <(1, 1), (1, 1)>
+BUNDLE = direct_sum(S1, S2)  # the same dims, not rigid: dim End = 2, Ext(S1, S2) != 0
+
+
+def _counting_decompose(monkeypatch):
+    """The modules `_refine_blocks` decomposes, in order."""
+    from clusterchar import replab
+
+    real, seen = replab.decompose, []
+
+    def counting(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(replab, "decompose", counting)
+    return seen
+
+
+def test_a_rigid_round_with_the_certified_dims_takes_the_certified_parts(monkeypatch):
+    gamma = et_map(A2, (1, 1))
+    decomposed = _counting_decompose(monkeypatch)
+    plan = BlockPlan()
+    sample, _ = _sampler([[(BRICK, None, (0, 0))]])
+    _, first, _ = _refine_blocks(A2, gamma, sample, SEED, "x", plan=plan)
+    assert decomposed == [BRICK] and plan.rigid is not None
+    other = make_representation(A2, QQ, (1, 1), [[[-7]]])  # another point of the open orbit
+    sample, calls = _sampler([[(other, None, (0, 0))]])
+    modules, parts, shifted = _refine_blocks(A2, gamma, sample, SEED, "x", plan=plan)
+    assert calls == [(0, gamma, 0)] and decomposed == [BRICK]
+    assert modules == [other] and parts is first and shifted == (0, 0)
+
+
+def test_a_non_rigid_round_with_the_certified_dims_is_decomposed_and_certified_as_before(monkeypatch):
+    gamma = et_map(A2, (1, 1))
+    decomposed = _counting_decompose(monkeypatch)
+    plan = BlockPlan()
+    _refine_blocks(A2, gamma, _sampler([[(BRICK, None, (0, 0))]])[0], SEED, "x", plan=plan)
+    # round 0 draws S1 ⊕ S2: its dims and shifted part are the certified ones, but it
+    # is decomposed and refused (Ext(S1, S2) != 0); round 1 draws a brick again
+    sample, calls = _sampler([[(BUNDLE, None, (0, 0))], [(BRICK, None, (0, 0))]])
+    modules, parts, _ = _refine_blocks(A2, gamma, sample, SEED, "x", plan=plan)
+    assert decomposed == [BRICK, BUNDLE] and len(calls) == 2
+    assert modules == [BRICK] and [p.dims for p in parts] == [(1, 1)]
+    sample, _ = _sampler([[(BUNDLE, None, (0, 0))]] * REFINE_ROUND_LIMIT)
+    with pytest.raises(GenericityUncertified, match=r"Ext\(\(1, 0\),\(0, 1\)\)"):
+        _refine_blocks(A2, gamma, sample, SEED, "x", plan=plan)
+
+
+def test_only_an_all_rigid_round_whose_blocks_were_all_decomposed_is_kept():
+    # the Kronecker brick (1, 1, 0) has <d, d> = 0: it is certified, never kept
+    gamma = et_map(KRON3, (1, 1, 0))
+    plan = BlockPlan()
+    _refine_blocks(KRON3, gamma, _sampler([[(R1, None, ZERO)]])[0], SEED, "x", plan=plan)
+    assert plan.blocks == [gamma] and plan.rigid is None
+    # summands given by the sampler (read off the quiver) are not a decomposition
+    gamma = et_map(A2, (1, 1))
+    plan = BlockPlan()
+    _refine_blocks(A2, gamma, _sampler([[(BRICK, [BRICK], (0, 0))]])[0], SEED, "x", plan=plan)
+    assert plan.rigid is None

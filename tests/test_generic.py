@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -32,8 +33,8 @@ from clusterchar import (
     virtual_generic_decomposition,
     zero_representation,
 )
-from clusterchar import generic, linalg, replab
-from clusterchar.characters import tree_character
+from clusterchar import characters, generic, linalg, replab
+from clusterchar.characters import ClusterObject, tree_character
 from clusterchar.config import RunConfig
 from clusterchar.errors import CapExceeded, ClusterCharError, GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import (
@@ -807,13 +808,15 @@ def test_cc_generic_splits_a_non_brick_once_per_value(monkeypatch, kronecker):
 
 def test_d4_samples_the_same_blocks_and_seeds_with_or_without_a_plan(monkeypatch):
     # no D4 value here refines, so its plan is [gamma] and every sample draws what
-    # it drew before plans existed
+    # it drew before plans existed; a sample that takes the certified parts of a
+    # rigid round still draws its own map, with the same seed
     d4 = quiver_from_text((QUIVERS / "d4.quiver").read_text())
 
     def draws():
         seen = []
         splits = _counting_splits(monkeypatch)
-        _recording(monkeypatch, generic, "sample_cone", lambda q, dec, seed, bound: seen.append((dec, seed)))
+        _recording(monkeypatch, generic, "sample_generic_proj_map",
+                   lambda q, dec, rng_seed=0, bound=10: seen.append((dec, rng_seed)))
         _recording(monkeypatch, replab, "random_representation",
                    lambda q, d, field, rng_seed, bound: seen.append((d, rng_seed)))
         for gamma in (et_map(d4, (1, 2, 1, 2)), (1, -1, 0, 1), (-1, 1, 1, -1), (2, -1, 0, -1)):
@@ -825,8 +828,127 @@ def test_d4_samples_the_same_blocks_and_seeds_with_or_without_a_plan(monkeypatch
         return seen
 
     planned = draws()
+    _unplanned(monkeypatch)
+    assert draws() == planned and len(planned) > 30, len(planned)
+
+
+def _unplanned(monkeypatch):
+    """Certify every sample without a block plan, as before plans existed."""
     refine = replab._refine_blocks
     unplanned = lambda *args, plan=None, **kwargs: refine(*args, **kwargs)  # noqa: E731
     monkeypatch.setattr(generic, "_refine_blocks", unplanned)
     monkeypatch.setattr(replab, "_refine_blocks", unplanned)
-    assert draws() == planned and len(planned) > 30, len(planned)
+
+
+# --- later samples of an all-rigid value: certified by one Hom rank, not decomposed ---
+
+D4 = quiver_from_text((QUIVERS / "d4.quiver").read_text(encoding="utf-8"))
+
+
+def _work(monkeypatch, run) -> Counter:
+    """Calls of cone_of_proj_map, decompose and hom_dim while run() computes."""
+    seen = Counter()
+    for module, name in ((generic, "cone_of_proj_map"), (replab, "decompose"), (replab, "hom_dim")):
+        _recording(monkeypatch, module, name, lambda *args, name=name: seen.update([name]))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_an_all_rigid_value_decomposes_its_first_sample_only(monkeypatch):
+    # D4 X(1, -1, 0, 1) at seed 1: five cones of the rigid brick (1, 1, 0, 1), each
+    # round 0 of its sample; the first is decomposed, the other four are rigid
+    def value():
+        return generic_character(D4, (1, -1, 0, 1), rng_seed=1, cache=CharacterCache())
+
+    value()  # the tree basis of (1, 1, 0, 1) is built once per process: build it first
+    assert _work(monkeypatch, value) == Counter(cone_of_proj_map=5, decompose=1, hom_dim=4)
+    # the certified round lives for one value: the next value decomposes again
+    assert _work(monkeypatch, value)["decompose"] == 1
+    _unplanned(monkeypatch)
+    assert _work(monkeypatch, value)["decompose"] == 5
+
+
+def test_a_value_with_a_non_rigid_part_decomposes_every_sample(monkeypatch, kronecker):
+    # X(2, -2): blocks (1, -1) twice, whose cones are regular bricks with <d, d> = 0
+    work = _work(monkeypatch, lambda: generic_character(kronecker, (2, -2), cache=CharacterCache()))
+    assert work["decompose"] == work["cone_of_proj_map"] == 11
+
+
+@pytest.mark.parametrize("quiver, gamma, seed", [
+    ("d4", (1, -1, 0, 1), 0), ("d4", (1, -1, 0, 1), 3), ("d4", (1, -1, 1, 1), 0),
+    ("d4", (1, 1, 0, 1), 0), ("d4", (-1, 0, -1, -1), 0), ("kronecker", (3, 0), 0),
+    ("kronecker", (-2, -1), 0), ("kronecker", (2, -1), 0), ("kronecker", (4, -3), 0),
+])
+def test_the_rigid_path_draws_the_same_cones_as_before(monkeypatch, kronecker, quiver, gamma, seed):
+    q = D4 if quiver == "d4" else kronecker
+
+    def value():
+        return generic_character(q, gamma, rng_seed=seed, cache=CharacterCache())
+
+    expected = value()  # tree bases are built once per process: build them first
+    planned = _work(monkeypatch, value)
+    _unplanned(monkeypatch)
+    unplanned = _work(monkeypatch, value)
+    assert value() == expected
+    assert planned["cone_of_proj_map"] == unplanned["cone_of_proj_map"]
+    if all(x >= 0 for x in gamma) or all(x <= 0 for x in gamma):
+        # read off the quiver, or a zero module: no Hom rank is added
+        assert planned["hom_dim"] == unplanned["hom_dim"]
+    else:
+        assert planned["decompose"] < unplanned["decompose"]
+
+
+def test_a_later_sample_that_is_not_rigid_is_decomposed_and_refused(monkeypatch):
+    # sample 2 of X(1, -1, 0, 1) gets S1 ⊕ S2 ⊕ S4, which has the certified dims
+    # (1, 1, 0, 1) and shifted part 0 but is not rigid: it must be decomposed and
+    # refused (Ext(S1, S2) != 0), as before, and never take the certified parts
+    gamma = (1, -1, 0, 1)
+    expected = generic_character(D4, gamma, rng_seed=1, cache=CharacterCache())
+    real_cone, cones, degenerate = generic.cone_of_proj_map, [], []
+
+    def degenerate_third(f):
+        cone = real_cone(f)
+        cones.append(cone)
+        if len(cones) != 3:
+            return cone
+        d = cone.module.dims
+        zero = tuple(tuple((0,) * d[s - 1] for _ in range(d[t - 1])) for s, t in D4.arrows)
+        degenerate.append(Representation(D4, QQ, d, zero))
+        return ClusterObject(degenerate[0], cone.shifted)
+
+    decomposed, refused = [], []
+    real_certify = replab._certify_pattern
+
+    def certifying(q, g, parts, shifted):
+        try:
+            real_certify(q, g, parts, shifted)
+        except GenericityUncertified as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(generic, "cone_of_proj_map", degenerate_third)
+    _recording(monkeypatch, replab, "decompose", decomposed.append)
+    monkeypatch.setattr(replab, "_certify_pattern", certifying)
+    assert generic_character(D4, gamma, rng_seed=1, cache=CharacterCache()) == expected
+    assert cones[2].module.dims == degenerate[0].dims == (1, 1, 0, 1) and not any(cones[2].shifted)
+    assert len(cones) == 6 and [m is degenerate[0] for m in decomposed] == [False, True]
+    assert refused == ["Ext((1, 0, 0, 0),(0, 1, 0, 0)) nonzero on the sample"]
+
+
+def test_cc_generic_counts_each_samples_own_module(monkeypatch):
+    # D4 (1, 2, 1, 1) at seed 1: four of the five samples take the first one's
+    # certified parts, but cc_module still counts each sample's own representative
+    drawn, counted, decomposed = [], [], []
+    real = replab.random_representation
+
+    def drawing(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(replab, "random_representation", drawing)
+    _recording(monkeypatch, characters, "cc_module", lambda m, cap: counted.append(m))
+    _recording(monkeypatch, replab, "decompose", decomposed.append)
+    cc_generic(D4, (1, 2, 1, 1), rng_seed=1)
+    assert len(decomposed) == 1 and len({m.maps for m in drawn}) == 5
+    assert counted == drawn
