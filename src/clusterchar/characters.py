@@ -7,7 +7,6 @@ characteristics with exponents read off the (antisymmetrized) Euler form.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -16,7 +15,7 @@ from typing import Mapping, Sequence
 from .errors import SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial
 from .linalg import QQ
-from .quiver import Quiver, antisym_form_simple, et_map, euler_data, euler_form, vertex_vector
+from .quiver import Quiver, antisym_form_simple, et_map, euler_form, vertex_vector
 from .replab import (
     BlockPlan,
     ReductionPool,
@@ -79,7 +78,7 @@ def cc_module(m: Representation, cap: int = 5_000_000) -> LaurentPoly:
     """The Caldero-Chapoton character of a module, by direct Grassmannian counting.
 
     X_M = sum_e chi(Gr_e(M)) prod_i x_i^{<S_i,e>_a - <S_i, dim M>}. One reduction
-    pool (End dimension, good primes, reduced copies of M) serves every e.
+    pool (good primes, reduced copies of M) serves every e.
     """
     pool = ReductionPool(m)
     subdims = product(*(range(di + 1) for di in m.dims))
@@ -159,48 +158,33 @@ def accepts_tree(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> bool:
     return tree_representation(q, d, edges).end_dim == 1
 
 
-def _poly_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(map(operator.add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
-def _poly_add(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for e, c in g.items():
-        out[e] = out.get(e, 0) + c
-    return out
-
-
 def subset_counts(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> dict[tuple[int, ...], int]:
     """e -> the number of successor-closed sets of basis vectors of dimension vector e.
 
     A set is successor-closed when each edge x -> y with x in it has y in it. One pass
-    over the forest, leaves first, keeps two generating polynomials in y^e per node:
-    subsets of its subtree with the node in, and with it out. No subset is listed.
+    over the forest, leaves first, keeps two generating polynomials in y^e per node
+    (`LaurentPoly`): subsets of its subtree with the node in, and with it out. No
+    subset is listed. No prime or sample enters, so `tree_character` runs it once
+    per (quiver, d), unlike the point counts of `cc_module`, which live for one value.
     """
     order = _walk(q, d, edges)
     if order is None:
         raise ValueError("the edges close a cycle")
     n = q.n
-    zero = (0,) * n
-    inside = {node: {tuple(int(k == node[0]) for k in range(n)): 1} for node, *_ in order}
-    outside = {node: {zero: 1} for node, *_ in order}
-    total = {zero: 1}
+    inside = {node: monomial(n, tuple(int(k == node[0]) for k in range(n))) for node, *_ in order}
+    outside = {node: LaurentPoly.one(n) for node, *_ in order}
+    total = LaurentPoly.one(n)
     for node, parent, _a, forward in reversed(order):
-        both = _poly_add(inside[node], outside[node])
+        both = inside[node] + outside[node]
         if parent is None:
-            total = _poly_mul(total, both)
+            total = total * both
         elif forward:  # parent -> node: parent in forces node in
-            inside[parent] = _poly_mul(inside[parent], inside[node])
-            outside[parent] = _poly_mul(outside[parent], both)
+            inside[parent] = inside[parent] * inside[node]
+            outside[parent] = outside[parent] * both
         else:  # node -> parent: node in forces parent in
-            inside[parent] = _poly_mul(inside[parent], both)
-            outside[parent] = _poly_mul(outside[parent], outside[node])
-    return total
+            inside[parent] = inside[parent] * both
+            outside[parent] = outside[parent] * outside[node]
+    return total.terms
 
 
 @lru_cache(maxsize=4096)
@@ -234,7 +218,8 @@ def tree_basis(q: Quiver, d: tuple[int, ...]) -> tuple[Edge, ...] | None:
     return edges if accepts_tree(q, d, edges) else None
 
 
-def tree_character(q: Quiver, d: Sequence[int]) -> LaurentPoly | None:
+@lru_cache(maxsize=4096)
+def tree_character(q: Quiver, d: tuple[int, ...]) -> LaurentPoly | None:
     """The CC character of the exceptional module of dims d from a tree basis, or None.
 
     Call it only for d with <d, d> = 1. An exceptional module has a basis whose
@@ -247,9 +232,12 @@ def tree_character(q: Quiver, d: Sequence[int]) -> LaurentPoly | None:
     characteristics of quiver Grassmannians and Ringel-Hall algebras of string
     algebras"). T is a brick with <d, d> = 1, so ext(T, T) = 0: T is the
     exceptional module of dims d, unique up to isomorphism (Kac). No prime is
-    used and nothing is sampled; None sends the caller to `cc_module`.
+    used and nothing is sampled, so the value is structure of (quiver, d), like
+    `tree_basis`, and is built once per pair: finding it again for another value
+    would repeat the same arithmetic and add no independent evidence. None sends
+    the caller to `cc_module`, whose counts live for one value.
     """
-    edges = tree_basis(q, tuple(d))
+    edges = tree_basis(q, d)
     if edges is None:
         return None
     return _character(q, d, subset_counts(q, d, edges))
@@ -267,17 +255,20 @@ def index_of(x: ClusterObject) -> tuple[int, ...]:
 
 def coindex_of(x: ClusterObject) -> tuple[int, ...]:
     """E·dim(module) - shifted."""
-    ed = euler_data(x.quiver)
-    n = x.quiver.n
-    d = x.module.dims
-    return tuple(sum(ed.E[i][j] * d[j] for j in range(n)) - x.shifted[i] for i in range(n))
+    minus_e_dim = g_vector_of_index(x.quiver, et_map(x.quiver, x.module.dims))
+    return tuple(-g - s for g, s in zip(minus_e_dim, x.shifted))
 
 
 def g_vector_of_index(q: Quiver, gamma: Sequence[int]) -> tuple[int, ...]:
-    """C^{-1}·gamma = -E·E^{-t}·gamma (valid when the generic cone of gamma is a module)."""
-    ed = euler_data(q)
+    """C^{-1}·gamma = -E·E^{-t}·gamma (valid when the generic cone of gamma is a module).
+
+    E = I - A, so (E·v)_s = v_s - sum over arrows s -> t of v_t.
+    """
     v = et_map(q, gamma, inverse=True)
-    return tuple(-sum(ed.E[i][j] * v[j] for j in range(q.n)) for i in range(q.n))
+    out = [-x for x in v]
+    for s, t in q.arrows:
+        out[s - 1] += v[t - 1]
+    return tuple(out)
 
 
 def cc_generic(

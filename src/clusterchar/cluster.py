@@ -100,8 +100,11 @@ def enumerate_seeds(q: Quiver, limit: int = 20000) -> EnumerationResult:
     Every produced variable is checked to be a genuine Laurent polynomial (its
     denominator is a monomial by construction of the exact division). The
     variables come back sorted by their canonical text. At most `limit` seeds
-    are kept: when the closure needs one more, it stops with closed False.
+    are kept: when the closure needs one more, it stops with closed False. A
+    limit below 1 raises ValueError, since the initial seed is always kept.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be a positive integer, got {limit}")
     start = initial_seed(q)
     seen: dict[frozenset[LaurentPoly], Seed] = {start.cluster_key(): start}
     queue = deque([start])

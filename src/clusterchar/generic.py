@@ -12,11 +12,11 @@ unique for its dimension vector. It is read off a tree basis of dims d when one
 is built (`characters.tree_character`: successor-closed basis subsets, no
 primes), and counted by `cc_module` when none is. So for an all-rigid pattern
 the five samples agree on the certified pattern, and rigidity proves that their
-values agree. Parts that are not rigid are counted on every sample. The per-value
-rule is the same on both paths. A value also keeps a block plan (`BlockPlan`):
-the blocks of the last round that certified (`_refine_blocks`). Its later samples
-and attempts start from it, so a non-brick cone such as the Kronecker (4, 4) is
-split once per value, not once per sample; each sample still draws its own maps.
+values agree. Parts that are not rigid are counted on every sample. A value also
+keeps a block plan (`BlockPlan`): the blocks of the last round that certified
+(`_refine_blocks`). Its later samples and attempts start from it, so a non-brick
+cone such as the Kronecker (4, 4) is split once per value, not once per sample;
+each sample still draws its own maps.
 The plan also keeps the value's first certified round whose parts are all rigid.
 A later sample whose module has that round's dims and shifted part is certified
 by one Hom rank instead of a decomposition: dim End M = <dim M, dim M> means
@@ -24,14 +24,16 @@ ext(M, M) = 0, so M is rigid. A rigid module has an open orbit in rep(d) (Voigt;
 Kac 1982), and two open orbits of the irreducible rep(d) meet, so M is isomorphic
 to the certified module, whose parts it takes: bricks, no Ext between them, the
 same disjoint shifted support. A module that fails the rank is decomposed and
-certified as any other. The reused counts, the plan and its certified round never
-outlive one value, so values compared with each other (cc-agreement,
+certified as any other. The map of rigid characters, the plan and its certified
+round never outlive one value, so values compared with each other (cc-agreement,
 multiplicativity) are computed independently; `cc_generic` still counts each
 sample's own module. What does outlive a value is the plan of a cone (`_cone_plan`):
 bases and index tables fixed by (quiver, gamma1, gamma0), never a sampled
 coefficient, so sharing it shares no evidence. The same holds for a tree basis
-(`characters.tree_basis`), fixed by (quiver, d); the character read off it is
-found again for each value.
+(`characters.tree_basis`) and the character read off it
+(`characters.tree_character`), both fixed by (quiver, d) with no prime and no
+sample: computing them again for each value would repeat identical arithmetic.
+Only counts, which `cc_module` makes prime by prime, live for one value.
 
 An index gamma >= 0 needs no decomposition: gamma1 = 0, the map is 0 and its cone
 is P(gamma0) = ⊕ P_i^gamma0_i on every sample, so X(gamma) is a cluster monomial
@@ -240,24 +242,14 @@ def _draw_cone(q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int) -> 
     ⊕ P_i^gamma0_i whatever the seed, so its summands are read off the quiver
     (`_projective_summand`): each P_i is a brick and projectives have no Ext. The
     P_i objects are shared between samples and values as structure; no count is
-    kept on them. Otherwise the summands are None: the module is to be decomposed.
+    kept on them. Otherwise the summands are None: the module is to be decomposed
+    (`decompose`, or `_refine_blocks`' certification by rigidity).
     """
     cone = cone_of_proj_map(sample_generic_proj_map(q, dec, rng_seed, bound))
     if any(dec.gamma1):
         return cone.module, None, cone.shifted
     parts = [_projective_summand(q, i) for i, g in enumerate(dec.gamma0, start=1) for _ in range(g)]
     return cone.module, parts, cone.shifted
-
-
-def sample_cone(
-    q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int
-) -> tuple[Representation, list[Representation], IntVec]:
-    """Module part, its summands and shifted part of the cone of one sampled P(gamma1) -> P(gamma0).
-
-    `decompose` is a function of the cone's module; see `_draw_cone`.
-    """
-    module, parts, shifted = _draw_cone(q, dec, rng_seed, bound)
-    return module, decompose(module) if parts is None else parts, shifted
 
 
 def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
@@ -287,8 +279,8 @@ def _pattern_value(
     exceptional, hence determined up to isomorphism by d (Kac; Ringel). Its
     character is therefore read from `rigid` (dims -> character), which the caller
     keeps for one certified value. On first sight it comes from a tree basis of
-    dims d (`tree_character`), or is counted by `cc_module` when d has none. Every
-    other part is counted each time.
+    dims d (`tree_character`, built once per (quiver, d) as structure), or is
+    counted by `cc_module` when d has none. Every other part is counted each time.
     """
     value = monomial(len(shifted), shifted)
     for part in parts:
@@ -509,7 +501,8 @@ def stability_check(
     )
 
     def draw(attempt: int, s: int) -> tuple[list[Representation], IntVec]:
-        return sample_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound)[1:]
+        module, parts, shifted = _draw_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound)
+        return decompose(module) if parts is None else parts, shifted
 
     parts, shift = certify(draw, retries, f"padded character for {g} + {pd}", key=cone_signature)
     _certify_pattern(q, g, parts, shift)

@@ -915,7 +915,6 @@ class ReductionPool:
 
     def __init__(self, m: Representation):
         self.m = m
-        self.end_dim = m.end_dim
         self._bad = _denominator_lcm(m)
         self._gen = _primes()
         self._reduced: list[tuple[int, Representation]] = []
@@ -927,7 +926,7 @@ class ReductionPool:
             p = next(self._gen)
             if self._bad % p != 0:
                 mp = make_representation(m.quiver, GF(p), m.dims, m.maps)
-                if hom_dim(mp, mp) == self.end_dim:
+                if hom_dim(mp, mp) == m.end_dim:
                     self._reduced.append((p, mp))
         return self._reduced[k]
 
@@ -959,7 +958,7 @@ def grassmannian_euler(
     if pool is None:
         pool = ReductionPool(m)
     rest = tuple(di - ei for ei, di in zip(e, m.dims))
-    bound = euler_form(m.quiver, e, rest) + pool.end_dim - euler_form(m.quiver, m.dims, m.dims)
+    bound = euler_form(m.quiver, e, rest) + m.end_dim - euler_form(m.quiver, m.dims, m.dims)
     if bound < 0:
         return GrassmannianCount(e=e, counts={}, euler=0)
     deg = min(sum(ei * ri for ei, ri in zip(e, rest)), bound)

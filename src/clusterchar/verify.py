@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 from typing import Callable
 
-from .characters import cc_generic
+from .characters import cc_generic, g_vector_of_index
 from .cluster import cluster_monomials_up_to, initial_seed, is_cluster_monomial, mutate_seed
 from .config import RunConfig
 from .errors import ClusterCharError, GenericityUncertified
@@ -128,18 +127,14 @@ def suite_finite_type_equality(q: Quiver, config: RunConfig) -> SuiteReport:
     return report
 
 
-KRONECKER_MUTATION_SEQUENCES: dict[tuple[int, int], tuple[int, ...]] = {
-    (1, 0): (1,),
-    (2, 1): (1, 2),
-    (3, 2): (1, 2, 1),
-    (0, 1): (2,),
-    (1, 2): (2, 1),
-    (2, 3): (2, 1, 2),
-}
-
-
 def suite_monomial_containment(q: Quiver, config: RunConfig) -> SuiteReport:
-    """Kronecker rigid indecomposables: X(ind) equals an explicitly mutated variable."""
+    """Kronecker rigid indecomposables: X(ind) equals an explicitly mutated variable.
+
+    The variables are those of the first three steps of the two alternating
+    mutation chains from the initial seed, 1, 2, 1 and 2, 1, 2. The variable made
+    at a step is X_M for the rigid indecomposable M whose dimension vector is its
+    denominator vector beta (Caldero-Keller), so it must equal X(E^t·beta).
+    """
     report = SuiteReport("monomial-containment", q.key())
     if q.key() != KRONECKER_KEY:
         report.add("quiver is the Kronecker quiver (two arrows 1->2)", False, q.key())
@@ -151,9 +146,14 @@ def suite_monomial_containment(q: Quiver, config: RunConfig) -> SuiteReport:
         return x == variable, x.to_text()
 
     init = initial_seed(q)
-    for beta, seq in KRONECKER_MUTATION_SEQUENCES.items():
-        report.check(f"X(ind {beta}) = mutation {list(seq)} variable",
-                     lambda: equals(et_map(q, beta), reduce(mutate_seed, seq, init).cluster[seq[-1] - 1]))
+    for first in (1, 2):
+        seed, seq = init, []
+        for k in (first, 3 - first, first):
+            seed = mutate_seed(seed, k)
+            seq.append(k)
+            variable = seed.cluster[k - 1]
+            beta = denominator_vector(variable)
+            report.check(f"X(ind {beta}) = mutation {seq} variable", lambda: equals(et_map(q, beta), variable))
     for i in (1, 2):
         gamma = tuple(-1 if k == i - 1 else 0 for k in range(2))
         report.check(f"X(P_{i}[1]) = x{i}", lambda: equals(gamma, init.cluster[i - 1]))
@@ -238,7 +238,7 @@ def suite_gvectors(q: Quiver, config: RunConfig) -> SuiteReport:
         module_cones += 1
         dim = [sum(b[i] for b in betas) for i in range(n)]
         idx = et_map(q, dim)
-        g = tuple(-sum(ed.E[i][j] * dim[j] for j in range(n)) for i in range(n))  # minus the coindex E·dim
+        g = g_vector_of_index(q, idx)  # minus the coindex E·dim
         cg = tuple(sum(ed.C[i][j] * g[j] for j in range(n)) for i in range(n))
         report.add(
             f"gamma={gamma}: ind = E^t·dim = gamma and C·g = gamma",

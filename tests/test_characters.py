@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -30,13 +31,18 @@ from clusterchar import (
 )
 from clusterchar.characters import (
     accepts_tree,
-    euler_data,
     subset_counts,
     tree_basis,
     tree_character,
     tree_representation,
 )
 from clusterchar.errors import SubdimensionOutOfRange
+from clusterchar.quiver import euler_data, quiver_from_text
+
+SHIPPED = {
+    path.stem: quiver_from_text(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(__file__).resolve().parent.parent / "quivers").glob("*.quiver"))
+}
 
 
 def test_cc_module_frozen_values(a2):
@@ -113,6 +119,27 @@ def test_g_vector_is_minus_coindex_for_modules(a2, a3):
             m, _ = generic_representation(q, alpha, rng_seed=3)
             obj = ClusterObject(m, (0,) * q.n)
             assert g_vector_of_index(q, index_of(obj)) == tuple(-x for x in coindex_of(obj))
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_coindex_and_g_vector_against_the_euler_matrix(name):
+    # reference values from the matrices E and E^{-t} of euler_data, on seeded objects
+    q = SHIPPED[name]
+    ed, n = euler_data(q), q.n
+    rng = random.Random(29)
+
+    def times(m, v):
+        return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+
+    for seed in range(10):
+        dims = tuple(rng.randint(0, 2) for _ in range(n))
+        shifted = tuple(rng.randint(0, 2) for _ in range(n))
+        obj = ClusterObject(random_representation(q, dims, rng_seed=seed), shifted)
+        assert coindex_of(obj) == tuple(x - s for x, s in zip(times(ed.E, dims), shifted))
+        module_only = ClusterObject(obj.module, (0,) * n)
+        assert g_vector_of_index(q, index_of(module_only)) == tuple(-x for x in times(ed.E, dims))
+        gamma = tuple(rng.randint(-3, 3) for _ in range(n))
+        assert g_vector_of_index(q, gamma) == tuple(-x for x in times(ed.E, times(ed.Etinv, gamma)))
 
 
 def test_denominator_matches_dimension_small(a2):

@@ -22,6 +22,7 @@ from clusterchar import (
     shifted_object,
     validate_quiver,
 )
+from clusterchar import cluster
 from clusterchar.errors import BadVertex, NotFiniteType
 from dynkin_oracle import indecomposable_for_root
 
@@ -93,6 +94,20 @@ def test_enumeration_stops_at_the_limit(a2, kronecker):
     short = enumerate_seeds(a2, limit=4)
     assert len(short.seeds) == 4 and not short.closed
     assert set(short.variables) == {v for seed in short.seeds for v in seed.cluster}
+
+
+def test_enumeration_refuses_a_limit_below_one(a2, kronecker, monkeypatch):
+    # the initial seed is always kept, so "at most limit seeds" cannot hold for a
+    # limit below 1: it is refused before any mutation, also on the Kronecker,
+    # whose closure never ends
+    def no_mutation(*args):
+        raise AssertionError("mutated")
+
+    monkeypatch.setattr(cluster, "mutate_seed", no_mutation)
+    for q in (a2, kronecker):
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit must be a positive integer"):
+                enumerate_seeds(q, limit=limit)
 
 
 def test_laurent_phenomenon_monomial_denominators(a3):

@@ -254,7 +254,9 @@ def test_d4_cone_summands_with_end_q_x_q_are_split():
     d4 = quiver_from_text((QUIVERS / "d4.quiver").read_text())
     gamma = et_map(d4, (1, 2, 1, 2))
     for seed in range(6):
-        _, parts, _ = generic.sample_cone(d4, min_proj_decomposition(gamma), seed, 10)
+        module, parts, _ = generic._draw_cone(d4, min_proj_decomposition(gamma), seed, 10)
+        assert parts is None  # a mixed index: the drawn module is to be decomposed
+        parts = replab.decompose(module)
         for x in parts:
             fresh = Representation(d4, QQ, x.dims, x.maps)  # no End dimension recorded
             assert x.end_dim == hom_dim(fresh, fresh) == 1
@@ -269,8 +271,9 @@ PROJECTIVE_CONE_QUIVERS.update({"a2-affine": "3\n1 2\n2 3\n1 3\n", "kronecker3":
 
 @pytest.mark.parametrize("name", sorted(PROJECTIVE_CONE_QUIVERS))
 def test_nonnegative_cone_summands_come_from_the_quiver(monkeypatch, name):
-    # gamma >= 0: the cone is P(gamma0), whose summands `sample_cone` takes from
-    # the quiver without decomposing; they must be what `decompose` finds
+    # gamma >= 0: the cone is P(gamma0), whose summands `_draw_cone` takes from
+    # the quiver without decomposing; they must be what `decompose` finds. A mixed
+    # index leaves its summands to the caller: None, and still no decomposition
     q = quiver_from_text(PROJECTIVE_CONE_QUIVERS[name])
     decompose = generic.decompose
     calls = []
@@ -283,7 +286,7 @@ def test_nonnegative_cone_summands_come_from_the_quiver(monkeypatch, name):
     for gamma in product(range(3), repeat=q.n):
         if not any(gamma):
             continue
-        module, parts, shifted = generic.sample_cone(q, min_proj_decomposition(gamma), 5, 10)
+        module, parts, shifted = generic._draw_cone(q, min_proj_decomposition(gamma), 5, 10)
         assert not calls, (name, gamma)
         assert shifted == (0,) * q.n
         assert sorted(x.dims for x in parts) == sorted(x.dims for x in decompose(module)), (name, gamma)
@@ -291,8 +294,8 @@ def test_nonnegative_cone_summands_come_from_the_quiver(monkeypatch, name):
             fresh = Representation(q, QQ, x.dims, x.maps)  # no End dimension recorded
             assert x.end_dim == hom_dim(fresh, fresh) == 1
     mixed = (1, -1) + (0,) * (q.n - 2)
-    generic.sample_cone(q, min_proj_decomposition(mixed), 5, 10)
-    assert len(calls) == 1
+    _, parts, _ = generic._draw_cone(q, min_proj_decomposition(mixed), 5, 10)
+    assert parts is None and not calls
 
 
 def test_generic_character_frozen_values(a2):
@@ -526,13 +529,13 @@ def test_padded_sample_of_a_refined_cone_is_uncertified(kronecker, monkeypatch, 
     # names the non-brick: no further attempt is drawn.
     cache = CharacterCache()
     generic_character(kronecker, (2, -2), rng_seed=seed, cache=cache)
-    real, calls = generic.sample_cone, []
+    real, calls = generic._draw_cone, []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(generic, "sample_cone", counting)
+    monkeypatch.setattr(generic, "_draw_cone", counting)
     with pytest.raises(GenericityUncertified, match="non-brick summand"):
         stability_check(kronecker, (2, -2), pad, rng_seed=seed, cache=cache)
     if any(pad):
@@ -671,6 +674,22 @@ def test_frontier_rigid_value_is_not_counted(monkeypatch, kronecker):
     trees = _counting_tree_character(monkeypatch)
     generic_character(kronecker, (4, -3), cache=CharacterCache())
     assert counted == [] and trees == [(4, 5)]
+
+
+def test_tree_character_is_built_once_per_quiver_and_dims(monkeypatch, kronecker):
+    # a tree character uses no prime and no sample: two values of X(4, -3), each
+    # with a fresh character cache, make one subset pass between them
+    characters.tree_character.cache_clear()
+    real, calls = characters.subset_counts, []
+
+    def counting(q, d, edges):
+        calls.append(d)
+        return real(q, d, edges)
+
+    monkeypatch.setattr(characters, "subset_counts", counting)
+    first = generic_character(kronecker, (4, -3), cache=CharacterCache())
+    second = generic_character(kronecker, (4, -3), cache=CharacterCache())
+    assert calls == [(4, 5)] and first == second
 
 
 def test_rigid_part_without_a_tree_basis_is_counted_once_per_value(monkeypatch):
