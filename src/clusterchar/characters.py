@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb, prod
 from typing import Mapping, Sequence
 
-from .errors import SubdimensionOutOfRange
+from .errors import FieldMismatch, SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial
 from .linalg import QQ
-from .quiver import Quiver, antisym_form_simple, et_map, euler_form, vertex_vector
+from .quiver import Quiver, et_map, vertex_vector
 from .replab import (
     BlockPlan,
     ReductionPool,
@@ -62,28 +63,55 @@ def shifted_object(q: Quiver, shifted: Sequence[int]) -> ClusterObject:
 
 
 def _character(q: Quiver, d: Sequence[int], chis: Mapping[tuple[int, ...], int]) -> LaurentPoly:
-    """sum_e chis[e] prod_i x_i^{<S_i,e>_a - <S_i, d>}, for the Euler characteristics chi(Gr_e)."""
-    n = q.n
-    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    base = [-euler_form(q, units[i], d) for i in range(n)]
-    out = LaurentPoly.zero(n)
+    """sum_e chis[e] prod_i x_i^{<S_i,e>_a - <S_i, d>}, for the Euler characteristics chi(Gr_e).
+
+    <S_i, d> = d_i - sum over arrows i -> t of d_t, and <S_i,e>_a = <S_i,e> - <e,S_i> =
+    sum over arrows s -> i of e_s - sum over arrows i -> t of e_t, so one pass over the
+    arrows gives each exponent. Terms that share an exponent are summed and zero sums
+    dropped before the one `LaurentPoly` is built.
+    """
+    terms: dict[tuple[int, ...], int] = {}
     for e, chi in chis.items():
         if chi:
-            expo = tuple(base[i] + antisym_form_simple(q, i + 1, e) for i in range(n))
-            out = out + LaurentPoly(n, {expo: chi})
-    return out
+            expo = [-x for x in d]
+            for s, t in q.arrows:
+                expo[s - 1] += d[t - 1] - e[t - 1]
+                expo[t - 1] += e[s - 1]
+            key = tuple(expo)
+            terms[key] = terms.get(key, 0) + chi
+    return LaurentPoly(q.n, {key: c for key, c in terms.items() if c})
 
 
 def cc_module(m: Representation, cap: int = 5_000_000) -> LaurentPoly:
-    """The Caldero-Chapoton character of a module, by direct Grassmannian counting.
+    """The Caldero-Chapoton character of a rational module, read off or counted per e.
 
-    X_M = sum_e chi(Gr_e(M)) prod_i x_i^{<S_i,e>_a - <S_i, dim M>}. One reduction
-    pool (good primes, reduced copies of M) serves every e.
+    X_M = sum_e chi(Gr_e(M)) prod_i x_i^{<S_i,e>_a - <S_i, dim M>}. An arrow a: s -> t
+    is active at e when e_s > 0, e_t < d_t and M_a != 0. Two cases need no prime:
+    - no arrow active: for each arrow U_s = 0, U_t = M_t or M_a = 0, so every choice
+      of subspaces of dims e is a subrepresentation, Gr_e(M) = prod_v Gr(e_v, d_v)
+      and chi = prod_v C(d_v, e_v);
+    - M thin (every d_v <= 1) and some a active: then U_s = M_s and U_t = 0, but
+      M_a(M_s) != 0, so Gr_e(M) is empty and chi = 0.
+    Every other e goes to `grassmannian_euler`, and one reduction pool (good primes,
+    reduced copies of M), built at the first such e, serves them all. So a thin
+    module reduces nothing mod p and counts nothing, and `cap` bounds only the
+    counted e: an exact e never raises CapExceeded.
     """
-    pool = ReductionPool(m)
-    subdims = product(*(range(di + 1) for di in m.dims))
-    chis = {e: grassmannian_euler(m, e, cap=cap, pool=pool).euler for e in subdims}
-    return _character(m.quiver, m.dims, chis)
+    if m.field.p is not None:
+        raise FieldMismatch("cc_module expects a rational representation")
+    d = m.dims
+    live = [(s - 1, t - 1) for (s, t), mat in zip(m.quiver.arrows, m.maps) if any(any(row) for row in mat)]
+    thin = max(d, default=0) <= 1
+    pool = None
+    chis = {}
+    for e in product(*(range(x + 1) for x in d)):
+        if not any(e[s] and e[t] < d[t] for s, t in live):
+            chis[e] = prod(map(comb, d, e))
+        elif not thin:  # a thin module with an active arrow has chi 0
+            if pool is None:
+                pool = ReductionPool(m)
+            chis[e] = grassmannian_euler(m, e, cap=cap, pool=pool).euler
+    return _character(m.quiver, d, chis)
 
 
 # --- characters of exceptional modules from a tree basis ---
@@ -283,8 +311,10 @@ def cc_generic(
 
     Five independently sampled representatives must give equal characters; the
     first certified sample leaves the later ones its blocks and, when its parts are
-    all rigid, its parts (`replab.BlockPlan`). Each sample's own representative is
-    counted, so agreement stays an independent check.
+    all rigid, its parts (`replab.BlockPlan`). Each sample's own representative gets
+    its own character from `cc_module`, read off where no arrow is active or the
+    module is thin and counted elsewhere, never from a tree basis, so agreement
+    stays an independent check.
     """
     alpha = vertex_vector(q, alpha, "alpha")
     plan = BlockPlan()  # lives for this value only

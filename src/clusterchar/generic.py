@@ -10,9 +10,10 @@ Within one value, the character of a rigid brick part (<d, d> = 1) is found on
 the first sample that meets it and reused after that: an exceptional module is
 unique for its dimension vector. It is read off a tree basis of dims d when one
 is built (`characters.tree_character`: successor-closed basis subsets, no
-primes), and counted by `cc_module` when none is. So for an all-rigid pattern
+primes), and found by `cc_module` when none is. So for an all-rigid pattern
 the five samples agree on the certified pattern, and rigidity proves that their
-values agree. Parts that are not rigid are counted on every sample. A value also
+values agree. Parts that are not rigid go to `cc_module` on every sample, which
+reads a thin one off without a prime and counts the rest. A value also
 keeps a block plan (`BlockPlan`): the blocks of the last round that certified
 (`_refine_blocks`). Its later samples and attempts start from it, so a non-brick
 cone such as the Kronecker (4, 4) is split once per value, not once per sample;
@@ -26,21 +27,23 @@ to the certified module, whose parts it takes: bricks, no Ext between them, the
 same disjoint shifted support. A module that fails the rank is decomposed and
 certified as any other. The map of rigid characters, the plan and its certified
 round never outlive one value, so values compared with each other (cc-agreement,
-multiplicativity) are computed independently; `cc_generic` still counts each
-sample's own module. What does outlive a value is the plan of a cone (`_cone_plan`):
-bases and index tables fixed by (quiver, gamma1, gamma0), never a sampled
-coefficient, so sharing it shares no evidence. The same holds for a tree basis
-(`characters.tree_basis`) and the character read off it
-(`characters.tree_character`), both fixed by (quiver, d) with no prime and no
-sample: computing them again for each value would repeat identical arithmetic.
-Only counts, which `cc_module` makes prime by prime, live for one value.
+multiplicativity) are computed independently; `cc_generic` still finds the
+character of each sample's own module with `cc_module`. What does outlive a
+value is the plan of a cone (`_cone_plan`): bases and index tables fixed by
+(quiver, gamma1, gamma0), never a sampled coefficient, so sharing it shares no
+evidence. The same holds for a tree basis (`characters.tree_basis`) and the
+character read off it (`characters.tree_character`), both fixed by (quiver, d)
+with no prime and no sample: computing them again for each value would repeat
+identical arithmetic.
+Only what `cc_module` finds for a sampled module, read off at the subdimensions
+that allow it and counted prime by prime at the others, lives for one value.
 
 An index gamma >= 0 needs no decomposition: gamma1 = 0, the map is 0 and its cone
 is P(gamma0) = ⊕ P_i^gamma0_i on every sample, so X(gamma) is a cluster monomial
 in the CC(P_i) (Caldero-Keller). The summands are the quiver's projectives, one
 shared object per (quiver, i) (`_projective_summand`). Like a plan, such an
-object is structure and holds no count: the rigid counts above still live for
-one value, and the samples still pass the same pattern certificate.
+object is structure and holds no count: the rigid characters above still live
+for one value, and the samples still pass the same pattern certificate.
 """
 
 from __future__ import annotations
@@ -279,8 +282,8 @@ def _pattern_value(
     exceptional, hence determined up to isomorphism by d (Kac; Ringel). Its
     character is therefore read from `rigid` (dims -> character), which the caller
     keeps for one certified value. On first sight it comes from a tree basis of
-    dims d (`tree_character`, built once per (quiver, d) as structure), or is
-    counted by `cc_module` when d has none. Every other part is counted each time.
+    dims d (`tree_character`, built once per (quiver, d) as structure), or from
+    `cc_module` when d has none. Every other part goes to `cc_module` each time.
     """
     value = monomial(len(shifted), shifted)
     for part in parts:

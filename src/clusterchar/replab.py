@@ -909,8 +909,8 @@ class ReductionPool:
 
     A prime is good when it divides no denominator of M and dim End does not jump
     there (End is upper-semicontinuous, so a jump is exactly a degenerate reduction
-    with possibly different counts). `cc_module` builds one pool per module and
-    shares it across every subdimension vector e.
+    with possibly different counts). `cc_module` builds one pool per module, at the
+    first subdimension vector e it must count, and shares it across the rest.
     """
 
     def __init__(self, m: Representation):

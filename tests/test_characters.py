@@ -29,15 +29,20 @@ from clusterchar import (
     zero_object,
     zero_representation,
 )
+from clusterchar import characters, generic
 from clusterchar.characters import (
+    _character,
     accepts_tree,
     subset_counts,
     tree_basis,
     tree_character,
     tree_representation,
 )
-from clusterchar.errors import SubdimensionOutOfRange
-from clusterchar.quiver import euler_data, quiver_from_text
+from clusterchar.errors import FieldMismatch, SubdimensionOutOfRange
+from clusterchar.laurent import LaurentPoly
+from clusterchar.linalg import GF, QQ
+from clusterchar.quiver import antisym_form_simple, euler_data, quiver_from_text
+from clusterchar.replab import make_representation
 
 SHIPPED = {
     path.stem: quiver_from_text(path.read_text(encoding="utf-8"))
@@ -70,7 +75,7 @@ def test_cc_object_rejects_negative_shift(a2):
 
 
 def test_multiplicativity_direct(a2, a3):
-    # cc_module computes both sides by direct enumeration: a genuine check.
+    # cc_module computes both sides from their own Grassmannians: a genuine check.
     rng = random.Random(17)
     for q in (a2, a3):
         for _ in range(6):
@@ -177,9 +182,16 @@ def _constructed_rigid_roots(a2, a3, kronecker):
     return roots + [(kronecker, d) for k in range(1, 4) for d in ((k + 1, k), (k, k + 1))]
 
 
+def _counted_character(m):
+    """The character of m with every chi(Gr_e(m)) counted prime by prime."""
+    subdims = product(*(range(x + 1) for x in m.dims))
+    return _character(m.quiver, m.dims, {e: grassmannian_euler(m, e).euler for e in subdims})
+
+
 def test_tree_character_equals_counting_on_every_constructed_rigid_root(a2, a3, kronecker):
     # the exceptional module of d is the generic representation of d, decomposed and
-    # counted prime by prime; only D4 (1, 2, 1, 1) has no construction
+    # counted prime by prime at every e (cc_module would read a thin one off without
+    # counting); only D4 (1, 2, 1, 1) has no construction
     missing = []
     for q, d in _constructed_rigid_roots(a2, a3, kronecker):
         assert euler_form(q, d, d) == 1
@@ -188,7 +200,7 @@ def test_tree_character_equals_counting_on_every_constructed_rigid_root(a2, a3, 
             missing.append(d)
             continue
         (x,) = decompose(generic_representation(q, d, rng_seed=5)[0])
-        assert tree == cc_module(x), (q.key(), d)
+        assert tree == _counted_character(x), (q.key(), d)
     assert missing == [(1, 2, 1, 1)]
 
 
@@ -235,3 +247,76 @@ def test_subset_counts_match_listing_every_subset(kronecker):
             e = tuple(sum(v == w for w, _ in chosen) for v in range(2))
             listed[e] = listed.get(e, 0) + 1
     assert subset_counts(kronecker, d, edges) == listed
+
+
+def _exponent_by_euler_forms(q, d, e) -> tuple[int, ...]:
+    """<S_i, e>_a - <S_i, d> for each vertex i, from the two forms of the quiver."""
+    units = [tuple(int(k == i) for k in range(q.n)) for i in range(q.n)]
+    return tuple(antisym_form_simple(q, i + 1, e) - euler_form(q, units[i], d) for i in range(q.n))
+
+
+def test_character_equals_the_term_by_term_sum_over_euler_forms():
+    # entries that share an exponent (D4's antisymmetric form has rank 2, A3's has
+    # rank 2 too) are summed, and a sum of 0 leaves no term
+    rng = random.Random(25)
+    kronecker3 = validate_quiver(2, [(1, 2)] * 3)
+    shared = cancelled = 0
+    for q in (*SHIPPED.values(), kronecker3):
+        for _ in range(10):
+            d = tuple(rng.randint(0, 3) for _ in range(q.n))
+            chis = {e: rng.choice((0, 1, -1, 2, -3, 5)) for e in product(*(range(x + 1) for x in d))}
+            groups: dict[tuple[int, ...], list] = {}
+            for e in chis:
+                groups.setdefault(_exponent_by_euler_forms(q, d, e), []).append(e)
+            for group in groups.values():
+                if len(group) > 1 and rng.randrange(2):
+                    chis[group[-1]] = -sum(chis[e] for e in group[:-1])
+                nonzero = [chis[e] for e in group if chis[e]]
+                shared += len(nonzero) > 1
+                cancelled += len(nonzero) > 1 and sum(nonzero) == 0
+            expected = LaurentPoly.zero(q.n)
+            for e, chi in chis.items():
+                if chi:
+                    expected = expected + LaurentPoly(q.n, {_exponent_by_euler_forms(q, d, e): chi})
+            assert _character(q, d, chis) == expected, (q.key(), d)
+    assert shared >= 20 and cancelled >= 10
+
+
+def test_cap_bounds_only_the_subdimensions_that_are_counted(kronecker):
+    # a thin module needs no enumeration at any e, nor does a module whose arrows are
+    # all zero, so cap=0 cannot be exceeded; the D4 (1, 2, 1, 1) is counted and raises
+    # (test_generic.test_a_failed_count_in_the_padded_cone_propagates)
+    thin = random_representation(kronecker, (1, 1), rng_seed=4)
+    assert cc_module(thin, cap=0) == _counted_character(thin) == parse_laurent("(x1^2+1+x2^2)/(x1*x2)", 2)
+    # counting e = (1, 0, 0, 0) would enumerate: its dimension bound is 1, not negative
+    one_arrow = make_representation(D4, QQ, (1, 1, 1, 1), [((1,),), ((0,),), ((0,),)])
+    assert cc_module(one_arrow, cap=0) == _counted_character(one_arrow)
+    zero = make_representation(kronecker, QQ, (2, 2), [((0, 0), (0, 0))] * 2)
+    assert cc_module(zero, cap=0) == _counted_character(zero)
+
+
+def test_cc_generic_never_reads_a_tree(kronecker, monkeypatch):
+    # cc-agreement compares generic_character with cc_generic, so cc_generic must
+    # find each sample's character on its own: exactly where that is possible, and
+    # by counting elsewhere, never from the tree evaluator
+    expected = {(q, alpha): tree_character(q, alpha) for q, alpha in ((kronecker, (1, 2)), (D4, (1, 1, 1, 1)))}
+    read = []
+
+    def refused(*args):
+        read.append(args)
+        raise AssertionError("cc_generic read the tree evaluator")
+
+    for module in (characters, generic):
+        monkeypatch.setattr(module, "tree_character", refused)
+    monkeypatch.setattr(characters, "subset_counts", refused)
+    for (q, alpha), value in expected.items():
+        assert value is not None
+        assert cc_generic(q, alpha, rng_seed=2) == value
+    assert not read
+
+
+def test_cc_module_refuses_a_prime_field(a2):
+    # a thin module over F_p is read off at every e, so the field is checked first
+    m = make_representation(a2, GF(5), (1, 1), [((1,),)])
+    with pytest.raises(FieldMismatch):
+        cc_module(m)

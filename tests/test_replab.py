@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from clusterchar import (
     GF,
     QQ,
+    cc_module,
     count_subreps,
     decompose,
     direct_sum,
@@ -21,7 +23,7 @@ from clusterchar import (
     validate_quiver,
     zero_representation,
 )
-from clusterchar import linalg, replab
+from clusterchar import characters, linalg, replab
 from clusterchar.errors import (
     CapExceeded,
     DecompositionUncertified,
@@ -30,7 +32,7 @@ from clusterchar.errors import (
     SubdimensionOutOfRange,
 )
 from clusterchar.generic import cone_of_proj_map, min_proj_decomposition, sample_generic_proj_map
-from clusterchar.quiver import et_map
+from clusterchar.quiver import et_map, quiver_from_text
 from clusterchar.replab import (
     Representation,
     _certify_pattern,
@@ -50,6 +52,8 @@ from clusterchar.replab import (
 )
 from dynkin_oracle import indecomposable_for_root
 from fitting_oracle import hom_candidates, is_isomorphic
+
+QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
 
 @pytest.fixture(scope="module")
@@ -674,7 +678,8 @@ def _ambient_degree_euler(m, e) -> int:
     return int(value)
 
 
-def test_grassmannian_euler_matches_ambient_degree_fit(a3, d4, kronecker, kronecker3):
+def _fit_modules(a3, d4, kronecker, kronecker3) -> list:
+    """Seeded modules of a3, d4 and the Kronecker quivers, rigid or not."""
     rng = random.Random(6)
     modules = []
     for q in (a3, d4):
@@ -686,6 +691,11 @@ def test_grassmannian_euler_matches_ambient_degree_fit(a3, d4, kronecker, kronec
     # not rigid: Kronecker (1,1), and (2,2) as two distinct or two equal copies of it
     k11 = random_representation(kronecker, (1, 1), rng_seed=rng.randrange(10**6))
     modules += [k11, direct_sum(k11, random_representation(kronecker, (1, 1), rng_seed=rng.randrange(10**6))), direct_sum(k11, k11)]
+    return modules
+
+
+def test_grassmannian_euler_matches_ambient_degree_fit(a3, d4, kronecker, kronecker3):
+    modules = _fit_modules(a3, d4, kronecker, kronecker3)
     empty = checked = 0
     for m in modules:
         end = hom_dim(m, m)
@@ -701,6 +711,63 @@ def test_grassmannian_euler_matches_ambient_degree_fit(a3, d4, kronecker, kronec
                     assert count_subreps(mp, e) == 0, (m.quiver.key(), m.dims, e, p)
                     checked += 1
     assert empty > 50 and checked > 50
+
+
+def _thin_modules_with_zero_arrows(q, rng: random.Random, count: int) -> list:
+    """Seeded thin modules of q whose arrows are zero about a third of the time."""
+    modules = []
+    for _ in range(count):
+        d = tuple(rng.randint(0, 1) for _ in range(q.n))
+        maps = [[[rng.choice((0, 1, -2, 3)) for _ in range(d[s - 1])] for _ in range(d[t - 1])] for s, t in q.arrows]
+        modules.append(make_representation(q, QQ, d, maps))
+    return modules
+
+
+def test_cc_module_reads_off_exactly_what_counting_gives(a3, d4, kronecker, kronecker3, monkeypatch):
+    # cc_module answers an e with no active arrow (a product of Grassmannians) and an
+    # e of a thin module with an active arrow (empty) without a prime; each such
+    # answer must be grassmannian_euler's, and a thin module must count nothing
+    shipped = [quiver_from_text(path.read_text(encoding="utf-8")) for path in sorted(QUIVERS.glob("*.quiver"))]
+    rng = random.Random(25)
+    thin = [m for q in (*shipped, kronecker3) for m in _thin_modules_with_zero_arrows(q, rng, 12)]
+    seen, counted, subreps, reductions = [], [], [], []
+    real_character, real_at = characters._character, replab.ReductionPool.at
+
+    def character(q, d, chis):
+        seen.append(dict(chis))
+        return real_character(q, d, chis)
+
+    def counting(m, e, **kwargs):
+        counted.append(tuple(e))
+        return grassmannian_euler(m, e, **kwargs)
+
+    def reducing(pool, k):
+        reductions.append(k)
+        return real_at(pool, k)
+
+    def subrep_count(m, e, cap=5_000_000):
+        subreps.append(tuple(e))
+        return count_subreps(m, e, cap=cap)
+
+    monkeypatch.setattr(characters, "_character", character)
+    monkeypatch.setattr(characters, "grassmannian_euler", counting)
+    monkeypatch.setattr(replab, "count_subreps", subrep_count)
+    monkeypatch.setattr(replab.ReductionPool, "at", reducing)
+    empty = products = 0
+    for m in _fit_modules(a3, d4, kronecker, kronecker3) + thin:
+        for spy in (seen, counted, subreps, reductions):
+            spy.clear()
+        value = cc_module(m)
+        (chis,) = seen
+        if max(m.dims, default=0) <= 1:
+            assert not counted and not subreps and not reductions, (m.quiver.key(), m.dims)
+        euler = {e: grassmannian_euler(m, e).euler for e in product(*(range(x + 1) for x in m.dims))}
+        for e in (e for e in euler if e not in counted):
+            assert chis.get(e, 0) == euler[e], (m.quiver.key(), m.dims, m.maps, e)
+            empty += euler[e] == 0
+            products += max(m.dims) > 1
+        assert value == real_character(m.quiver, m.dims, euler)
+    assert empty >= 30 and products >= 100
 
 
 def test_grassmannian_flags_non_polynomial_counts(kronecker):
