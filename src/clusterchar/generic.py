@@ -34,16 +34,18 @@ value is the plan of a cone (`_cone_plan`): bases and index tables fixed by
 evidence. The same holds for a tree basis (`characters.tree_basis`) and the
 character read off it (`characters.tree_character`), both fixed by (quiver, d)
 with no prime and no sample: computing them again for each value would repeat
-identical arithmetic.
+identical arithmetic; so would the pattern read off an index with no path, below.
 Only what `cc_module` finds for a sampled module, read off at the subdimensions
 that allow it and counted prime by prime at the others, lives for one value.
 
-An index gamma >= 0 needs no decomposition: gamma1 = 0, the map is 0 and its cone
-is P(gamma0) = ⊕ P_i^gamma0_i on every sample, so X(gamma) is a cluster monomial
-in the CC(P_i) (Caldero-Keller). The summands are the quiver's projectives, one
-shared object per (quiver, i) (`_projective_summand`). Like a plan, such an
-object is structure and holds no count: the rigid characters above still live
-for one value, and the samples still pass the same pattern certificate.
+An index with no path from supp gamma0 to supp gamma1, every gamma >= 0 or <= 0
+among them, needs no draw: Hom(P_j, P_i) is spanned by the paths i -> j, so the
+only map P(gamma1) -> P(gamma0) is 0 and its cone is P(gamma0) ⊕ P(gamma1)[1] on
+every seed (Caldero-Keller). `_read_off_pattern` reads it off the quiver once per
+(quiver, gamma) and passes it through the pattern certificate. Its parts are the
+shared projectives `_projective_summand`; like a plan, the pattern is structure
+with no sampled coefficient and no count, and the rigid characters above still
+live for one value.
 """
 
 from __future__ import annotations
@@ -238,21 +240,42 @@ def _projective_summand(q: Quiver, i: int) -> Representation:
     return _known_end(projective_representation(q, i), 1)
 
 
+def _projective_parts(q: Quiver, gamma0: IntVec) -> list[Representation]:
+    """The summands of P(gamma0): `_projective_summand(q, i)`, gamma0_i times each."""
+    return [_projective_summand(q, i) for i, g in enumerate(gamma0, start=1) for _ in range(g)]
+
+
+def _no_path(q: Quiver, dec: ProjDecomposition) -> bool:
+    """Whether no path runs from supp gamma0 to supp gamma1, so Hom(P(gamma1), P(gamma0)) = 0."""
+    return not any(q.paths(i, j) for i, a in enumerate(dec.gamma0, start=1) if a
+                   for j, b in enumerate(dec.gamma1, start=1) if b)
+
+
+@lru_cache(maxsize=4096)
+def _read_off_pattern(q: Quiver, gamma: IntVec) -> tuple[tuple[Representation, ...], IntVec]:
+    """(parts, shifted) of the cone of index gamma when Hom(P(gamma1), P(gamma0)) = 0:
+    P(gamma0) ⊕ P(gamma1)[1], and E^t·dim P(gamma1) = gamma1. Certified once per
+    (quiver, gamma); like a `_cone_plan`, it holds no sampled coefficient and no count."""
+    dec = min_proj_decomposition(gamma)
+    parts = _projective_parts(q, dec.gamma0)
+    _certify_pattern(q, gamma, parts, dec.gamma1)
+    return tuple(parts), dec.gamma1
+
+
 def _draw_cone(q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int) -> tuple:
     """(module, summands or None, shifted) of the cone of one sampled P(gamma1) -> P(gamma0).
 
     The seed draws the map. When gamma1 = 0 the map is 0 and the cone is P(gamma0) =
     ⊕ P_i^gamma0_i whatever the seed, so its summands are read off the quiver
-    (`_projective_summand`): each P_i is a brick and projectives have no Ext. The
-    P_i objects are shared between samples and values as structure; no count is
-    kept on them. Otherwise the summands are None: the module is to be decomposed
-    (`decompose`, or `_refine_blocks`' certification by rigidity).
+    (`_projective_parts`): each P_i is a brick and projectives have no Ext.
+    Otherwise the summands are None, even when Hom(P(gamma1), P(gamma0)) = 0: the
+    module is to be decomposed (`decompose`, or `_refine_blocks`' certification by
+    rigidity), as a block of a rigid plan must be.
     """
     cone = cone_of_proj_map(sample_generic_proj_map(q, dec, rng_seed, bound))
     if any(dec.gamma1):
         return cone.module, None, cone.shifted
-    parts = [_projective_summand(q, i) for i, g in enumerate(dec.gamma0, start=1) for _ in range(g)]
-    return cone.module, parts, cone.shifted
+    return cone.module, _projective_parts(q, dec.gamma0), cone.shifted
 
 
 def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
@@ -263,8 +286,11 @@ def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[
 
 def _cone_pattern_once(
     q: Quiver, gamma: IntVec, rng_seed: int, bound: int = 10, *, plan: BlockPlan | None = None
-) -> tuple[list[Representation], IntVec]:
-    """(parts, shifted) of one cone of index gamma, certified by `_refine_blocks` from `plan` or [gamma]."""
+) -> tuple[Sequence[Representation], IntVec]:
+    """(parts, shifted) of one cone of index gamma, certified by `_refine_blocks` from `plan` or [gamma],
+    or read off with no draw when no path runs from supp gamma0 to supp gamma1."""
+    if _no_path(q, min_proj_decomposition(gamma)):
+        return _read_off_pattern(q, gamma)
 
     def sample(block: IntVec, seed0: int, k: int) -> tuple:
         return _draw_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), bound)
@@ -364,7 +390,9 @@ def generic_character(
     cap: int = 5_000_000,
     cache: CharacterCache | None = None,
 ) -> LaurentPoly:
-    """X(gamma): certified by agreement of five independently seeded evaluations."""
+    """X(gamma): certified by agreement of five independently seeded evaluations,
+    which share the pattern read off the quiver, with no map drawn, where no path
+    runs from supp gamma0 to supp gamma1 (`_read_off_pattern`)."""
     g = vertex_vector(q, gamma, "index")
     store = cache if cache is not None else _DEFAULT_CACHE
     hit = store.get(q, g)

@@ -28,6 +28,22 @@ from operator import mul
 from typing import Sequence
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981  # these 13 bases decide every n below it
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 primes as bases, proven for
+    n < _MR_BOUND (Sorenson-Webster 2015); a larger n raises ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is only decided below {_MR_BOUND}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d·2^r with d odd
+    d = (n - 1) >> r
+    return all(pow(b, d, n) == 1 or any(pow(b, d << s, n) == n - 1 for s in range(r)) for b in _MR_BASES)
+
+
 @dataclass(frozen=True)
 class Field:
     """Which field the entries live in: Q when p is None, else F_p.
@@ -39,9 +55,8 @@ class Field:
     p: int | None
 
     def __post_init__(self):
-        p = self.p
-        if p is not None and (p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1))):
-            raise ValueError(f"{p} is not prime")
+        if self.p is not None and not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"

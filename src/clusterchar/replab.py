@@ -8,6 +8,7 @@ interpolation.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -862,11 +863,7 @@ class GrassmannianCount:
 
 
 def _primes():
-    n = 2
-    while True:
-        if all(n % k for k in range(2, isqrt(n) + 1)):
-            yield n
-        n += 1
+    return filter(linalg.is_prime, itertools.count(2))
 
 
 def _denominator_lcm(m: Representation) -> int:

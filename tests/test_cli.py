@@ -348,3 +348,13 @@ def test_console_script_entry_point_runs_verify(capsys):
     out = capsys.readouterr()
     assert code == 0
     assert out.out == (ROOT / "tests" / "golden" / "cone-table-a3-a3.json").read_text()
+
+
+def test_cc_rep_over_a_large_prime_field_exits_at_once(capsys, a2_file, tmp_path):
+    # 2^61 - 1 is decided prime by Miller-Rabin at once; cc then refuses a
+    # representation that is not rational
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps({"quiver": {"n": 2, "arrows": [[1, 2]]}, "field": {"p": 2**61 - 1},
+                             "dims": [1, 1], "maps": [[[1]]]}))
+    code, out, err = run(capsys, "cc", a2_file, "--rep", str(p))
+    assert code == 1 and out == "" and err.startswith("error: FieldMismatch:")

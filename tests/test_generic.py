@@ -298,6 +298,60 @@ def test_nonnegative_cone_summands_come_from_the_quiver(monkeypatch, name):
     assert parts is None and not calls
 
 
+# --- indices without a path from supp gamma0 to supp gamma1: read off, never drawn ---
+
+
+def _reached(q, vertices):
+    """The vertices at the end of a nonempty path from one of `vertices`, from the arrows alone."""
+    reached, frontier = set(), set(vertices)
+    while frontier:
+        frontier = {t for s, t in q.arrows if s in frontier} - reached
+        reached |= frontier
+    return reached
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTIVE_CONE_QUIVERS))
+def test_an_index_without_a_path_is_read_off_as_the_drawn_cone(monkeypatch, name):
+    # Hom(P(gamma1), P(gamma0)) = 0 exactly when no path runs from supp gamma0 to
+    # supp gamma1; then the only map is 0 and the cone is P(gamma0) ⊕ P(gamma1)[1].
+    # The rule reads off exactly those indices, with no draw, and gives the parts
+    # and shifted part that the drawn path gives at three seeds
+    q = quiver_from_text(PROJECTIVE_CONE_QUIVERS[name])
+    free = []
+    for gamma in product(range(-2, 3), repeat=q.n):
+        dec = min_proj_decomposition(gamma)
+        support1 = {j for j, b in enumerate(dec.gamma1, start=1) if b}
+        no_path = not _reached(q, {i for i, a in enumerate(dec.gamma0, start=1) if a}) & support1
+        assert generic._no_path(q, dec) == no_path, (name, gamma)
+        free += [gamma] * no_path
+    drawn = []
+    _recording(monkeypatch, generic, "sample_generic_proj_map", lambda *args: drawn.append(args))
+    _recording(monkeypatch, generic, "cone_of_proj_map", lambda *args: drawn.append(args))
+    read_off = [generic.cone_signature(_cone_pattern_once(q, g, seed)) for g in free for seed in (0, 1, 2)]
+    assert not drawn
+    monkeypatch.setattr(generic, "_no_path", lambda q, dec: False)
+    assert [generic.cone_signature(_cone_pattern_once(q, g, seed)) for g in free for seed in (0, 1, 2)] == read_off
+    assert drawn
+
+
+def test_a_read_off_pattern_is_certified_once_per_quiver_and_index(monkeypatch):
+    # D4 X(-1, 1, 1, -1): no path from {2, 3} to {1, 4}. Two values with fresh caches
+    # certify the pattern once, and agree with the drawn path's value
+    generic._read_off_pattern.cache_clear()
+    gamma, certified = (-1, 1, 1, -1), []
+    _recording(monkeypatch, generic, "_certify_pattern", lambda q, g, parts, shifted: certified.append(g))
+    values = [generic_character(D4, gamma, rng_seed=seed, cache=CharacterCache()) for seed in (0, 1)]
+    assert certified == [gamma] and values[0] == values[1]
+    monkeypatch.setattr(generic, "_no_path", lambda q, dec: False)
+    assert generic_character(D4, gamma, cache=CharacterCache()) == values[0]
+
+
+def test_an_index_with_a_path_still_draws_five_cones(monkeypatch):
+    # D4 X(1, -1, 1, -1): the paths 1 -> 2 and 3 -> 2 give a map to draw
+    value = lambda: generic_character(D4, (1, -1, 1, -1), rng_seed=1, cache=CharacterCache())  # noqa: E731
+    assert _work(monkeypatch, value)["cone_of_proj_map"] == 5
+
+
 def test_generic_character_frozen_values(a2):
     assert generic_character(a2, (-1, 0)) == monomial(2, (1, 0))
     assert generic_character(a2, (0, -1)) == monomial(2, (0, 1))
@@ -838,7 +892,7 @@ def test_d4_samples_the_same_blocks_and_seeds_with_or_without_a_plan(monkeypatch
                    lambda q, dec, rng_seed=0, bound=10: seen.append((dec, rng_seed)))
         _recording(monkeypatch, replab, "random_representation",
                    lambda q, d, field, rng_seed, bound: seen.append((d, rng_seed)))
-        for gamma in (et_map(d4, (1, 2, 1, 2)), (1, -1, 0, 1), (-1, 1, 1, -1), (2, -1, 0, -1)):
+        for gamma in (et_map(d4, (1, 2, 1, 2)), (1, -1, 0, 1), (1, -1, 1, -1), (2, -1, 0, -1)):
             generic_character(d4, gamma, cache=CharacterCache())
         virtual_generic_decomposition(d4, (1, 2, 1, 2))
         cc_generic(d4, (1, 2, 1, 1))
@@ -911,8 +965,9 @@ def test_the_rigid_path_draws_the_same_cones_as_before(monkeypatch, kronecker, q
     unplanned = _work(monkeypatch, value)
     assert value() == expected
     assert planned["cone_of_proj_map"] == unplanned["cone_of_proj_map"]
-    if all(x >= 0 for x in gamma) or all(x <= 0 for x in gamma):
-        # read off the quiver, or a zero module: no Hom rank is added
+    if generic._no_path(q, min_proj_decomposition(gamma)):
+        # read off the quiver before any draw, with or without a plan
+        assert planned["cone_of_proj_map"] == unplanned["cone_of_proj_map"] == 0
         assert planned["hom_dim"] == unplanned["hom_dim"]
     else:
         assert planned["decompose"] < unplanned["decompose"]

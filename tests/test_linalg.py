@@ -212,3 +212,31 @@ def test_solve_columns_matches_the_oracle(field, monkeypatch):
             solved += 1
             assert reduced(oracle_mat_mul(reduced(a, field), got, field), field) == reduced(b, field)
     assert solved > 0
+
+
+# --- primality of the characteristic: Miller-Rabin, no floats ---
+
+
+def test_a_large_prime_field_builds_at_once():
+    field = linalg.Field(2**61 - 1)  # a fresh object: GF is memoized
+    assert field.p == 2**61 - 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 561, 1105, 2**61 + 1, -7])
+def test_a_field_of_non_prime_size_is_refused(n):
+    with pytest.raises(ValueError, match="is not prime"):
+        linalg.Field(n)
+
+
+def test_miller_rabin_agrees_with_trial_division_below_ten_thousand():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, n) if d * d <= n)
+
+    assert [n for n in range(10**4) if linalg.is_prime(n)] == [n for n in range(10**4) if by_division(n)]
+
+
+def test_primality_past_the_proven_bound_is_refused():
+    bound = 3_317_044_064_679_887_385_961_981
+    assert linalg.is_prime(2**79 - 67)  # below the bound
+    with pytest.raises(ValueError, match=str(bound)):
+        linalg.Field(bound + 2)
