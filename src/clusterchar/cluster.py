@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from .errors import BadVertex, NotFiniteType
-from .laurent import LaurentPoly, denominator_vector, exact_divide, monomial
+from .laurent import LaurentPoly, denominator_vector, exact_divide, monomial, product
 from .quiver import Quiver, is_dynkin
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -60,11 +59,6 @@ def mutate_matrix(b: IntMatrix, k: int) -> IntMatrix:
     return tuple(out)
 
 
-def _product(factors: list[LaurentPoly], nvars: int) -> LaurentPoly:
-    """The product of the factors, starting from the first; 1 when there are none."""
-    return reduce(operator.mul, factors) if factors else LaurentPoly.one(nvars)
-
-
 def mutate_seed(s: Seed, k: int) -> Seed:
     """Exchange x_k and mutate B; the division must be exact (Laurent phenomenon)."""
     n = len(s.b)
@@ -74,7 +68,7 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     plus = [s.cluster[i] ** s.b[i][i0] for i in range(n) if s.b[i][i0] > 0]
     minus = [s.cluster[i] ** -s.b[i][i0] for i in range(n) if s.b[i][i0] < 0]
     nvars = s.cluster[0].nvars
-    new_var = exact_divide(_product(plus, nvars) + _product(minus, nvars), s.cluster[i0])
+    new_var = exact_divide(product(plus, nvars) + product(minus, nvars), s.cluster[i0])
     cluster = tuple(new_var if i == i0 else s.cluster[i] for i in range(n))
     return Seed(b=mutate_matrix(s.b, k), cluster=cluster)
 
@@ -102,17 +96,30 @@ def enumerate_seeds(q: Quiver, limit: int = 20000) -> EnumerationResult:
     variables come back sorted by their canonical text. At most `limit` seeds
     are kept: when the closure needs one more, it stops with closed False. A
     limit below 1 raises ValueError, since the initial seed is always kept.
+
+    Each exchange x_k -> x_k' crosses an edge of the exchange graph. Its far end,
+    keyed by the other n - 1 variables and x_k', is recorded, and the seed kept
+    for the new cluster skips the mutation there, so each edge costs one exact
+    division. Mutation is an involution, so that mutation would lead back to
+    the cluster it came from, which is kept. This rests on what keeping one
+    seed per unordered cluster already rests on: a cluster determines its seed
+    up to the order of its variables.
     """
     if limit < 1:
         raise ValueError(f"limit must be a positive integer, got {limit}")
     start = initial_seed(q)
     seen: dict[frozenset[LaurentPoly], Seed] = {start.cluster_key(): start}
     queue = deque([start])
+    crossed: set[tuple[frozenset[LaurentPoly], LaurentPoly]] = set()
     closed = True
     while queue and closed:
         seed = queue.popleft()
         for k in range(1, q.n + 1):
+            others = frozenset(seed.cluster[: k - 1] + seed.cluster[k:])
+            if (others, seed.cluster[k - 1]) in crossed:
+                continue
             new = mutate_seed(seed, k)
+            crossed.add((others, new.cluster[k - 1]))
             ck = new.cluster_key()
             if ck in seen:
                 continue

@@ -12,8 +12,9 @@ unique for its dimension vector. It is read off a tree basis of dims d when one
 is built (`characters.tree_character`: successor-closed basis subsets, no
 primes), and found by `cc_module` when none is. So for an all-rigid pattern
 the five samples agree on the certified pattern, and rigidity proves that their
-values agree. Parts that are not rigid go to `cc_module` on every sample, which
-reads a thin one off without a prime and counts the rest. A value also
+values agree, so the product of its characters is taken once. Parts that are not
+rigid go to `cc_module` on every sample, which reads a thin one off without a
+prime and counts the rest. A value also
 keeps a block plan (`BlockPlan`): the blocks of the last round that certified
 (`_refine_blocks`). Its later samples and attempts start from it, so a non-brick
 cone such as the Kronecker (4, 4) is split once per value, not once per sample;
@@ -27,7 +28,10 @@ to the certified module, whose parts it takes: bricks, no Ext between them, the
 same disjoint shifted support. A module that fails the rank is decomposed and
 certified as any other. The map of rigid characters, the plan and its certified
 round never outlive one value, so values compared with each other (cc-agreement,
-multiplicativity) are computed independently; `cc_generic` still finds the
+multiplicativity) are computed independently. The one exception is a
+multiplicativity case, whose lhs X(E^t·alpha) and decomposition of alpha sample
+the one index E^t·alpha: they share its plan, and the decomposition's own
+samples take the certified round of the lhs. `cc_generic` still finds the
 character of each sample's own module with `cc_module`. What does outlive a
 value is the plan of a cone (`_cone_plan`): bases and index tables fixed by
 (quiver, gamma1, gamma0), never a sampled coefficient, so sharing it shares no
@@ -61,7 +65,7 @@ from typing import Sequence
 from . import linalg
 from .characters import ClusterObject, cc_module, tree_character
 from .errors import GenericityUncertified, KernelNotProjectiveShape, SubdimensionOutOfRange
-from .laurent import LaurentPoly, monomial
+from .laurent import LaurentPoly, monomial, product
 from .linalg import QQ
 from .quiver import Quiver, et_map, euler_form, vertex_vector
 from .replab import (
@@ -300,7 +304,7 @@ def _cone_pattern_once(
 
 
 def _pattern_value(
-    parts: Sequence[Representation], shifted: IntVec, cap: int, rigid: dict[IntVec, LaurentPoly]
+    parts: Sequence[Representation], shifted: IntVec, cap: int, rigid: dict[tuple, LaurentPoly]
 ) -> LaurentPoly:
     """x^shifted times the CC characters of the certified brick parts.
 
@@ -310,17 +314,28 @@ def _pattern_value(
     keeps for one certified value. On first sight it comes from a tree basis of
     dims d (`tree_character`, built once per (quiver, d) as structure), or from
     `cc_module` when d has none. Every other part goes to `cc_module` each time.
+    When every part is rigid, the value is a function of the sorted part dims and
+    the shifted part alone, so `rigid` keeps it under that key and the product is
+    taken once per value.
     """
-    value = monomial(len(shifted), shifted)
-    for part in parts:
+    n = len(shifted)
+    is_rigid = [euler_form(p.quiver, p.dims, p.dims) == 1 for p in parts]
+    key = (tuple(sorted(p.dims for p in parts)), shifted) if all(is_rigid) else None
+    if key in rigid:
+        return rigid[key]
+    factors = [monomial(n, shifted)] if any(shifted) else []
+    for part, exceptional in zip(parts, is_rigid):
         d = part.dims
-        if euler_form(part.quiver, d, d) != 1:
-            value = value * cc_module(part, cap=cap)
+        if not exceptional:
+            factors.append(cc_module(part, cap=cap))
             continue
         if d not in rigid:
             tree = tree_character(part.quiver, d)
             rigid[d] = tree if tree is not None else cc_module(part, cap=cap)
-        value = value * rigid[d]
+        factors.append(rigid[d])
+    value = product(factors, n)
+    if key is not None:
+        rigid[key] = value
     return value
 
 
@@ -389,18 +404,23 @@ def generic_character(
     retries: int = 8,
     cap: int = 5_000_000,
     cache: CharacterCache | None = None,
+    *,
+    _plan: BlockPlan | None = None,
 ) -> LaurentPoly:
     """X(gamma): certified by agreement of five independently seeded evaluations,
     which share the pattern read off the quiver, with no map drawn, where no path
-    runs from supp gamma0 to supp gamma1 (`_read_off_pattern`)."""
+    runs from supp gamma0 to supp gamma1 (`_read_off_pattern`).
+
+    `_plan` is internal: `check_multiplicativity` passes the one block plan of its
+    index, which is otherwise fresh for each value."""
     g = vertex_vector(q, gamma, "index")
     store = cache if cache is not None else _DEFAULT_CACHE
     hit = store.get(q, g)
     if hit is not None:
         return hit
 
-    rigid: dict[IntVec, LaurentPoly] = {}  # these two live for this value only
-    plan = BlockPlan()
+    rigid: dict[tuple, LaurentPoly] = {}  # these two live for this value only
+    plan = BlockPlan() if _plan is None else _plan
 
     def draw(attempt: int, s: int) -> LaurentPoly:
         parts, shifted = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
@@ -437,6 +457,8 @@ def virtual_generic_decomposition(
     rng_seed: int = 0,
     bound: int = 10,
     retries: int = 8,
+    *,
+    _plan: BlockPlan | None = None,
 ) -> tuple[list[IntVec], IntVec]:
     """(betas, gamma) with alpha = sum(betas) - E^{-t}·gamma, certified over 5 seeds.
 
@@ -446,10 +468,11 @@ def virtual_generic_decomposition(
     As E^t is invertible over Z, that is the identity above. For alpha >= 0 a
     sample with a shifted part raises GenericityUncertified and ends its attempt,
     so the betas are Kac's canonical decomposition of alpha (Kac; Schofield).
+    `_plan` is internal, as in `generic_character`.
     """
     a = vertex_vector(q, alpha, "alpha")
     gamma_idx = et_map(q, a)
-    plan = BlockPlan()  # lives for this value only
+    plan = BlockPlan() if _plan is None else _plan  # lives for this index only
 
     def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
         cone = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound, plan=plan)
@@ -479,18 +502,29 @@ def check_multiplicativity(
     cap: int = 5_000_000,
     cache: CharacterCache | None = None,
 ) -> MultiplicativityReport:
-    """Compare X(E^t·alpha) against prod_i X(E^t·beta_i) · X(-gamma), exactly."""
+    """Compare X(E^t·alpha) against prod_i X(E^t·beta_i) · X(-gamma), exactly.
+
+    X(E^t·alpha) and the decomposition of alpha sample cones of the one index
+    E^t·alpha, so they share its block plan: the decomposition draws its own five
+    samples with its own seeds, and a sample of the round that the lhs certified
+    all-rigid takes its parts by one Hom rank (`_refine_blocks`). A cache hit on
+    the lhs leaves the plan fresh.
+    """
     a = tuple(int(x) for x in alpha)
-    n = q.n
-    lhs = generic_character(q, et_map(q, a), rng_seed=rng_seed, bound=bound, retries=retries, cap=cap, cache=cache)
-    betas, shift = virtual_generic_decomposition(q, a, rng_seed=mix_seed(rng_seed, 13), bound=bound, retries=retries)
-    rhs = LaurentPoly.one(n)
-    for beta in betas:
-        rhs = rhs * generic_character(q, et_map(q, beta), rng_seed=mix_seed(rng_seed, 17), bound=bound, retries=retries, cap=cap, cache=cache)
+    plan = BlockPlan()  # of the one index E^t·alpha
+
+    def value(gamma: IntVec, seed: int, shared: BlockPlan | None = None) -> LaurentPoly:
+        return generic_character(q, gamma, rng_seed=seed, bound=bound, retries=retries, cap=cap, cache=cache,
+                                 _plan=shared)
+
+    lhs = value(et_map(q, a), rng_seed, plan)
+    betas, shift = virtual_generic_decomposition(
+        q, a, rng_seed=mix_seed(rng_seed, 13), bound=bound, retries=retries, _plan=plan
+    )
+    factors = [value(et_map(q, beta), mix_seed(rng_seed, 17)) for beta in betas]
     if any(shift):
-        rhs = rhs * generic_character(
-            q, tuple(-x for x in shift), rng_seed=mix_seed(rng_seed, 19), bound=bound, retries=retries, cap=cap, cache=cache
-        )
+        factors.append(value(tuple(-x for x in shift), mix_seed(rng_seed, 19)))
+    rhs = product(factors, q.n)
     return MultiplicativityReport(alpha=a, betas=betas, gamma_shift=shift, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

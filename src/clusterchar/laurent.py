@@ -2,6 +2,8 @@
 
 Terms are a map from integer exponent tuples to nonzero int coefficients;
 iteration and serialization order is ascending lexicographic on exponents.
+No operation mutates the terms of an existing polynomial, so each polynomial
+computes its hash once.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 from .errors import NonExactDivision, ParseError, VariableCountMismatch, ZeroPolynomial
@@ -94,8 +97,12 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -157,6 +164,11 @@ def monomial(nvars: int, exponents: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(nvars, {e: 1})
 
 
+def product(factors: Sequence[LaurentPoly], nvars: int) -> LaurentPoly:
+    """The product of the factors, starting from the first; 1 when there are none."""
+    return reduce(operator.mul, factors) if factors else LaurentPoly.one(nvars)
+
+
 def denominator_vector(p: LaurentPoly) -> tuple[int, ...]:
     """d with p*x^d a polynomial not divisible by any variable: d_i = -min exponent."""
     if p.is_zero():
@@ -167,8 +179,9 @@ def denominator_vector(p: LaurentPoly) -> tuple[int, ...]:
 def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient f/g in Z[x^{±1}]; raises NonExactDivision when none exists.
 
-    Repeatedly cancels lex-leading terms. Any term of an existing quotient lies in
-    the componentwise box [min(f)-min(g), max(f)-max(g)], which bounds the loop.
+    Repeatedly cancels lex-leading terms of a remainder, updated in place. Any
+    term of an existing quotient lies in the componentwise box
+    [min(f)-min(g), max(f)-max(g)], which bounds the loop.
     """
     f._check(g)
     if g.is_zero():
@@ -186,17 +199,23 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise NonExactDivision("no exponent box for a quotient")
     glead = max(g.terms)
     gc = g.terms[glead]
-    rem = f
+    rem = dict(f.terms)
     quot: dict[Exponent, int] = {}
-    while not rem.is_zero():
-        rlead = max(rem.terms)
-        rc = rem.terms[rlead]
+    while rem:
+        rlead = max(rem)
+        rc = rem[rlead]
         te = tuple(a - b for a, b in zip(rlead, glead))
         if any(x < l or x > h for x, l, h in zip(te, lo, hi)) or rc % gc != 0:
             raise NonExactDivision(f"({f.to_text()})/({g.to_text()}) is not exact")
         tc = rc // gc
         quot[te] = tc
-        rem = rem - LaurentPoly(n, {te: tc}) * g
+        for ge, c in g.terms.items():
+            e = tuple(map(operator.add, te, ge))
+            r = rem.get(e, 0) - tc * c
+            if r:
+                rem[e] = r
+            else:
+                del rem[e]
     return LaurentPoly(n, quot)
 
 

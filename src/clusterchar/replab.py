@@ -564,7 +564,9 @@ class BlockPlan:
     `blocks` are the blocks of the round that certified last. `rigid` is the first
     certified round whose parts are all rigid and whose blocks were all decomposed:
     its shape (`_round_shape`), parts and shifted part. A caller keeps one plan per
-    value and never shares it between values.
+    value and never shares it between values. The one sharing is within one
+    multiplicativity case: X(E^t·alpha) and the decomposition of alpha sample the
+    one index E^t·alpha, and share the plan of that index.
     """
 
     def __init__(self, blocks: Sequence[tuple[int, ...]] = ()):
@@ -601,8 +603,8 @@ def _refine_blocks(
     or the next round resamples the same blocks; after REFINE_ROUND_LIMIT rounds,
     GenericityUncertified gives `what` and the last reason.
 
-    `plan`, kept by the caller for one value, takes the blocks of the round that
-    certifies. They are a hint, not evidence: every round must pass
+    `plan`, kept by the caller for one value (or one index, see `BlockPlan`),
+    takes the blocks of the round that certifies. They are a hint, not evidence: every round must pass
     `_certify_pattern`, which proves the generic cone of gamma whichever blocks
     were drawn (semicontinuity). The plan also keeps the value's first certified
     round whose parts are all rigid (<d, d> = 1). Its block modules are rigid:

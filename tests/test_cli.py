@@ -337,6 +337,15 @@ def test_enumerate_d4_matches_golden(capsys):
     assert out == (ROOT / "tests" / "golden" / "enumerate-d4.txt").read_text()
 
 
+def test_enumerate_kronecker_limit_25_matches_golden(capsys):
+    # 25 seeds of an infinite closure, so exit code 1; every exchange edge reached
+    # from both ends is divided once, and the variables are those of one division
+    # per seed and vertex, as the golden was written
+    code, out, _ = run(capsys, "enumerate", str(ROOT / "quivers" / "kronecker.quiver"), "--limit", "25", "--json")
+    assert code == 1
+    assert out == (ROOT / "tests" / "golden" / "enumerate-kronecker-25.json").read_text()
+
+
 def test_console_script_entry_point_runs_verify(capsys):
     """The `clusterchar` script of pyproject.toml resolves to a callable that runs
     a verify suite end to end, as an installed console script would call it."""

@@ -1,4 +1,5 @@
 import time
+from collections import deque
 from itertools import product
 
 import pytest
@@ -200,7 +201,46 @@ def test_d4_enumeration_never_multiplies_by_one(monkeypatch):
     enumerate_seeds(validate_quiver(4, [(1, 2), (3, 2), (4, 2)]))
     one = LaurentPoly.one(4)
     assert not [pair for pair in factors if one in pair]
-    assert len(factors) == 616
+    assert len(factors) == 44
+
+
+def _closure_by_mutation(q):
+    """The breadth-first closure with one `mutate_seed` per (seed, vertex): no exchange memo."""
+    start = initial_seed(q)
+    seen = {start.cluster_key(): start}
+    queue = deque([start])
+    while queue:
+        seed = queue.popleft()
+        for k in range(1, q.n + 1):
+            new = mutate_seed(seed, k)
+            if new.cluster_key() not in seen:
+                seen[new.cluster_key()] = new
+                queue.append(new)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("n, arrows, edges", [
+    (4, [(1, 2), (3, 2), (4, 2)], 100),
+    (3, [(1, 2), (2, 3)], 21),
+    (4, [(2, 1), (2, 3), (2, 4)], 100),
+    (4, [(1, 2), (3, 2), (3, 4)], 84),
+])
+def test_enumeration_divides_once_per_exchange_graph_edge(monkeypatch, n, arrows, edges):
+    # each edge of the exchange graph is reached from both ends; only the first pays
+    # for the exact division, and the seeds (order, matrices, clusters) are those
+    # of one mutate_seed per seed and vertex
+    q = validate_quiver(n, arrows)
+    divisions = []
+    divide = cluster.exact_divide
+
+    def counting(f, g):
+        divisions.append(g)
+        return divide(f, g)
+
+    monkeypatch.setattr(cluster, "exact_divide", counting)
+    result = enumerate_seeds(q)
+    assert result.closed and len(divisions) == edges == len(result.seeds) * n // 2
+    assert result.seeds == _closure_by_mutation(q)
 
 
 def test_cluster_variables_are_characters_d4():

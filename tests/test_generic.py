@@ -38,10 +38,12 @@ from clusterchar.characters import ClusterObject, tree_character
 from clusterchar.config import RunConfig
 from clusterchar.errors import CapExceeded, ClusterCharError, GenericityUncertified, SubdimensionOutOfRange
 from clusterchar.generic import (
+    MultiplicativityReport,
     ProjDecomposition,
     ProjectiveMap,
     _cone_pattern_once,
     _pattern_value,
+    cone_signature,
 )
 from clusterchar.quiver import et_map, euler_form, euler_matrix, quiver_from_text
 from clusterchar.replab import (
@@ -946,6 +948,98 @@ def test_a_value_with_a_non_rigid_part_decomposes_every_sample(monkeypatch, kron
     # X(2, -2): blocks (1, -1) twice, whose cones are regular bricks with <d, d> = 0
     work = _work(monkeypatch, lambda: generic_character(kronecker, (2, -2), cache=CharacterCache()))
     assert work["decompose"] == work["cone_of_proj_map"] == 11
+
+
+# --- one multiplicativity case shares the block plan of its one index ---
+
+
+def _unshared_report(q, alpha, seed=0):
+    """check_multiplicativity with a fresh plan for the lhs and for the decomposition,
+    and the rhs multiplied from 1, as before the case shared its plan."""
+    cache = CharacterCache()
+    lhs = generic_character(q, et_map(q, alpha), rng_seed=seed, cache=cache)
+    betas, shift = virtual_generic_decomposition(q, alpha, rng_seed=mix_seed(seed, 13))
+    rhs = LaurentPoly.one(q.n)
+    for beta in betas:
+        rhs = rhs * generic_character(q, et_map(q, beta), rng_seed=mix_seed(seed, 17), cache=cache)
+    if any(shift):
+        rhs = rhs * generic_character(q, tuple(-x for x in shift), rng_seed=mix_seed(seed, 19), cache=cache)
+    return MultiplicativityReport(alpha, betas, shift, lhs, rhs, lhs == rhs)
+
+
+def test_an_all_rigid_multiplicativity_case_decomposes_once(monkeypatch):
+    # D4 alpha = (1, 1, 1, 1), a real Schur root: X(1, -2, 1, 1) draws five cones of
+    # its rigid brick and the decomposition of alpha five more, with its own seeds.
+    # Only the first cone of the lhs is decomposed; the other nine take its certified
+    # round by one Hom rank. The rhs X(E^t·beta), beta = alpha, is a cache hit
+    alpha = (1, 1, 1, 1)
+    assert et_map(D4, alpha) == (1, -2, 1, 1)
+    expected = _unshared_report(D4, alpha)  # builds the tree basis of alpha first
+    shared = _work(monkeypatch, lambda: check_multiplicativity(D4, alpha, cache=CharacterCache()))
+    assert shared["cone_of_proj_map"] == 10 and shared["decompose"] == 1
+    unshared = _work(monkeypatch, lambda: _unshared_report(D4, alpha))
+    assert unshared["cone_of_proj_map"] == 10 and unshared["decompose"] == 2
+    report = check_multiplicativity(D4, alpha, cache=CharacterCache())
+    assert report == expected and report.betas == [alpha] and report.equal
+
+
+@pytest.mark.parametrize("quiver, box", [("d4", 1), ("kronecker", 3), ("a3", 2)])
+def test_a_shared_plan_gives_the_report_of_fresh_plans(a3, kronecker, quiver, box):
+    q = {"d4": D4, "kronecker": kronecker, "a3": a3}[quiver]
+    for alpha in product(range(-box, box + 1), repeat=q.n):
+        assert check_multiplicativity(q, alpha, cache=CharacterCache()) == _unshared_report(q, alpha), alpha
+
+
+def test_a_cached_lhs_leaves_the_decomposition_sampling_as_before(monkeypatch):
+    # with X(E^t·alpha) in the cache, the case's plan stays fresh: its decomposition
+    # draws the cones, with the seeds, of a decomposition that runs alone
+    alpha = (1, 1, 1, 1)
+    cache = CharacterCache()
+    generic_character(D4, et_map(D4, alpha), cache=cache)
+
+    def draws(run):
+        seen = []
+        _recording(monkeypatch, generic, "sample_generic_proj_map",
+                   lambda q, dec, rng_seed=0, bound=10: seen.append((dec, rng_seed)))
+        return seen, _work(monkeypatch, run)
+
+    cached = draws(lambda: check_multiplicativity(D4, alpha, cache=cache))
+    alone = draws(lambda: virtual_generic_decomposition(D4, alpha, rng_seed=mix_seed(0, 13)))
+    assert cached == alone and len(cached[0]) == 5 and cached[1]["decompose"] == 1
+
+
+def _counting_products(monkeypatch):
+    """The number of factors of each product `_pattern_value` takes, in order."""
+    real, sizes = generic.product, []
+
+    def counting(factors, nvars):
+        sizes.append(len(factors))
+        return real(factors, nvars)
+
+    monkeypatch.setattr(generic, "product", counting)
+    return sizes
+
+
+def test_an_all_rigid_value_multiplies_its_part_characters_once(monkeypatch):
+    # D4 X(1, -1, 0, 2): every sample's cone is the rigid bricks (0, 1, 0, 1) and
+    # (1, 1, 0, 1), no shifted part; five samples are certified, one product taken
+    gamma = (1, -1, 0, 2)
+    patterns = []
+    _recording(monkeypatch, generic, "_pattern_value",
+               lambda parts, shifted, *rest: patterns.append(cone_signature((parts, shifted))))
+    sizes = _counting_products(monkeypatch)
+    value = generic_character(D4, gamma, cache=CharacterCache())
+    assert patterns == [([(0, 1, 0, 1), (1, 1, 0, 1)], (0, 0, 0, 0))] * 5 and sizes == [2]
+    assert value == tree_character(D4, (0, 1, 0, 1)) * tree_character(D4, (1, 1, 0, 1))
+
+
+def test_a_value_with_non_rigid_parts_counts_and_multiplies_every_sample(monkeypatch, kronecker):
+    # Kronecker X(2, -2): two regular bricks (1, 1), <d, d> = 0, on each of five samples
+    counted = _counting_cc_module(monkeypatch)
+    sizes = _counting_products(monkeypatch)
+    value = generic_character(kronecker, (2, -2), cache=CharacterCache())
+    assert counted == [(1, 1)] * 10 and sizes == [2] * 5
+    assert value == generic_character(kronecker, (1, -1), cache=CharacterCache()) ** 2
 
 
 @pytest.mark.parametrize("quiver, gamma, seed", [

@@ -131,6 +131,21 @@ def test_exact_divide_random_round_trip():
         assert exact_divide(q * g, g) == q
 
 
+def test_equal_polynomials_hash_equal():
+    # the hash is computed once per object, from the terms in sorted order, so
+    # equal polynomials built by different routes (term order, product order,
+    # JSON) hash equal, and hashing twice gives the same number
+    rng = random.Random(11)
+    for nvars in (1, 2, 4):
+        for _ in range(50):
+            a, b = _random_poly(rng, nvars), _random_poly(rng, nvars)
+            ab, ba = a * b, b * a
+            reversed_terms = LaurentPoly(nvars, dict(reversed(list(ab.terms.items()))))
+            copies = (ab, ba, reversed_terms, LaurentPoly.from_json(ab.to_json()))
+            assert all(c == ab and hash(c) == hash(ab) for c in copies)
+            assert hash(ab) == hash(ab) and len(set(copies)) == 1
+
+
 def test_json_round_trip():
     p = P("(x1+1+x2)/(x1*x2)")
     data = p.to_json()
