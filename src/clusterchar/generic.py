@@ -28,10 +28,10 @@ to the certified module, whose parts it takes: bricks, no Ext between them, the
 same disjoint shifted support. A module that fails the rank is decomposed and
 certified as any other. The map of rigid characters, the plan and its certified
 round never outlive one value, so values compared with each other (cc-agreement,
-multiplicativity) are computed independently. The one exception is a
-multiplicativity case, whose lhs X(E^t·alpha) and decomposition of alpha sample
-the one index E^t·alpha: they share its plan, and the decomposition's own
-samples take the certified round of the lhs. `cc_generic` still finds the
+multiplicativity) are computed independently. A multiplicativity case is one
+value: X(E^t·alpha) and the decomposition of alpha are read off the same five
+certified cones of E^t·alpha (`_certified_value`), whose parts give the betas
+and whose shifted part gives gamma. `cc_generic` still finds the
 character of each sample's own module with `cc_module`. What does outlive a
 value is the plan of a cone (`_cone_plan`): bases and index tables fixed by
 (quiver, gamma1, gamma0), never a sampled coefficient, so sharing it shares no
@@ -60,7 +60,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .characters import ClusterObject, cc_module, tree_character
@@ -244,11 +244,6 @@ def _projective_summand(q: Quiver, i: int) -> Representation:
     return _known_end(projective_representation(q, i), 1)
 
 
-def _projective_parts(q: Quiver, gamma0: IntVec) -> list[Representation]:
-    """The summands of P(gamma0): `_projective_summand(q, i)`, gamma0_i times each."""
-    return [_projective_summand(q, i) for i, g in enumerate(gamma0, start=1) for _ in range(g)]
-
-
 def _no_path(q: Quiver, dec: ProjDecomposition) -> bool:
     """Whether no path runs from supp gamma0 to supp gamma1, so Hom(P(gamma1), P(gamma0)) = 0."""
     return not any(q.paths(i, j) for i, a in enumerate(dec.gamma0, start=1) if a
@@ -258,28 +253,21 @@ def _no_path(q: Quiver, dec: ProjDecomposition) -> bool:
 @lru_cache(maxsize=4096)
 def _read_off_pattern(q: Quiver, gamma: IntVec) -> tuple[tuple[Representation, ...], IntVec]:
     """(parts, shifted) of the cone of index gamma when Hom(P(gamma1), P(gamma0)) = 0:
-    P(gamma0) ⊕ P(gamma1)[1], and E^t·dim P(gamma1) = gamma1. Certified once per
-    (quiver, gamma); like a `_cone_plan`, it holds no sampled coefficient and no count."""
+    P(gamma0) ⊕ P(gamma1)[1], whose parts are `_projective_summand(q, i)`, gamma0_i
+    times each, and E^t·dim P(gamma1) = gamma1. Certified once per (quiver, gamma);
+    like a `_cone_plan`, it holds no sampled coefficient and no count."""
     dec = min_proj_decomposition(gamma)
-    parts = _projective_parts(q, dec.gamma0)
+    parts = [_projective_summand(q, i) for i, g in enumerate(dec.gamma0, start=1) for _ in range(g)]
     _certify_pattern(q, gamma, parts, dec.gamma1)
     return tuple(parts), dec.gamma1
 
 
-def _draw_cone(q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int) -> tuple:
-    """(module, summands or None, shifted) of the cone of one sampled P(gamma1) -> P(gamma0).
-
-    The seed draws the map. When gamma1 = 0 the map is 0 and the cone is P(gamma0) =
-    ⊕ P_i^gamma0_i whatever the seed, so its summands are read off the quiver
-    (`_projective_parts`): each P_i is a brick and projectives have no Ext.
-    Otherwise the summands are None, even when Hom(P(gamma1), P(gamma0)) = 0: the
-    module is to be decomposed (`decompose`, or `_refine_blocks`' certification by
-    rigidity), as a block of a rigid plan must be.
-    """
+def _draw_cone(q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int) -> tuple[Representation, IntVec]:
+    """(module, shifted) of the cone of one sampled P(gamma1) -> P(gamma0); the seed
+    draws the map. The module is left to the caller to decompose (`decompose`, or
+    `_refine_blocks`' certification by rigidity)."""
     cone = cone_of_proj_map(sample_generic_proj_map(q, dec, rng_seed, bound))
-    if any(dec.gamma1):
-        return cone.module, None, cone.shifted
-    return cone.module, _projective_parts(q, dec.gamma0), cone.shifted
+    return cone.module, cone.shifted
 
 
 def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
@@ -289,14 +277,14 @@ def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[
 
 
 def _cone_pattern_once(
-    q: Quiver, gamma: IntVec, rng_seed: int, bound: int = 10, *, plan: BlockPlan | None = None
+    q: Quiver, gamma: IntVec, rng_seed: int, bound: int = 10, *, plan: BlockPlan
 ) -> tuple[Sequence[Representation], IntVec]:
-    """(parts, shifted) of one cone of index gamma, certified by `_refine_blocks` from `plan` or [gamma],
+    """(parts, shifted) of one cone of index gamma, certified by `_refine_blocks` from `plan`,
     or read off with no draw when no path runs from supp gamma0 to supp gamma1."""
     if _no_path(q, min_proj_decomposition(gamma)):
         return _read_off_pattern(q, gamma)
 
-    def sample(block: IntVec, seed0: int, k: int) -> tuple:
+    def sample(block: IntVec, seed0: int, k: int) -> tuple[Representation, IntVec]:
         return _draw_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), bound)
 
     what = f"no certified cone pattern for index {gamma}"
@@ -404,31 +392,35 @@ def generic_character(
     retries: int = 8,
     cap: int = 5_000_000,
     cache: CharacterCache | None = None,
-    *,
-    _plan: BlockPlan | None = None,
 ) -> LaurentPoly:
-    """X(gamma): certified by agreement of five independently seeded evaluations,
-    which share the pattern read off the quiver, with no map drawn, where no path
-    runs from supp gamma0 to supp gamma1 (`_read_off_pattern`).
-
-    `_plan` is internal: `check_multiplicativity` passes the one block plan of its
-    index, which is otherwise fresh for each value."""
+    """X(gamma): certified by agreement of five independently seeded evaluations on
+    their value (`_certified_value`), which share the pattern read off the quiver,
+    with no map drawn, where no path runs from supp gamma0 to supp gamma1
+    (`_read_off_pattern`). A cached value is returned as it is."""
     g = vertex_vector(q, gamma, "index")
     store = cache if cache is not None else _DEFAULT_CACHE
     hit = store.get(q, g)
     if hit is not None:
         return hit
-
-    rigid: dict[tuple, LaurentPoly] = {}  # these two live for this value only
-    plan = BlockPlan() if _plan is None else _plan
-
-    def draw(attempt: int, s: int) -> LaurentPoly:
-        parts, shifted = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
-        return _pattern_value(parts, shifted, cap, rigid)
-
-    value = certify(draw, retries, f"X({g})")
+    value = _certified_value(q, g, rng_seed, bound, retries, cap, key=lambda x: x[0])[0]
     store.put(q, g, value)
     return value
+
+
+def _certified_value(
+    q: Quiver, g: IntVec, rng_seed: int, bound: int, retries: int, cap: int, key: Callable[[tuple], object]
+) -> tuple[LaurentPoly, Sequence[Representation], IntVec]:
+    """(value, parts, shifted) of the first sample of the first attempt whose five
+    certified cones of index g agree on `key` (`certify`). The map of rigid
+    characters and the block plan live for this one value."""
+    rigid: dict[tuple, LaurentPoly] = {}
+    plan = BlockPlan()
+
+    def draw(attempt: int, s: int) -> tuple[LaurentPoly, Sequence[Representation], IntVec]:
+        parts, shifted = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
+        return _pattern_value(parts, shifted, cap, rigid), parts, shifted
+
+    return certify(draw, retries, f"X({g})", key=key)
 
 
 def generic_decomposition(
@@ -457,8 +449,6 @@ def virtual_generic_decomposition(
     rng_seed: int = 0,
     bound: int = 10,
     retries: int = 8,
-    *,
-    _plan: BlockPlan | None = None,
 ) -> tuple[list[IntVec], IntVec]:
     """(betas, gamma) with alpha = sum(betas) - E^{-t}·gamma, certified over 5 seeds.
 
@@ -468,11 +458,10 @@ def virtual_generic_decomposition(
     As E^t is invertible over Z, that is the identity above. For alpha >= 0 a
     sample with a shifted part raises GenericityUncertified and ends its attempt,
     so the betas are Kac's canonical decomposition of alpha (Kac; Schofield).
-    `_plan` is internal, as in `generic_character`.
     """
     a = vertex_vector(q, alpha, "alpha")
     gamma_idx = et_map(q, a)
-    plan = BlockPlan() if _plan is None else _plan  # lives for this index only
+    plan = BlockPlan()  # lives for this index only
 
     def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
         cone = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound, plan=plan)
@@ -504,23 +493,26 @@ def check_multiplicativity(
 ) -> MultiplicativityReport:
     """Compare X(E^t·alpha) against prod_i X(E^t·beta_i) · X(-gamma), exactly.
 
-    X(E^t·alpha) and the decomposition of alpha sample cones of the one index
-    E^t·alpha, so they share its block plan: the decomposition draws its own five
-    samples with its own seeds, and a sample of the round that the lhs certified
-    all-rigid takes its parts by one Hom rank (`_refine_blocks`). A cache hit on
-    the lhs leaves the plan fresh.
+    X(E^t·alpha), the betas (its part dims) and gamma (its shifted part) come from
+    one certified draw of E^t·alpha whose five cones agree on value and pattern
+    (`_certified_value`, `cone_signature`); alpha >= 0 with a shifted part raises
+    GenericityUncertified. The lhs is written to the cache, never read from it, so
+    a stale entry cannot decide it; the rhs factors are `generic_character` values.
     """
     a = tuple(int(x) for x in alpha)
-    plan = BlockPlan()  # of the one index E^t·alpha
+    g = et_map(q, a)
+    lhs, parts, shift = _certified_value(q, g, rng_seed, bound, retries, cap,
+                                         key=lambda x: (x[0], cone_signature(x[1:])))
+    if any(shift) and all(x >= 0 for x in a):
+        raise GenericityUncertified(f"multiplicativity of {a}: nonnegative alpha with a shifted part")
+    store = cache if cache is not None else _DEFAULT_CACHE
+    if store.get(q, g) != lhs:  # a file cache gains no line for a value it holds
+        store.put(q, g, lhs)
+    betas = sorted(p.dims for p in parts)
 
-    def value(gamma: IntVec, seed: int, shared: BlockPlan | None = None) -> LaurentPoly:
-        return generic_character(q, gamma, rng_seed=seed, bound=bound, retries=retries, cap=cap, cache=cache,
-                                 _plan=shared)
+    def value(gamma: IntVec, seed: int) -> LaurentPoly:
+        return generic_character(q, gamma, rng_seed=seed, bound=bound, retries=retries, cap=cap, cache=cache)
 
-    lhs = value(et_map(q, a), rng_seed, plan)
-    betas, shift = virtual_generic_decomposition(
-        q, a, rng_seed=mix_seed(rng_seed, 13), bound=bound, retries=retries, _plan=plan
-    )
     factors = [value(et_map(q, beta), mix_seed(rng_seed, 17)) for beta in betas]
     if any(shift):
         factors.append(value(tuple(-x for x in shift), mix_seed(rng_seed, 19)))
@@ -566,8 +558,8 @@ def stability_check(
     )
 
     def draw(attempt: int, s: int) -> tuple[list[Representation], IntVec]:
-        module, parts, shifted = _draw_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound)
-        return decompose(module) if parts is None else parts, shifted
+        module, shifted = _draw_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound)
+        return decompose(module), shifted
 
     parts, shift = certify(draw, retries, f"padded character for {g} + {pd}", key=cone_signature)
     _certify_pattern(q, g, parts, shift)

@@ -437,12 +437,36 @@ def _split_simples(m: Representation) -> tuple[Representation, list[Representati
     return _subrep_on_bases(m, bases), simples
 
 
+def _sqrt_mod(r: int, p: int) -> int | None:
+    """A square root of r modulo the odd prime p, or None when r is not a square.
+
+    Euler's criterion decides, and Tonelli-Shanks finds the root with the least
+    non-residue z >= 2, so no random number is drawn. With p - 1 = q·2^s, q odd,
+    each step keeps x² = r·t and lowers the order of t, a power of 2, until t = 1.
+    """
+    r %= p
+    if r == 0:
+        return 0
+    if pow(r, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = next(z for z in itertools.count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, x = s, pow(z, q, p), pow(r, q, p), pow(r, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
+
 def _quadratic_split(m: Representation, endos) -> tuple[Representation, Representation] | None:
     """Fitting split of M when End(M) has the basis endos of length 2, else None.
 
     For a basis element phi not in k·id, End(M) = k[phi], and one elimination of
     the columns (id | phi | phi²) gives phi² = a·phi + b·id. A root c of
-    x² - a·x - b in k (over Q, a² + 4b is a square; over F_p, a search of F_p)
+    x² - a·x - b in k (over Q, a² + 4b is a square; over F_p with p odd,
+    (a + sqrt(a² + 4b)) / 2 with the root of `_sqrt_mod`; over F_2, 0 or 1)
     makes phi - c·id a zero divisor, which splits M unless c is a double root: then
     it is nilpotent and End(M) is local. Without a root End(M) is a field. In both
     cases M is indecomposable and the answer is None.
@@ -463,10 +487,15 @@ def _quadratic_split(m: Representation, endos) -> tuple[Representation, Represen
         if (num * num, den * den) != (disc.numerator, disc.denominator):
             return None
         c = (a + Fraction(num, den)) / 2
-    else:
-        c = next((c for c in range(p) if (c * c - a * c - b) % p == 0), None)
+    elif p == 2:
+        c = next((c for c in range(2) if (c * c - a * c - b) % 2 == 0), None)
         if c is None:
             return None
+    else:
+        root = _sqrt_mod(a * a + 4 * b, p)
+        if root is None:
+            return None
+        c = (a + root) * ((p + 1) // 2) % p  # (p + 1) / 2 is the inverse of 2
     shifted = [[[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mat)] for mat in mats]
     return _fitting_split(m, shifted)
 
@@ -562,11 +591,9 @@ class BlockPlan:
     """What one value's certified samples leave for its later ones (`_refine_blocks`).
 
     `blocks` are the blocks of the round that certified last. `rigid` is the first
-    certified round whose parts are all rigid and whose blocks were all decomposed:
-    its shape (`_round_shape`), parts and shifted part. A caller keeps one plan per
-    value and never shares it between values. The one sharing is within one
-    multiplicativity case: X(E^t·alpha) and the decomposition of alpha sample the
-    one index E^t·alpha, and share the plan of that index.
+    certified round whose parts are all rigid: its shape (`_round_shape`), parts and
+    shifted part. A caller keeps one plan per value and never shares it between
+    values; a fresh plan acts as no plan.
     """
 
     def __init__(self, blocks: Sequence[tuple[int, ...]] = ()):
@@ -576,35 +603,32 @@ class BlockPlan:
 
 def _round_shape(blocks: list, drawn: list) -> list:
     """(block, module dims, shifted part) of each block of a round."""
-    return [(b, mod.dims, sh) for b, (mod, _, sh) in zip(blocks, drawn)]
+    return [(b, mod.dims, sh) for b, (mod, sh) in zip(blocks, drawn)]
 
 
 def _rigid_copy(q: Quiver, rigid: tuple | None, blocks: list, drawn: list) -> bool:
     """Whether the round has the shape of the certified all-rigid round `rigid` and
-    every module it drew, left to decompose, is rigid. One Hom rank per nonzero
-    module: ext(M, M) = dim End M - <d, d> on a hereditary algebra."""
+    every module it drew is rigid. One Hom rank per nonzero module: ext(M, M) =
+    dim End M - <d, d> on a hereditary algebra."""
     if rigid is None or rigid[0] != _round_shape(blocks, drawn):
         return False
-    return all(pk is None and (mod.is_zero() or hom_dim(mod, mod) == euler_form(q, mod.dims, mod.dims))
-               for mod, pk, _ in drawn)
+    return all(mod.is_zero() or hom_dim(mod, mod) == euler_form(q, mod.dims, mod.dims) for mod, _ in drawn)
 
 
-def _refine_blocks(
-    q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, *, plan: BlockPlan | None = None,
-) -> tuple:
+def _refine_blocks(q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, *, plan: BlockPlan) -> tuple:
     """(modules, parts, shifted) of the first round whose samples certify gamma.
 
     Blocks are indices, starting from `plan.blocks` when it holds blocks and from
     [gamma] otherwise. Round r calls sample(block, mix_seed(rng_seed, r), k) ->
-    (module, summands, shifted) for each block k; summands None means that the
-    module is to be decomposed here. A non-brick X with m = dim End X dividing
-    dim X replaces its block by the block's other summands, m copies of dim X / m
-    and the negated shifted part. Otherwise the round must pass `_certify_pattern`,
-    or the next round resamples the same blocks; after REFINE_ROUND_LIMIT rounds,
-    GenericityUncertified gives `what` and the last reason.
+    (module, shifted) for each block k, and decomposes each module. A non-brick X
+    with m = dim End X dividing dim X replaces its block by the block's other
+    summands, m copies of dim X / m and the negated shifted part. Otherwise the
+    round must pass `_certify_pattern`, or the next round resamples the same
+    blocks; after REFINE_ROUND_LIMIT rounds, GenericityUncertified gives `what`
+    and the last reason.
 
-    `plan`, kept by the caller for one value (or one index, see `BlockPlan`),
-    takes the blocks of the round that certifies. They are a hint, not evidence: every round must pass
+    `plan`, kept by the caller for one value, takes the blocks of the round that
+    certifies. They are a hint, not evidence: every round must pass
     `_certify_pattern`, which proves the generic cone of gamma whichever blocks
     were drawn (semicontinuity). The plan also keeps the value's first certified
     round whose parts are all rigid (<d, d> = 1). Its block modules are rigid:
@@ -618,36 +642,34 @@ def _refine_blocks(
     decomposition. Any other round decomposes the modules it drew and is
     certified as above.
     """
-    blocks: list[tuple[int, ...]] = list(plan.blocks) if plan is not None and plan.blocks else [gamma]
+    blocks: list[tuple[int, ...]] = list(plan.blocks) or [gamma]
     last = "unsampled"
     for round_no in range(REFINE_ROUND_LIMIT):
         seed0 = mix_seed(rng_seed, round_no)
         drawn = [sample(b, seed0, k) for k, b in enumerate(blocks)]
-        if plan is not None and _rigid_copy(q, plan.rigid, blocks, drawn):
+        if _rigid_copy(q, plan.rigid, blocks, drawn):
             _, parts, shifted = plan.rigid
-            return [mod for mod, _, _ in drawn], parts, shifted
-        decomposed = all(pk is None for _, pk, _ in drawn)
-        drawn = [(mod, decompose(mod) if pk is None else pk, sh) for mod, pk, sh in drawn]
-        split = split_non_brick([pk for _, pk, _ in drawn])
+            return [mod for mod, _ in drawn], parts, shifted
+        parts_per_block = [decompose(mod) for mod, _ in drawn]
+        split = split_non_brick(parts_per_block)
         if split is not None:
             k, x, dims = split
             blocks = blocks[:k] + blocks[k + 1 :] + [et_map(q, d) for d in dims]
-            if any(drawn[k][2]):
-                blocks.append(tuple(-s for s in drawn[k][2]))
+            if any(drawn[k][1]):
+                blocks.append(tuple(-s for s in drawn[k][1]))
             last = f"split non-brick summand {x.dims}"
             continue
-        parts = [x for _, pk, _ in drawn for x in pk]
-        shifted = tuple(sum(sh[i] for _, _, sh in drawn) for i in range(q.n))
+        parts = [x for pk in parts_per_block for x in pk]
+        shifted = tuple(sum(sh[i] for _, sh in drawn) for i in range(q.n))
         try:
             _certify_pattern(q, gamma, parts, shifted)
         except GenericityUncertified as exc:
             last = str(exc)
             continue
-        if plan is not None:
-            plan.blocks = blocks
-            if plan.rigid is None and decomposed and all(euler_form(q, x.dims, x.dims) == 1 for x in parts):
-                plan.rigid = (_round_shape(blocks, drawn), parts, shifted)
-        return [mod for mod, _, _ in drawn], parts, shifted
+        plan.blocks = blocks
+        if plan.rigid is None and all(euler_form(q, x.dims, x.dims) == 1 for x in parts):
+            plan.rigid = (_round_shape(blocks, drawn), parts, shifted)
+        return [mod for mod, _ in drawn], parts, shifted
     raise GenericityUncertified(f"{what} ({last})")
 
 
@@ -670,7 +692,7 @@ def generic_representation(
     split and resampled; this is what makes e.g. twice an isotropic Schur root
     land on a split rational sample. The representative is the direct sum of
     the block samples. `plan` is the caller's block plan for d, as in
-    `_refine_blocks`.
+    `_refine_blocks`, and a fresh one when the caller passes none.
     """
     d = vertex_vector(q, d, "dimension vector")
     if any(x < 0 for x in d):
@@ -679,11 +701,12 @@ def generic_representation(
         return zero_representation(q), []
     zero = (0,) * q.n
 
-    def sample(block: tuple[int, ...], seed0: int, k: int) -> tuple:
+    def sample(block: tuple[int, ...], seed0: int, k: int) -> tuple[Representation, tuple[int, ...]]:
         x = random_representation(q, et_map(q, block, inverse=True), QQ, rng_seed=mix_seed(seed0, k), bound=bound)
-        return x, None, zero
+        return x, zero
 
     what = f"could not certify a generic representative of {d}"
+    plan = BlockPlan() if plan is None else plan
     samples, parts, _ = _refine_blocks(q, et_map(q, d), sample, mix_seed(rng_seed, 0), what, plan=plan)
     return direct_sum_all(samples, q, QQ), parts
 

@@ -77,65 +77,77 @@ R1, R2 = _regular(1, 0), _regular(0, 1)
 S1, S2 = simple_representation(A2, 1), simple_representation(A2, 2)
 
 
-def _sampler(table):
-    """A sampler that replays table[round][k] as (module, summands, shifted) and records its calls."""
+def _sampler(monkeypatch, table):
+    """A sampler that replays table[round][k] = (module, parts, shifted) as (module,
+    shifted) and records its calls. `replab.decompose` gives a module the parts it
+    was drawn with, or decomposes it when they are None."""
+    from clusterchar import replab
+
     rounds = {mix_seed(SEED, r): r for r in range(len(table))}
-    calls = []
+    calls, parts_of = [], {}
+    decompose = replab.decompose
 
     def sample(block, seed0, k):
         calls.append((rounds[seed0], block, k))
-        return table[rounds[seed0]][k]
+        module, parts, shifted = table[rounds[seed0]][k]
+        parts_of[id(module)] = parts
+        return module, shifted
 
+    def injected(m):
+        parts = parts_of.get(id(m))
+        return decompose(m) if parts is None else parts
+
+    monkeypatch.setattr(replab, "decompose", injected)
     return sample, calls
 
 
-def test_non_brick_dividing_its_dimension_refines_its_block():
+def test_non_brick_dividing_its_dimension_refines_its_block(monkeypatch):
     x = direct_sum(R1, R2)  # End = Q x Q: m = 2 divides (2, 2, 0)
     gamma = et_map(KRON3, (2, 2, 0))
     half = et_map(KRON3, (1, 1, 0))
     zero = (0, 0, 0)
-    sample, calls = _sampler([[(x, [x], zero)], [(R1, [R1], zero), (R2, [R2], zero)]])
-    modules, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x")
+    sample, calls = _sampler(monkeypatch, [[(x, [x], zero)], [(R1, [R1], zero), (R2, [R2], zero)]])
+    modules, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=BlockPlan())
     assert calls == [(0, gamma, 0), (1, half, 0), (1, half, 1)]
     assert modules == [R1, R2] and parts == [R1, R2] and shifted == zero
 
 
-def test_non_brick_not_dividing_its_dimension_resamples_the_same_blocks():
+def test_non_brick_not_dividing_its_dimension_resamples_the_same_blocks(monkeypatch):
     bundle = direct_sum(S1, S2)  # End = Q x Q: m = 2 does not divide (1, 1)
     brick = make_representation(A2, QQ, (1, 1), [[[1]]])
     gamma = et_map(A2, (1, 1))
-    sample, calls = _sampler([[(bundle, [bundle], (0, 0))], [(brick, [brick], (0, 0))]])
-    modules, parts, _ = _refine_blocks(A2, gamma, sample, SEED, "x")
+    sample, calls = _sampler(monkeypatch, [[(bundle, [bundle], (0, 0))], [(brick, [brick], (0, 0))]])
+    modules, parts, _ = _refine_blocks(A2, gamma, sample, SEED, "x", plan=BlockPlan())
     assert calls == [(0, gamma, 0), (1, gamma, 0)]
     assert modules == [brick] and parts == [brick]
-    sample, _ = _sampler([[(bundle, [bundle], (0, 0))]] * REFINE_ROUND_LIMIT)
+    sample, _ = _sampler(monkeypatch, [[(bundle, [bundle], (0, 0))]] * REFINE_ROUND_LIMIT)
     with pytest.raises(GenericityUncertified, match=r"^x \(non-brick summand \(1, 1\) with End dim 2\)$"):
-        _refine_blocks(A2, gamma, sample, SEED, "x")
+        _refine_blocks(A2, gamma, sample, SEED, "x", plan=BlockPlan())
 
 
-def test_a_cones_shifted_part_returns_as_a_negative_block():
+def test_a_cones_shifted_part_returns_as_a_negative_block(monkeypatch):
     x = direct_sum(R1, R2)
     shift = (0, 0, 1)
     gamma = tuple(a - b for a, b in zip(et_map(KRON3, (2, 2, 0)), shift))
     half = et_map(KRON3, (1, 1, 0))
     zero = (0, 0, 0)
-    sample, calls = _sampler([
+    sample, calls = _sampler(monkeypatch, [
         [(x, [x], shift)],
         [(R1, [R1], zero), (R2, [R2], zero), (None, [], shift)],
     ])
-    _, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x")
+    _, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=BlockPlan())
     assert calls == [(0, gamma, 0), (1, half, 0), (1, half, 1), (1, (0, 0, -1), 2)]
     assert parts == [R1, R2] and shifted == shift
 
 
-def test_last_round_names_the_last_reason():
+def test_last_round_names_the_last_reason(monkeypatch):
     bundle = direct_sum(S1, S2)
     gamma = et_map(A2, (1, 1))
     # round 0: a non-brick that cannot split; every later round: bricks with Ext(S1, S2) != 0
     later = [[(bundle, [S1, S2], (0, 0))]] * (REFINE_ROUND_LIMIT - 1)
-    sample, calls = _sampler([[(bundle, [bundle], (0, 0))]] + later)
+    sample, calls = _sampler(monkeypatch, [[(bundle, [bundle], (0, 0))]] + later)
     with pytest.raises(GenericityUncertified) as info:
-        _refine_blocks(A2, gamma, sample, SEED, "no pattern")
+        _refine_blocks(A2, gamma, sample, SEED, "no pattern", plan=BlockPlan())
     assert str(info.value) == "no pattern (Ext((1, 0),(0, 1)) nonzero on the sample)"
     assert len(calls) == REFINE_ROUND_LIMIT == 24
 
@@ -147,21 +159,21 @@ ZERO = (0, 0, 0)
 R3 = _regular(1, 1)
 
 
-def test_a_stored_plan_is_sampled_from_round_0():
+def test_a_stored_plan_is_sampled_from_round_0(monkeypatch):
     gamma = et_map(KRON3, (2, 2, 0))
     plan = BlockPlan([HALF, HALF])
-    sample, calls = _sampler([[(R1, [R1], ZERO), (R2, [R2], ZERO)]])
+    sample, calls = _sampler(monkeypatch, [[(R1, [R1], ZERO), (R2, [R2], ZERO)]])
     modules, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, HALF, 0), (0, HALF, 1)]
     assert modules == [R1, R2] and parts == [R1, R2] and shifted == ZERO
     assert plan.blocks == [HALF, HALF]
 
 
-def test_a_run_that_never_certifies_leaves_the_plan_unchanged():
+def test_a_run_that_never_certifies_leaves_the_plan_unchanged(monkeypatch):
     # round 0 splits (2, 2, 0); every later round draws one point twice, with Ext(R1, R1) != 0
     gamma = et_map(KRON3, (2, 2, 0))
     later = [[(R1, [R1], ZERO)] * 2] * (REFINE_ROUND_LIMIT - 1)
-    sample, calls = _sampler([[(direct_sum(R1, R2), [direct_sum(R1, R2)], ZERO)]] + later)
+    sample, calls = _sampler(monkeypatch, [[(direct_sum(R1, R2), [direct_sum(R1, R2)], ZERO)]] + later)
     for start in ([], [gamma]):
         plan = BlockPlan(list(start))
         with pytest.raises(GenericityUncertified, match=r"Ext\(\(1, 1, 0\),\(1, 1, 0\)\)"):
@@ -170,12 +182,12 @@ def test_a_run_that_never_certifies_leaves_the_plan_unchanged():
     assert calls[:3] == [(0, gamma, 0), (1, HALF, 0), (1, HALF, 1)]
 
 
-def test_a_planned_block_that_shows_a_non_brick_keeps_refining():
+def test_a_planned_block_that_shows_a_non_brick_keeps_refining(monkeypatch):
     gamma = et_map(KRON3, (3, 3, 0))
     double = et_map(KRON3, (2, 2, 0))
     plan = BlockPlan([HALF, double])
     x = direct_sum(R2, R3)
-    sample, calls = _sampler([
+    sample, calls = _sampler(monkeypatch, [
         [(R1, [R1], ZERO), (x, [x], ZERO)],
         [(R1, [R1], ZERO), (R2, [R2], ZERO), (R3, [R3], ZERO)],
     ])
@@ -185,16 +197,16 @@ def test_a_planned_block_that_shows_a_non_brick_keeps_refining():
     assert plan.blocks == [HALF, HALF, HALF]
 
 
-def test_the_plan_after_success_is_the_certified_blocks_with_the_negated_shift():
+def test_the_plan_after_success_is_the_certified_blocks_with_the_negated_shift(monkeypatch):
     x = direct_sum(R1, R2)
     shift = (0, 0, 1)
     gamma = tuple(a - b for a, b in zip(et_map(KRON3, (2, 2, 0)), shift))
-    sample, _ = _sampler([[(x, [x], shift)], [(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
+    sample, _ = _sampler(monkeypatch, [[(x, [x], shift)], [(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
     plan = BlockPlan()
     _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert plan.blocks == [HALF, HALF, (0, 0, -1)]
     # the next sample of the value starts from it and certifies in round 0
-    sample, calls = _sampler([[(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
+    sample, calls = _sampler(monkeypatch, [[(R1, [R1], ZERO), (R2, [R2], ZERO), (None, [], shift)]])
     _, parts, shifted = _refine_blocks(KRON3, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, HALF, 0), (0, HALF, 1), (0, (0, 0, -1), 2)]
     assert parts == [R1, R2] and shifted == shift
@@ -224,11 +236,11 @@ def test_a_rigid_round_with_the_certified_dims_takes_the_certified_parts(monkeyp
     gamma = et_map(A2, (1, 1))
     decomposed = _counting_decompose(monkeypatch)
     plan = BlockPlan()
-    sample, _ = _sampler([[(BRICK, None, (0, 0))]])
+    sample, _ = _sampler(monkeypatch, [[(BRICK, None, (0, 0))]])
     _, first, _ = _refine_blocks(A2, gamma, sample, SEED, "x", plan=plan)
     assert decomposed == [BRICK] and plan.rigid is not None
     other = make_representation(A2, QQ, (1, 1), [[[-7]]])  # another point of the open orbit
-    sample, calls = _sampler([[(other, None, (0, 0))]])
+    sample, calls = _sampler(monkeypatch, [[(other, None, (0, 0))]])
     modules, parts, shifted = _refine_blocks(A2, gamma, sample, SEED, "x", plan=plan)
     assert calls == [(0, gamma, 0)] and decomposed == [BRICK]
     assert modules == [other] and parts is first and shifted == (0, 0)
@@ -238,26 +250,21 @@ def test_a_non_rigid_round_with_the_certified_dims_is_decomposed_and_certified_a
     gamma = et_map(A2, (1, 1))
     decomposed = _counting_decompose(monkeypatch)
     plan = BlockPlan()
-    _refine_blocks(A2, gamma, _sampler([[(BRICK, None, (0, 0))]])[0], SEED, "x", plan=plan)
+    _refine_blocks(A2, gamma, _sampler(monkeypatch, [[(BRICK, None, (0, 0))]])[0], SEED, "x", plan=plan)
     # round 0 draws S1 ⊕ S2: its dims and shifted part are the certified ones, but it
     # is decomposed and refused (Ext(S1, S2) != 0); round 1 draws a brick again
-    sample, calls = _sampler([[(BUNDLE, None, (0, 0))], [(BRICK, None, (0, 0))]])
+    sample, calls = _sampler(monkeypatch, [[(BUNDLE, None, (0, 0))], [(BRICK, None, (0, 0))]])
     modules, parts, _ = _refine_blocks(A2, gamma, sample, SEED, "x", plan=plan)
     assert decomposed == [BRICK, BUNDLE] and len(calls) == 2
     assert modules == [BRICK] and [p.dims for p in parts] == [(1, 1)]
-    sample, _ = _sampler([[(BUNDLE, None, (0, 0))]] * REFINE_ROUND_LIMIT)
+    sample, _ = _sampler(monkeypatch, [[(BUNDLE, None, (0, 0))]] * REFINE_ROUND_LIMIT)
     with pytest.raises(GenericityUncertified, match=r"Ext\(\(1, 0\),\(0, 1\)\)"):
         _refine_blocks(A2, gamma, sample, SEED, "x", plan=plan)
 
 
-def test_only_an_all_rigid_round_whose_blocks_were_all_decomposed_is_kept():
+def test_a_certified_round_with_a_part_that_is_not_rigid_is_not_kept(monkeypatch):
     # the Kronecker brick (1, 1, 0) has <d, d> = 0: it is certified, never kept
     gamma = et_map(KRON3, (1, 1, 0))
     plan = BlockPlan()
-    _refine_blocks(KRON3, gamma, _sampler([[(R1, None, ZERO)]])[0], SEED, "x", plan=plan)
+    _refine_blocks(KRON3, gamma, _sampler(monkeypatch, [[(R1, None, ZERO)]])[0], SEED, "x", plan=plan)
     assert plan.blocks == [gamma] and plan.rigid is None
-    # summands given by the sampler (read off the quiver) are not a decomposition
-    gamma = et_map(A2, (1, 1))
-    plan = BlockPlan()
-    _refine_blocks(A2, gamma, _sampler([[(BRICK, [BRICK], (0, 0))]])[0], SEED, "x", plan=plan)
-    assert plan.rigid is None

@@ -47,6 +47,7 @@ from clusterchar.generic import (
 )
 from clusterchar.quiver import et_map, euler_form, euler_matrix, quiver_from_text
 from clusterchar.replab import (
+    BlockPlan,
     Representation,
     ext_dim,
     first_ext_pair,
@@ -256,8 +257,7 @@ def test_d4_cone_summands_with_end_q_x_q_are_split():
     d4 = quiver_from_text((QUIVERS / "d4.quiver").read_text())
     gamma = et_map(d4, (1, 2, 1, 2))
     for seed in range(6):
-        module, parts, _ = generic._draw_cone(d4, min_proj_decomposition(gamma), seed, 10)
-        assert parts is None  # a mixed index: the drawn module is to be decomposed
+        module, _ = generic._draw_cone(d4, min_proj_decomposition(gamma), seed, 10)
         parts = replab.decompose(module)
         for x in parts:
             fresh = Representation(d4, QQ, x.dims, x.maps)  # no End dimension recorded
@@ -269,35 +269,6 @@ def test_d4_cone_summands_with_end_q_x_q_are_split():
 # every shipped quiver, the affine Ã2 and the 3-Kronecker, as quiver file text
 PROJECTIVE_CONE_QUIVERS = {path.stem: path.read_text() for path in sorted(QUIVERS.glob("*.quiver"))}
 PROJECTIVE_CONE_QUIVERS.update({"a2-affine": "3\n1 2\n2 3\n1 3\n", "kronecker3": "2\n1 2\n1 2\n1 2\n"})
-
-
-@pytest.mark.parametrize("name", sorted(PROJECTIVE_CONE_QUIVERS))
-def test_nonnegative_cone_summands_come_from_the_quiver(monkeypatch, name):
-    # gamma >= 0: the cone is P(gamma0), whose summands `_draw_cone` takes from
-    # the quiver without decomposing; they must be what `decompose` finds. A mixed
-    # index leaves its summands to the caller: None, and still no decomposition
-    q = quiver_from_text(PROJECTIVE_CONE_QUIVERS[name])
-    decompose = generic.decompose
-    calls = []
-
-    def counting(m):
-        calls.append(m.dims)
-        return decompose(m)
-
-    monkeypatch.setattr(generic, "decompose", counting)
-    for gamma in product(range(3), repeat=q.n):
-        if not any(gamma):
-            continue
-        module, parts, shifted = generic._draw_cone(q, min_proj_decomposition(gamma), 5, 10)
-        assert not calls, (name, gamma)
-        assert shifted == (0,) * q.n
-        assert sorted(x.dims for x in parts) == sorted(x.dims for x in decompose(module)), (name, gamma)
-        for x in parts:
-            fresh = Representation(q, QQ, x.dims, x.maps)  # no End dimension recorded
-            assert x.end_dim == hom_dim(fresh, fresh) == 1
-    mixed = (1, -1) + (0,) * (q.n - 2)
-    _, parts, _ = generic._draw_cone(q, min_proj_decomposition(mixed), 5, 10)
-    assert parts is None and not calls
 
 
 # --- indices without a path from supp gamma0 to supp gamma1: read off, never drawn ---
@@ -329,10 +300,15 @@ def test_an_index_without_a_path_is_read_off_as_the_drawn_cone(monkeypatch, name
     drawn = []
     _recording(monkeypatch, generic, "sample_generic_proj_map", lambda *args: drawn.append(args))
     _recording(monkeypatch, generic, "cone_of_proj_map", lambda *args: drawn.append(args))
-    read_off = [generic.cone_signature(_cone_pattern_once(q, g, seed)) for g in free for seed in (0, 1, 2)]
+
+    def signatures():
+        return [generic.cone_signature(_cone_pattern_once(q, g, seed, plan=BlockPlan()))
+                for g in free for seed in (0, 1, 2)]
+
+    read_off = signatures()
     assert not drawn
     monkeypatch.setattr(generic, "_no_path", lambda q, dec: False)
-    assert [generic.cone_signature(_cone_pattern_once(q, g, seed)) for g in free for seed in (0, 1, 2)] == read_off
+    assert signatures() == read_off
     assert drawn
 
 
@@ -576,6 +552,15 @@ def test_stability_examples(a2, a3):
     assert r.equal
 
 
+def test_stability_decomposes_every_padded_cone(monkeypatch, a2):
+    # gamma = (1, 1) >= 0 with no padding: the padded map is 0, and each of its five
+    # cones P1 ⊕ P2 is still drawn and decomposed; the minimal value is read off
+    decomposed = []
+    _recording(monkeypatch, generic, "decompose", lambda m: decomposed.append(m.dims))
+    r = stability_check(a2, (1, 1), (0, 0), cache=CharacterCache())
+    assert r.equal and decomposed == [(1, 2)] * 5
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("pad", [(0, 0), (1, 0), (1, 1)])
 def test_padded_sample_of_a_refined_cone_is_uncertified(kronecker, monkeypatch, pad, seed):
@@ -663,7 +648,7 @@ def drawn_patterns():
         q = quiver_from_text(path.read_text(encoding="utf-8"))
         for gamma in product(range(-2, 3), repeat=q.n):
             if sum(map(abs, gamma)) <= 4:
-                out += [(q, gamma, _cone_pattern_once(q, gamma, seed)) for seed in (0, 1)]
+                out += [(q, gamma, _cone_pattern_once(q, gamma, seed, plan=BlockPlan())) for seed in (0, 1)]
     return out
 
 
@@ -824,7 +809,7 @@ def test_no_ext_is_computed_from_a_projective_part(monkeypatch, name):
         if not any(gamma):
             continue
         try:
-            parts, _ = _cone_pattern_once(q, gamma, 5)
+            parts, _ = _cone_pattern_once(q, gamma, 5, plan=BlockPlan())
         except ClusterCharError:
             continue
         mixed_with_projective += min(gamma) < 0 and any(x.dims in projective for x in parts)
@@ -908,9 +893,9 @@ def test_d4_samples_the_same_blocks_and_seeds_with_or_without_a_plan(monkeypatch
 
 
 def _unplanned(monkeypatch):
-    """Certify every sample without a block plan, as before plans existed."""
+    """Certify every sample with a fresh block plan, as before plans existed."""
     refine = replab._refine_blocks
-    unplanned = lambda *args, plan=None, **kwargs: refine(*args, **kwargs)  # noqa: E731
+    unplanned = lambda *args, plan, **kwargs: refine(*args, plan=BlockPlan(), **kwargs)  # noqa: E731
     monkeypatch.setattr(generic, "_refine_blocks", unplanned)
     monkeypatch.setattr(replab, "_refine_blocks", unplanned)
 
@@ -950,12 +935,12 @@ def test_a_value_with_a_non_rigid_part_decomposes_every_sample(monkeypatch, kron
     assert work["decompose"] == work["cone_of_proj_map"] == 11
 
 
-# --- one multiplicativity case shares the block plan of its one index ---
+# --- one multiplicativity case is one certified draw of its one index ---
 
 
 def _unshared_report(q, alpha, seed=0):
-    """check_multiplicativity with a fresh plan for the lhs and for the decomposition,
-    and the rhs multiplied from 1, as before the case shared its plan."""
+    """check_multiplicativity from a separate lhs and decomposition of alpha, each
+    certified by its own five draws, and the rhs multiplied from 1."""
     cache = CharacterCache()
     lhs = generic_character(q, et_map(q, alpha), rng_seed=seed, cache=cache)
     betas, shift = virtual_generic_decomposition(q, alpha, rng_seed=mix_seed(seed, 13))
@@ -969,43 +954,57 @@ def _unshared_report(q, alpha, seed=0):
 
 def test_an_all_rigid_multiplicativity_case_decomposes_once(monkeypatch):
     # D4 alpha = (1, 1, 1, 1), a real Schur root: X(1, -2, 1, 1) draws five cones of
-    # its rigid brick and the decomposition of alpha five more, with its own seeds.
-    # Only the first cone of the lhs is decomposed; the other nine take its certified
-    # round by one Hom rank. The rhs X(E^t·beta), beta = alpha, is a cache hit
+    # its rigid brick, and the same five give the decomposition of alpha. Only the
+    # first is decomposed; the other four take its certified round by one Hom rank.
+    # The rhs X(E^t·beta), beta = alpha, is the lhs just put into the cache. A
+    # separate decomposition would draw five cones more and decompose one of them
     alpha = (1, 1, 1, 1)
     assert et_map(D4, alpha) == (1, -2, 1, 1)
     expected = _unshared_report(D4, alpha)  # builds the tree basis of alpha first
-    shared = _work(monkeypatch, lambda: check_multiplicativity(D4, alpha, cache=CharacterCache()))
-    assert shared["cone_of_proj_map"] == 10 and shared["decompose"] == 1
+    one_draw = _work(monkeypatch, lambda: check_multiplicativity(D4, alpha, cache=CharacterCache()))
+    assert one_draw["cone_of_proj_map"] == 5 and one_draw["decompose"] == 1
     unshared = _work(monkeypatch, lambda: _unshared_report(D4, alpha))
     assert unshared["cone_of_proj_map"] == 10 and unshared["decompose"] == 2
     report = check_multiplicativity(D4, alpha, cache=CharacterCache())
     assert report == expected and report.betas == [alpha] and report.equal
 
 
-@pytest.mark.parametrize("quiver, box", [("d4", 1), ("kronecker", 3), ("a3", 2)])
-def test_a_shared_plan_gives_the_report_of_fresh_plans(a3, kronecker, quiver, box):
-    q = {"d4": D4, "kronecker": kronecker, "a3": a3}[quiver]
+@pytest.mark.parametrize("quiver, box", [("d4", 1), ("kronecker", 3), ("a3", 2), ("a2", 2)])
+def test_one_certified_draw_gives_the_report_of_separate_draws(a2, a3, kronecker, quiver, box):
+    q = {"d4": D4, "kronecker": kronecker, "a3": a3, "a2": a2}[quiver]
     for alpha in product(range(-box, box + 1), repeat=q.n):
         assert check_multiplicativity(q, alpha, cache=CharacterCache()) == _unshared_report(q, alpha), alpha
 
 
-def test_a_cached_lhs_leaves_the_decomposition_sampling_as_before(monkeypatch):
-    # with X(E^t·alpha) in the cache, the case's plan stays fresh: its decomposition
-    # draws the cones, with the seeds, of a decomposition that runs alone
+def test_a_wrong_cached_lhs_is_certified_again():
+    # a cache that holds a wrong X(E^t·alpha) does not decide the lhs: the case
+    # certifies it and puts it into the cache, and its rhs X(E^t·beta), beta = alpha,
+    # reads the certified value back
     alpha = (1, 1, 1, 1)
+    gamma, wrong = et_map(D4, alpha), LaurentPoly.one(D4.n)
     cache = CharacterCache()
-    generic_character(D4, et_map(D4, alpha), cache=cache)
+    cache.put(D4, gamma, wrong)
+    report = check_multiplicativity(D4, alpha, cache=cache)
+    assert report == _unshared_report(D4, alpha) and report.equal
+    assert cache.get(D4, gamma) == report.lhs != wrong
 
-    def draws(run):
-        seen = []
-        _recording(monkeypatch, generic, "sample_generic_proj_map",
-                   lambda q, dec, rng_seed=0, bound=10: seen.append((dec, rng_seed)))
-        return seen, _work(monkeypatch, run)
 
-    cached = draws(lambda: check_multiplicativity(D4, alpha, cache=cache))
-    alone = draws(lambda: virtual_generic_decomposition(D4, alpha, rng_seed=mix_seed(0, 13)))
-    assert cached == alone and len(cached[0]) == 5 and cached[1]["decompose"] == 1
+def test_a_file_cache_gains_no_line_for_an_lhs_it_holds(tmp_path):
+    # the second run certifies each lhs again and finds it in the file already
+    path = str(tmp_path / "cache")
+    first = [check_multiplicativity(D4, alpha, cache=CharacterCache(path)) for alpha in ((1, 1, 1, 1), (1, 0, -1, 0))]
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    second = [check_multiplicativity(D4, alpha, cache=CharacterCache(path)) for alpha in ((1, 1, 1, 1), (1, 0, -1, 0))]
+    with open(path, "rb") as fh:
+        assert second == first and fh.readlines() == lines
+
+
+def test_multiplicativity_refuses_a_shifted_pattern_for_nonnegative_alpha(monkeypatch, a2):
+    # five agreeing cones with a shifted part contradict Kac's decomposition of alpha >= 0
+    monkeypatch.setattr(generic, "_cone_pattern_once", lambda *args, **kwargs: ([], (0, 1)))
+    with pytest.raises(GenericityUncertified, match="nonnegative alpha with a shifted part"):
+        check_multiplicativity(a2, (1, 1), cache=CharacterCache())
 
 
 def _counting_products(monkeypatch):

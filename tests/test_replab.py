@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -290,6 +291,36 @@ def test_quadratic_split_finds_a_root_of_the_minimal_polynomial(kronecker, p, a,
     assert sorted(x.dims for x in split) == [(1, 1), (1, 1)]
     assert all(hom_dim(x, x) == 1 for x in split)
     assert sorted(x.dims for x in decompose(m)) == [(1, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("r, splits", [(3, False), (4, True)])
+def test_quadratic_split_over_a_61_bit_field_searches_no_field(kronecker, r, splits):
+    # p = 2^61 - 1: End of the Kronecker (2, 2) with B = [[0, r], [1, 0]] is F_p[B],
+    # B² = r. 3 is not a square mod p (Euler's criterion), so End is a field and
+    # the module stays whole; 4 = 2² splits it into two (1, 1) bricks. A search of
+    # F_p would never end here
+    p = 2**61 - 1
+    assert pow(3, (p - 1) // 2, p) == p - 1
+    m = _companion(kronecker, GF(p), 0, r)
+    start = time.perf_counter()
+    parts = decompose(m)
+    assert time.perf_counter() - start < 1.0
+    if not splits:
+        assert parts == [m] and m.end_dim == 2
+        return
+    assert sorted(x.dims for x in parts) == [(1, 1), (1, 1)]
+    assert all(hom_dim(x, x) == 1 for x in parts)
+
+
+def test_quadratic_split_over_small_prime_fields_splits_exactly_at_two_roots(kronecker):
+    # B² = r over F_p: the module splits exactly when x² - r has two roots, that is
+    # when r is a nonzero square and p is odd (over F_2, x² - 1 = (x - 1)²)
+    primes = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+    for p in primes:
+        squares = {c * c % p for c in range(1, p)}
+        for r in range(p):
+            parts = decompose(_companion(kronecker, GF(p), 0, r))
+            assert (len(parts) == 2) == (r in squares and p != 2), (p, r)
 
 
 def test_decompose_draws_no_random_number(monkeypatch, kronecker, d4):
