@@ -193,12 +193,13 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
     """Cone(f) = Coker(f) ⊕ Ker(f)[1]; the kernel is projective (kQ hereditary).
 
     The structure comes from `_cone_plan`. Per map, each vertex fills its image matrix
-    from f.blocks (a missing block is zero) and takes one RREF. An arrow sends a basis
-    vector to a basis vector e_r, which reduces to e_r when r is not a pivot and to
-    e_r minus the RREF row with pivot r when it is; the non-pivot coordinates of
-    that are the cokernel column. The kernel only enters through its dimension
-    vector: the multiplicities of its projective summands are m = E^t·(dim Ker),
-    solved via the unitriangular system.
+    from f.blocks (a missing block is zero), one sparse row per basis vector of
+    P(gamma1), and takes one RREF. An arrow sends a basis vector to a basis vector
+    e_r, which reduces to e_r when r is not a pivot and to e_r minus the RREF row
+    with pivot r when it is; the non-pivot coordinates of that are the cokernel
+    column. The kernel only enters through its dimension vector: the
+    multiplicities of its projective summands are m = E^t·(dim Ker), solved via
+    the unitriangular system.
     """
     q = f.quiver
     n = q.n
@@ -208,12 +209,12 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
     ker_dims = []
     for v in range(n):
         d0, d1 = plan.dims0[v], plan.dims1[v]
-        image = [[0] * d0 for _ in range(d1)]
+        image: list[dict[int, int]] = [{} for _ in range(d1)]
         for row, col, key, c0, c1, k in plan.cells[v]:
             block = f.blocks.get(key)
             if block is not None:
                 image[col][row] = block[c0][c1][k]
-        red, pivots = linalg.rref(image, QQ) if d0 and d1 else ([], [])
+        red, pivots = linalg.rref(image, QQ, d0) if d0 and d1 else ([], [])
         pivot_rows.append(dict(zip(pivots, red)))
         free.append([c for c in range(d0) if c not in pivot_rows[v]])
         ker_dims.append(d1 - len(pivots))

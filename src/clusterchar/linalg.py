@@ -1,21 +1,36 @@
-"""Exact dense linear algebra over Q and prime fields F_p.
+"""Exact sparse linear algebra over Q and prime fields F_p.
 
-Matrices are lists (or tuples) of rows, and their entries are plain numbers:
-ints or Fractions over Q, ints over F_p, which may arrive unreduced. A `Field`
-is only a tag, `QQ` or `GF(p)`; it carries p and no arithmetic. Everything here
-is exact; these routines back the Hom/Ext solvers, Krull-Schmidt splitting,
-subspace enumeration and the inverse of the Euler matrix.
+A matrix is a list (or tuple) of rows. A row is a sequence of entries, or a
+{column: entry} dict that leaves out zeros; the elimination routines take
+either, and the Hom systems of `replab` and the cone images of `generic` come
+as dicts. Entries are plain numbers: ints or Fractions, which over F_p may
+arrive unreduced. A `Field` is only a tag, `QQ` or `GF(p)`; it carries p and no
+arithmetic. Everything here is exact; these routines back the Hom/Ext solvers,
+Krull-Schmidt splitting, subspace enumeration and the inverse of the Euler
+matrix.
 
-Two kernels do the work, `rref` and `mat_mul`, each with plain int arithmetic:
+Two kernels do the work, `_echelon` and `mat_mul`, each with plain int arithmetic:
 
-- Over Q, `rref` scales each row by the lcm of its denominators and runs
-  Gauss-Jordan over the integers, keeping every row primitive (content 1), and
-  divides by the pivots only when it builds the output rows. Scaling a row by a
-  nonzero constant keeps the row space, and the RREF of a row space is unique,
-  so the result is the RREF of the input. `mat_mul` multiplies the
-  integer-scaled matrices and divides once by the common denominator.
-- Over F_p, both kernels reduce entries mod p on entry and use `%` and
-  `pow(x, p - 2, p)` inline; what they return lies in [0, p).
+- `_echelon` turns every row into a dict of its nonzero entries and brings the
+  rows to a row echelon form, clearing each row's leading entry by the pivot
+  row found so far at that column. Over Q a row is first scaled by the lcm of
+  its denominators, and is made primitive (content 1) after every update and
+  when it becomes a pivot row; over F_p entries are reduced mod p and a pivot
+  is scaled to 1 by `pow(x, p - 2, p)`. Work and storage follow the nonzero
+  entries, and the Hom systems are sparse: at most dims[t] + dims[s] of a
+  row's entries are nonzero.
+- `rank` is the number of pivot rows of the echelon form; it does no
+  back-substitution. `rref` back-substitutes among the pivot rows only, and
+  divides by the pivots only when it writes the dense output rows.
+  `nullspace` reads the kernel off `rref`. Scaling a row by a nonzero constant
+  keeps the row space, and the RREF of a row space is unique, so the output is
+  the RREF of the input whatever the order of elimination: the same pivots,
+  rows and entry types as from a dense Gauss-Jordan. Over Q a row whose
+  primitive form has pivot 1 is integral and holds ints, every other pivot row
+  holds Fractions, and the zero rows past the rank hold ints; over F_p every
+  entry is an int in [0, p).
+- `mat_mul` multiplies the integer-scaled matrices and divides once by the
+  common denominator; over F_p it reduces mod p.
 """
 
 from __future__ import annotations
@@ -83,104 +98,141 @@ def to_field(x, field: Field):
     return x % p
 
 
-def _integer_rows(mat: Sequence[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: the same row space, in ints."""
+def _sparse_rows(mat: Sequence, p: int | None) -> list[dict[int, int]]:
+    """The nonzero rows of mat as {column: entry} dicts holding no zero entry.
+
+    Over Q a row with a Fraction is scaled by the lcm of its denominators, which
+    keeps its span; over F_p each entry is reduced into [1, p).
+    """
     out = []
     for row in mat:
-        d = lcm(*[x.denominator for x in row])
-        if d == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([x.numerator * (d // x.denominator) for x in row])
+        r = {c: x for c, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+        for x in r.values():
+            if type(x) is not int:  # a Fraction
+                if p is None:
+                    d = lcm(*[x.denominator for x in r.values()])
+                    r = {c: x.numerator * (d // x.denominator) for c, x in r.items()}
+                else:
+                    r = {c: to_field(x, GF(p)) for c, x in r.items()}
+                break
+        if p is not None:
+            r = {c: y for c, x in r.items() if (y := x % p)}
+        if r:
+            out.append(r)
     return out
 
 
-def _rref_qq(m: list[list[int]], ncols: int) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan over Z on integer rows; the pivot rows stay primitive."""
-    nrows = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        row = m[r]
-        g = gcd(*row)
-        if row[c] < 0:  # a positive pivot stays positive under the updates below
-            g = -g
-        if g != 1:
-            row = m[r] = [x // g for x in row]
-        piv = row[c]
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                g = gcd(piv, f)
-                a, b = piv // g, f // g
-                new = [a * x - b * y for x, y in zip(m[i], row)]
-                h = gcd(*new)
-                if h > 1:
-                    new = [x // h for x in new]
-                m[i] = new
-        pivots.append(c)
-        r += 1
-    # A primitive row whose pivot is 1 is already its RREF row.
-    out = [row if row[c] == 1 else [Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return out + m[r:], pivots
+def _eliminate(row: dict, prow: dict, c: int, p: int | None) -> dict:
+    """row with its entry in column c cleared by the pivot row prow (pivot at c).
+
+    Over Q both are integer rows and so is the result: row is scaled by a positive
+    factor, so an entry that prow does not touch keeps its sign, and the result is
+    made primitive. Over F_p prow's pivot is 1. row may be updated in place.
+    """
+    f = row[c]
+    if p is None:
+        a = prow[c]
+        g = gcd(a, f)
+        a, f = a // g, f // g
+        if a != 1:
+            row = {k: a * v for k, v in row.items()}
+        for k, v in prow.items():
+            x = row.get(k, 0) - f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+        g = gcd(*row.values())
+        return {k: v // g for k, v in row.items()} if g > 1 else row
+    for k, v in prow.items():
+        x = (row.get(k, 0) - f * v) % p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    return row
 
 
-def _rref_fp(m: list[list[int]], ncols: int, p: int) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan mod p on rows already reduced into [0, p)."""
-    nrows = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        row = m[r]
-        inv = pow(row[c], p - 2, p)
-        if inv != 1:
-            row = m[r] = [x * inv % p for x in row]
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def _echelon(mat: Sequence, p: int | None) -> dict[int, dict[int, int]]:
+    """A row echelon form of mat, as {pivot column: row}; its size is the rank.
+
+    Each row of mat is cleared, leading entry by leading entry, by the pivot rows
+    found so far, and becomes a pivot row at its leading column if anything is
+    left. A pivot row is nonzero only from its pivot column on. Over Q it is a
+    primitive integer row with a positive pivot, over F_p its pivot is 1.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for row in _sparse_rows(mat, p):
+        while row:
+            c = min(row)
+            prow = echelon.get(c)
+            if prow is None:
+                piv = row[c]
+                if p is None:
+                    g = gcd(*row.values())
+                    if piv < 0:
+                        g = -g
+                    echelon[c] = {k: v // g for k, v in row.items()} if g != 1 else row
+                else:
+                    inv = pow(piv, p - 2, p)
+                    echelon[c] = {k: v * inv % p for k, v in row.items()} if inv != 1 else row
+                break
+            row = _eliminate(row, prow, c, p)
+    return echelon
 
 
-def rref(mat: Sequence[Sequence], field) -> tuple[list[list], list[int]]:
+def rref(mat: Sequence, field, ncols: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Over Q the entries are ints or Fractions. Over F_p they are ints, which may
-    come in unreduced and go out in [0, p).
+    mat's rows are sequences, or {column: entry} dicts of a matrix with ncols
+    columns. Over Q the entries are ints or Fractions. Over F_p they are ints
+    or Fractions, which may come in unreduced and go out as ints in [0, p).
+    The rows come out dense: the pivot rows in pivot order, then one zero row
+    for each row of mat past the rank.
     """
-    ncols = len(mat[0]) if mat else 0
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
     p = field.p
-    if p is None:
-        return _rref_qq(_integer_rows(mat), ncols)
-    return _rref_fp([[x % p for x in row] for row in mat], ncols, p)
+    echelon = _echelon(mat, p)
+    pivots = sorted(echelon)
+    # Back-substitution among the pivot rows only, last pivot first: clearing
+    # column cj of a row with the reduced row of pivot cj adds nothing in any
+    # other pivot column.
+    out = [[0] * ncols for _ in range(len(mat) - len(pivots))]
+    for c in reversed(pivots):
+        row = echelon[c]
+        for cj in [k for k in row if k != c and k in echelon]:
+            row = _eliminate(row, echelon[cj], cj, p)
+        echelon[c] = row
+        piv = row[c]
+        if piv == 1:  # a primitive row whose pivot is 1 is already its RREF row
+            dense = [0] * ncols
+            for k, v in row.items():
+                dense[k] = v
+        else:
+            dense = [Fraction(0)] * ncols
+            for k, v in row.items():
+                dense[k] = Fraction(v, piv)
+        out.append(dense)
+    out.reverse()
+    return out, pivots
 
 
-def rank(mat: Sequence[Sequence], field) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(mat, field)[1])
+def rank(mat: Sequence, field) -> int:
+    """The rank of mat (sequence or dict rows, as for `rref`), from an echelon form."""
+    return len(_echelon(mat, field.p))
 
 
-def nullspace(mat: Sequence[Sequence], field, ncols: int | None = None) -> list[list]:
-    """Basis of the right kernel {v : mat v = 0}, as column vectors."""
+def nullspace(mat: Sequence, field, ncols: int | None = None) -> list[list]:
+    """Basis of the right kernel {v : mat v = 0}, as column vectors.
+
+    mat's rows are as for `rref`; ncols is required for dict rows.
+    """
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
     if not mat:
-        n = ncols if ncols is not None else 0
-        return [[int(i == j) for i in range(n)] for j in range(n)]
-    return rref_kernel(*rref(mat, field), len(mat[0]), field)
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    return rref_kernel(*rref(mat, field, ncols), ncols, field)
 
 
 def rref_kernel(red: Sequence[Sequence], pivots: Sequence[int], n: int, field) -> list[list]:

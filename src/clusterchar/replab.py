@@ -198,13 +198,15 @@ def direct_sum_all(parts: Sequence[Representation], q: Quiver, field: Field = QQ
 # --- Hom / Ext ---
 
 
-def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, list[tuple[int, int, int]]]:
+def _hom_system(m: Representation, n: Representation) -> tuple[list[dict[int, int]], int, list[tuple[int, int, int]]]:
     """Linear system for intertwiners f: M -> N (f_t M(a) = N(a) f_s), over their field.
 
     Unknowns are the entries of the vertexwise maps f_v (shape n.dims[v] x m.dims[v]),
     laid out vertex by vertex, row-major. Returns (rows, #unknowns, layout) where
-    layout[v] = (offset, rows_v, cols_v). Over F_p the rows hold unreduced ints,
-    which `linalg` reduces on entry.
+    layout[v] = (offset, rows_v, cols_v). Each row is sparse, a {unknown: coefficient}
+    dict holding its nonzero coefficients only (at most dims[t] + dims[s] of them),
+    in the row format of `linalg`. Over F_p the rows hold unreduced ints, which
+    `linalg` reduces on entry.
     """
     if m.quiver != n.quiver:
         raise QuiverMismatch("Hom over different quivers")
@@ -218,7 +220,7 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, 
         layout.append((off, r, c))
         off += r * c
     nun = off
-    rows: list[list] = []
+    rows: list[dict[int, int]] = []
     for a, (s, t) in enumerate(q.arrows):
         ma = m.maps[a]  # m.dims[t-1] x m.dims[s-1]
         na = n.maps[a]  # n.dims[t-1] x n.dims[s-1]
@@ -226,22 +228,19 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], int, 
         off_t, rt, ct = layout[t - 1]
         # equation block: f_t · ma - na · f_s = 0, shape n.dims[t-1] x m.dims[s-1].
         # s != t (acyclic), so the f_t and f_s unknowns of a row are distinct and no
-        # entry is written twice: the row is nonzero iff a coefficient was written.
+        # entry is written twice: a row left empty has no coefficient and is dropped.
         for r in range(n.dims[t - 1]):
             for c in range(m.dims[s - 1]):
-                row = [0] * nun
-                written = False
+                row = {}
                 for k in range(ct):  # ct == m.dims[t-1]
                     coeff = ma[k][c]
                     if coeff != 0:
                         row[off_t + r * ct + k] = coeff
-                        written = True
                 for k in range(rs):  # rs == n.dims[s-1]
                     coeff = na[r][k]
                     if coeff != 0:
                         row[off_s + k * cs + c] = -coeff
-                        written = True
-                if written:
+                if row:
                     rows.append(row)
     return rows, nun, layout
 

@@ -156,8 +156,8 @@ FRONTIER_CASES = json.loads((ROOT / "tests" / "golden" / "genchar-kronecker-fron
 @pytest.mark.parametrize("case", FRONTIER_CASES, ids=[" ".join(c["argv"]) for c in FRONTIER_CASES])
 def test_kronecker_frontier_matches_golden(capsys, case):
     """stdout, stderr and exit code of `genchar --json` for Kronecker X(k,-k), k = 2..5,
-    X(3,-4), X(4,-3), X(5,-6) and X(6,-7), and of `cc --dim 2,2 --json`, as pinned
-    in tests/golden/genchar-kronecker-frontier.json."""
+    X(3,-4), X(4,-3), X(5,-6), X(6,-7) and X(7,-8), and of `cc --dim 2,2 --json`, as
+    pinned in tests/golden/genchar-kronecker-frontier.json."""
     argv = [str(ROOT / a) if a.startswith("quivers/") else a for a in case["argv"]]
     assert run(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])
 

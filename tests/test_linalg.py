@@ -1,10 +1,11 @@
-"""The exact kernels against a field-dispatch Gauss-Jordan kept here as the oracle.
+"""The exact kernels against the field-dispatch Gauss-Jordan of `linalg_oracle`.
 
-`rref` over Q eliminates on integer rows and over F_p on raw ints; the oracle
-does every entry operation through a per-field object (`RationalOps`,
-`PrimeOps`), the way `linalg` once did. Both must give the same rows (by value)
-and pivots on every input, and so must every routine built on `rref` when it
-runs on the oracle instead.
+`linalg` takes dense or sparse ({column: entry}) rows, eliminates on sparse
+integer rows over Q and on sparse reduced rows over F_p, and takes a rank from
+the echelon form alone. The oracle does every entry operation through a
+per-field object. Both must give the same RREF rows (by value) and pivots on
+every input, the rank must be the oracle's pivot count, and every routine built
+on `rref` must give the same result when it runs on the oracle instead.
 """
 
 import random
@@ -14,123 +15,10 @@ import pytest
 
 from clusterchar import linalg
 from clusterchar.linalg import GF, QQ
+from linalg_oracle import ops, oracle_kernel, oracle_mat_mul, oracle_rref, reduced
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7919)]
 SHAPES = [(r, c) for r in range(10) for c in range(11)]
-
-
-class RationalOps:
-    """Entry operations over Q; entries are ints or Fractions."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    @staticmethod
-    def convert(a):
-        return a if isinstance(a, int) else Fraction(a)
-
-
-class PrimeOps:
-    """Entry operations over F_p, with entries kept reduced in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def convert(self, a):
-        if isinstance(a, Fraction):
-            den = a.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return (a.numerator % self.p) * pow(den, self.p - 2, self.p) % self.p
-        return a % self.p
-
-
-def ops(field):
-    return RationalOps() if field.p is None else PrimeOps(field.p)
-
-
-def reduced(mat, field):
-    return [[ops(field).convert(x) for x in row] for row in mat]
-
-
-def _inv(field, a):
-    return Fraction(1) / a if field.p is None else pow(a, field.p - 2, field.p)
-
-
-def oracle_rref(mat, field):
-    f = ops(field)
-    m = reduced(mat, field)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if not f.is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = _inv(field, m[r][c])
-        m[r] = [f.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not f.is_zero(m[i][c]):
-                g = m[i][c]
-                m[i] = [f.add(x, f.neg(f.mul(g, y))) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def oracle_mat_mul(a, b, field):
-    if not a or not b:
-        return []
-    f = ops(field)
-    out = []
-    for row in a:
-        new = []
-        for j in range(len(b[0])):
-            s = f.zero
-            for t in range(len(b)):
-                if not f.is_zero(row[t]):
-                    s = f.add(s, f.mul(row[t], b[t][j]))
-            new.append(s)
-        out.append(new)
-    return out
 
 
 def on_oracle(monkeypatch, fn, *args):
@@ -150,6 +38,37 @@ def entry(rng, field):
     return rng.randint(-9, 9)
 
 
+def big_fraction(rng, field):
+    """A Fraction with a denominator up to 10^12, prime to p over F_p."""
+    while True:
+        den = rng.randint(1, 10**12)
+        if field.p is None or den % field.p:
+            return Fraction(rng.randint(-10**12, 10**12), den)
+
+
+def sparse_variants(mat, field, rng):
+    """mat's rows as {column: entry} dicts, three ways: the nonzero entries only;
+    some zero entries kept and some entries replaced by Fractions with large
+    denominators (returned with the dense matrix they stand for); and mat with an
+    empty dict and an explicit all-zero row put in."""
+    ncols = len(mat[0]) if mat else 0
+    yield [{j: x for j, x in enumerate(row) if x} for row in mat], mat
+    mixed, meant = [], []
+    for row in mat:
+        r, d = {}, list(row)
+        for j, x in enumerate(row):
+            if rng.random() < 0.2:
+                d[j] = r[j] = big_fraction(rng, field)
+            elif x or rng.random() < 0.3:
+                r[j] = x
+        mixed.append(r)
+        meant.append(d)
+    yield mixed, meant
+    at = rng.randint(0, len(mat))
+    yield (mixed[:at] + [{}, dict.fromkeys(range(ncols), 0)] + mixed[at:],
+           meant[:at] + [[0] * ncols, [0] * ncols] + meant[at:])
+
+
 def matrices(field, seed):
     """For every shape: a dense matrix, a product of rank at most 2, and a sparse
     one whose zero rows and columns fall where the seed puts them."""
@@ -166,19 +85,56 @@ def matrices(field, seed):
                 for j in range(c)] for i in range(r)]
 
 
+def check_against_the_oracle(mat, field, ncols, monkeypatch, meant=None):
+    """rref, rank and nullspace of mat (rows dense, or dicts of a matrix with ncols
+    columns) against the oracle on `meant`, the dense matrix mat stands for."""
+    meant = mat if meant is None else meant
+    rows, pivots = linalg.rref(mat, field, ncols)
+    assert (rows, pivots) == oracle_rref(meant, field)
+    assert linalg.rank(mat, field) == len(pivots)
+    if field.p is None:  # an integral RREF row holds ints, any other row Fractions
+        for row in rows:
+            integral = all(Fraction(x).denominator == 1 for x in row)
+            assert {type(x) for x in row} <= ({int} if integral else {Fraction})
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+    kernel = linalg.nullspace(mat, field, ncols)
+    assert kernel == on_oracle(monkeypatch, linalg.nullspace, mat, field, ncols)
+    assert kernel == oracle_kernel(meant, field, ncols)
+    assert len(kernel) == ncols - len(pivots)
+    if kernel and meant:
+        image = oracle_mat_mul(reduced(meant, field), [list(col) for col in zip(*kernel)], field)
+        assert all(ops(field).is_zero(y) for row in image for y in row)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_rref_rank_nullspace_match_the_oracle(field, monkeypatch):
     for mat in matrices(field, 11):
-        rows, pivots = linalg.rref(mat, field)
-        assert (rows, pivots) == oracle_rref(mat, field)
-        assert linalg.rank(mat, field) == on_oracle(monkeypatch, linalg.rank, mat, field)
         ncols = len(mat[0]) if mat else 0
-        kernel = linalg.nullspace(mat, field, ncols)
-        assert kernel == on_oracle(monkeypatch, linalg.nullspace, mat, field, ncols)
-        assert len(kernel) == ncols - len(pivots)
-        if kernel and mat:
-            image = oracle_mat_mul(reduced(mat, field), [list(col) for col in zip(*kernel)], field)
-            assert all(ops(field).is_zero(y) for row in image for y in row)
+        check_against_the_oracle(mat, field, ncols, monkeypatch)
+        assert linalg.rref(mat, field) == linalg.rref(mat, field, ncols)  # dense rows give their width
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sparse_rows_match_the_oracle(field, monkeypatch):
+    """Dict rows, with empty dicts, all-zero rows and large-denominator Fractions."""
+    rng = random.Random(15)
+    for mat in matrices(field, 16):
+        ncols = len(mat[0]) if mat else 0
+        for rows, meant in sparse_variants(mat, field, rng):
+            check_against_the_oracle(rows, field, ncols, monkeypatch, meant)
+
+
+def test_rref_over_q_keeps_ints_where_the_pivot_row_is_integral():
+    """A row whose primitive integer form has pivot 1 keeps int entries, every other
+    pivot row holds Fractions (zeros too), and the zero rows past the rank are ints;
+    the same for dense and for dict rows."""
+    want = ([[Fraction(1), Fraction(1, 2), Fraction(0)], [0, 0, 1], [0, 0, 0]], [0, 2])
+    for mat in ([[2, 1, 0], [0, 0, Fraction(3, 7)], [4, 2, 0]],
+                [{0: 2, 1: 1}, {2: Fraction(3, 7)}, {}]):
+        rows, pivots = linalg.rref(mat, QQ, 3)
+        assert (rows, pivots) == want
+        assert [[type(x) for x in row] for row in rows] == [[Fraction] * 3, [int] * 3, [int] * 3]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

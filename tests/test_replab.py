@@ -53,6 +53,7 @@ from clusterchar.replab import (
 )
 from dynkin_oracle import indecomposable_for_root
 from fitting_oracle import hom_candidates, is_isomorphic
+from linalg_oracle import dense, oracle_kernel, oracle_rref
 
 QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
@@ -133,10 +134,51 @@ def test_hom_system_rows_match_the_reference(a2, a3, kronecker, d4, kronecker3):
                 m, n = (random_representation(q, [rng.randint(0, 2) for _ in range(q.n)], field,
                                               rng_seed=rng.randrange(10**6), bound=1) for _ in range(2))
                 rows, nun, _ = replab._hom_system(m, n)
-                assert rows == _hom_rows_reference(m, n), (q.key(), field, m, n)
+                assert all(x for row in rows for x in row.values())  # sparse: no zero kept
+                assert dense(rows, nun) == _hom_rows_reference(m, n), (q.key(), field, m, n)
                 assert nun == sum(a * b for a, b in zip(m.dims, n.dims))
                 empty += len(rows) < sum(n.dims[t - 1] * m.dims[s - 1] for s, t in q.arrows)
     assert empty > 10
+
+
+def _hom_from_the_reference(m, n):
+    """(dim, basis) of Hom(M, N) from the dense reference system through the oracle RREF,
+    each kernel vector cut into vertexwise matrices as `hom_basis` lays them out."""
+    rows = _hom_rows_reference(m, n)
+    nun = sum(a * b for a, b in zip(m.dims, n.dims))
+    basis = []
+    for vec in oracle_kernel(rows, m.field, nun):
+        comps, off = [], 0
+        for r, c in zip(n.dims, m.dims):
+            comps.append(tuple(tuple(vec[off + i * c:off + (i + 1) * c]) for i in range(r)))
+            off += r * c
+        basis.append(tuple(comps))
+    return nun - len(oracle_rref(rows, m.field)[1]) if rows else nun, basis
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.quiver")) + ["kronecker3"])
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_hom_dim_and_basis_match_the_dense_reference(name, field, kronecker3):
+    """hom_dim and hom_basis on the sparse system equal the oracle's reading of the
+    dense reference system, on seeded modules of every shipped quiver and the 3-Kronecker."""
+    q = kronecker3 if name == "kronecker3" else quiver_from_text((QUIVERS / f"{name}.quiver").read_text(encoding="utf-8"))
+    rng = random.Random(33)
+    for _ in range(10):
+        m, n = (random_representation(q, [rng.randint(0, 3) for _ in range(q.n)], field,
+                                      rng_seed=rng.randrange(10**6), bound=rng.choice((1, 9))) for _ in range(2))
+        for a, b in ((m, n), (m, m)):
+            want_dim, want_basis = _hom_from_the_reference(a, b)
+            assert hom_dim(a, b) == want_dim
+            assert hom_basis(a, b) == want_basis
+
+
+def test_hom_of_a_kronecker_frontier_cone_module_matches_the_dense_reference(kronecker):
+    """The same on End of a drawn cone module of the Kronecker X(6,-7), a brick."""
+    dec = min_proj_decomposition((6, -7))
+    m = cone_of_proj_map(sample_generic_proj_map(kronecker, dec, rng_seed=7)).module
+    want_dim, want_basis = _hom_from_the_reference(m, m)
+    assert hom_dim(m, m) == want_dim == 1
+    assert hom_basis(m, m) == want_basis
 
 
 def test_euler_identity_random(a2, a3, kronecker):
