@@ -67,7 +67,7 @@ from .characters import ClusterObject, cc_module, tree_character
 from .errors import GenericityUncertified, KernelNotProjectiveShape, SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial, product
 from .linalg import QQ
-from .quiver import Quiver, et_map, euler_form, vertex_vector
+from .quiver import Quiver, et_map, euler_form, integer_vector, vertex_vector
 from .replab import (
     BlockPlan,
     Representation,
@@ -91,7 +91,7 @@ class ProjDecomposition:
 
 
 def min_proj_decomposition(gamma: Sequence[int]) -> ProjDecomposition:
-    g = tuple(int(x) for x in gamma)
+    g = integer_vector(gamma, "index")
     return ProjDecomposition(
         gamma0=tuple(max(x, 0) for x in g),
         gamma1=tuple(max(-x, 0) for x in g),
@@ -204,7 +204,7 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
     q = f.quiver
     n = q.n
     plan = _cone_plan(q, tuple(f.gamma1), tuple(f.gamma0))
-    pivot_rows = []  # per vertex: pivot column -> RREF row
+    pivot_rows = []  # per vertex: pivot column -> sparse RREF row
     free = []  # per vertex: the non-pivot coordinates, a basis of the cokernel
     ker_dims = []
     for v in range(n):
@@ -214,15 +214,14 @@ def cone_of_proj_map(f: ProjectiveMap) -> ClusterObject:
             block = f.blocks.get(key)
             if block is not None:
                 image[col][row] = block[c0][c1][k]
-        red, pivots = linalg.rref(image, QQ, d0) if d0 and d1 else ([], [])
-        pivot_rows.append(dict(zip(pivots, red)))
+        pivot_rows.append(linalg.rref(image, QQ) if d0 and d1 else {})
         free.append([c for c in range(d0) if c not in pivot_rows[v]])
-        ker_dims.append(d1 - len(pivots))
+        ker_dims.append(d1 - len(pivot_rows[v]))
 
     maps = []
     for a, (s, t) in enumerate(q.arrows):
         rows, coords = pivot_rows[t - 1], free[t - 1]
-        cols = [[-rows[r][x] for x in coords] if r in rows else [int(x == r) for x in coords]
+        cols = [[-rows[r].get(x, 0) for x in coords] if r in rows else [int(x == r) for x in coords]
                 for r in (plan.targets[a][c] for c in free[s - 1])]
         maps.append(tuple(tuple(col[ri] for col in cols) for ri in range(len(coords))))
     coker = Representation(q, QQ, tuple(map(len, free)), tuple(maps))
@@ -500,7 +499,7 @@ def check_multiplicativity(
     GenericityUncertified. The lhs is written to the cache, never read from it, so
     a stale entry cannot decide it; the rhs factors are `generic_character` values.
     """
-    a = tuple(int(x) for x in alpha)
+    a = vertex_vector(q, alpha, "alpha")
     g = et_map(q, a)
     lhs, parts, shift = _certified_value(q, g, rng_seed, bound, retries, cap,
                                          key=lambda x: (x[0], cone_signature(x[1:])))
@@ -547,7 +546,7 @@ def stability_check(
     (`_certify_pattern`), or GenericityUncertified names the reason. The certificate
     makes the character an invariant, so one counting pass gives the padded value.
     """
-    g = tuple(int(x) for x in gamma)
+    g = vertex_vector(q, gamma, "index")
     pd = vertex_vector(q, pad, "pad")
     if any(x < 0 for x in pd):
         raise SubdimensionOutOfRange("pad must be nonnegative")

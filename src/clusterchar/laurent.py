@@ -146,11 +146,12 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: Mapping) -> "LaurentPoly":
-        nvars = int(data["nvars"])
+        """The inverse of `to_json`; a number that is no int raises TypeError, never truncated."""
+        nvars = operator.index(data["nvars"])
         terms: dict[Exponent, int] = {}
         for t in data["terms"]:
-            e = tuple(int(x) for x in t["exp"])
-            c = int(t["coef"])
+            e = tuple(map(operator.index, t["exp"]))
+            c = operator.index(t["coef"])
             if c:
                 terms[e] = terms.get(e, 0) + c
         return LaurentPoly(nvars, {e: c for e, c in terms.items() if c})

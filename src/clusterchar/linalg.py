@@ -6,8 +6,8 @@ either, and the Hom systems of `replab` and the cone images of `generic` come
 as dicts. Entries are plain numbers: ints or Fractions, which over F_p may
 arrive unreduced. A `Field` is only a tag, `QQ` or `GF(p)`; it carries p and no
 arithmetic. Everything here is exact; these routines back the Hom/Ext solvers,
-Krull-Schmidt splitting, subspace enumeration and the inverse of the Euler
-matrix.
+Krull-Schmidt splitting, subspace enumeration and the cones of maps between
+projectives.
 
 Two kernels do the work, `_echelon` and `mat_mul`, each with plain int arithmetic:
 
@@ -20,15 +20,15 @@ Two kernels do the work, `_echelon` and `mat_mul`, each with plain int arithmeti
   entries, and the Hom systems are sparse: at most dims[t] + dims[s] of a
   row's entries are nonzero.
 - `rank` is the number of pivot rows of the echelon form; it does no
-  back-substitution. `rref` back-substitutes among the pivot rows only, and
-  divides by the pivots only when it writes the dense output rows.
-  `nullspace` reads the kernel off `rref`. Scaling a row by a nonzero constant
-  keeps the row space, and the RREF of a row space is unique, so the output is
-  the RREF of the input whatever the order of elimination: the same pivots,
-  rows and entry types as from a dense Gauss-Jordan. Over Q a row whose
-  primitive form has pivot 1 is integral and holds ints, every other pivot row
-  holds Fractions, and the zero rows past the rank hold ints; over F_p every
-  entry is an int in [0, p).
+  back-substitution. `rref` back-substitutes among the pivot rows only and
+  returns them as {pivot column: row}, pivots ascending, each row a dict of its
+  nonzero entries with 1 at its pivot and no entry in another pivot column.
+  Scaling a row by a nonzero constant keeps the row space, and the RREF of a
+  row space is unique, so these are the rows of the RREF whatever the order of
+  elimination. Over Q a row whose primitive form has pivot 1 is integral and
+  holds ints, and every other row holds Fractions; over F_p every entry is an
+  int in [1, p). `nullspace` reads the kernel off `rref` in one pass over the
+  entries of its rows.
 - `mat_mul` multiplies the integer-scaled matrices and divides once by the
   common denominator; over F_p it reduces mod p.
 """
@@ -181,41 +181,28 @@ def _echelon(mat: Sequence, p: int | None) -> dict[int, dict[int, int]]:
     return echelon
 
 
-def rref(mat: Sequence, field, ncols: int | None = None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def rref(mat: Sequence, field) -> dict[int, dict]:
+    """The reduced row echelon form of mat, as {pivot column: row}, pivots ascending.
 
-    mat's rows are sequences, or {column: entry} dicts of a matrix with ncols
-    columns. Over Q the entries are ints or Fractions. Over F_p they are ints
-    or Fractions, which may come in unreduced and go out as ints in [0, p).
-    The rows come out dense: the pivot rows in pivot order, then one zero row
-    for each row of mat past the rank.
+    mat's rows are sequences or {column: entry} dicts. Over Q the entries are ints
+    or Fractions. Over F_p they are ints or Fractions, which may come in unreduced
+    and go out as ints in [1, p). Each row holds its nonzero entries only, with 1
+    at its pivot; a row of mat past the rank leaves no trace.
     """
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
     p = field.p
     echelon = _echelon(mat, p)
-    pivots = sorted(echelon)
     # Back-substitution among the pivot rows only, last pivot first: clearing
     # column cj of a row with the reduced row of pivot cj adds nothing in any
     # other pivot column.
-    out = [[0] * ncols for _ in range(len(mat) - len(pivots))]
-    for c in reversed(pivots):
+    red = {}
+    for c in sorted(echelon, reverse=True):
         row = echelon[c]
         for cj in [k for k in row if k != c and k in echelon]:
             row = _eliminate(row, echelon[cj], cj, p)
         echelon[c] = row
-        piv = row[c]
-        if piv == 1:  # a primitive row whose pivot is 1 is already its RREF row
-            dense = [0] * ncols
-            for k, v in row.items():
-                dense[k] = v
-        else:
-            dense = [Fraction(0)] * ncols
-            for k, v in row.items():
-                dense[k] = Fraction(v, piv)
-        out.append(dense)
-    out.reverse()
-    return out, pivots
+        piv = row[c]  # a primitive row whose pivot is 1 is already its RREF row
+        red[c] = row if piv == 1 else {k: Fraction(v, piv) for k, v in row.items()}
+    return dict(reversed(red.items()))
 
 
 def rank(mat: Sequence, field) -> int:
@@ -223,31 +210,22 @@ def rank(mat: Sequence, field) -> int:
     return len(_echelon(mat, field.p))
 
 
-def nullspace(mat: Sequence, field, ncols: int | None = None) -> list[list]:
-    """Basis of the right kernel {v : mat v = 0}, as column vectors.
-
-    mat's rows are as for `rref`; ncols is required for dict rows.
-    """
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    if not mat:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    return rref_kernel(*rref(mat, field, ncols), ncols, field)
+def nullspace(mat: Sequence, field, ncols: int) -> list[list]:
+    """Basis of the right kernel {v : mat v = 0} of mat with ncols columns, as
+    column vectors; mat's rows are as for `rref`."""
+    return rref_kernel(rref(mat, field) if mat else {}, ncols, field)
 
 
-def rref_kernel(red: Sequence[Sequence], pivots: Sequence[int], n: int, field) -> list[list]:
-    """`nullspace` of a matrix with n columns, read off its RREF (red, pivots)."""
+def rref_kernel(red: dict[int, dict], n: int, field) -> list[list]:
+    """`nullspace` of a matrix with n columns, read off its RREF red (as from `rref`):
+    for each non-pivot column fc, 1 at fc and minus row c's entry at fc at each pivot c."""
     p = field.p
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc] if p is None else -red[r][fc] % p
-        basis.append(v)
-    return basis
+    basis = {fc: [int(i == fc) for i in range(n)] for fc in range(n) if fc not in red}
+    for c, row in red.items():
+        for fc, x in row.items():
+            if fc != c:
+                basis[fc][c] = -x if p is None else p - x
+    return list(basis.values())
 
 
 def solve_columns(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[list] | None:
@@ -258,15 +236,10 @@ def solve_columns(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[l
     m = len(a)
     k = len(a[0]) if m else 0
     l = len(b[0]) if b and b[0] else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(m)]
-    red, pivots = rref(aug, field)
-    if any(p >= k for p in pivots):
+    red = rref([list(a[i]) + list(b[i]) for i in range(m)], field)
+    if any(c >= k for c in red):
         return None
-    x = [[0] * l for _ in range(k)]
-    for r, pc in enumerate(pivots):
-        for j in range(l):
-            x[pc][j] = red[r][k + j]
-    return x
+    return [[red.get(c, {}).get(k + j, 0) for j in range(l)] for c in range(k)]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[list]:

@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from . import linalg
 from .errors import (
     BadVertexIndex,
     CycleFound,
@@ -158,17 +157,13 @@ class EulerData:
 
 
 def euler_matrix(q: Quiver) -> EulerData:
+    """E = I - A and C = -E^t·E^{-1}. A is nilpotent on an acyclic quiver, so
+    E^{-1} = sum_k A^k: its (i, j) entry is the number of paths i -> j."""
     n = q.n
-    a = [[0] * n for _ in range(n)]
-    for s, t in q.arrows:
-        a[s - 1][t - 1] += 1
-    e = tuple(tuple((1 if i == j else 0) - a[i][j] for j in range(n)) for i in range(n))
-    inv = linalg.solve_columns(e, [[int(i == j) for j in range(n)] for i in range(n)], linalg.QQ)
-    if inv is None or any(x.denominator != 1 for row in inv for x in row):
-        raise CycleFound("Euler matrix not invertible over the integers (internal)")
-    einv = tuple(tuple(int(x) for x in row) for row in inv)
+    e = tuple(tuple(int(i == j) - q.arrows.count((i, j)) for j in range(1, n + 1)) for i in range(1, n + 1))
+    einv = tuple(tuple(len(q.paths(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1))
     et, etinv = tuple(zip(*e)), tuple(zip(*einv))
-    c = tuple(tuple(-x for x in row) for row in linalg.mat_mul(et, einv, linalg.QQ))
+    c = tuple(tuple(-sum(map(operator.mul, row, col)) for col in etinv) for row in et)
     return EulerData(E=e, C=c, Einv=einv, Etinv=etinv)
 
 
@@ -178,9 +173,17 @@ def euler_data(q: Quiver) -> EulerData:
     return euler_matrix(q)
 
 
+def integer_vector(v: Sequence[int], what: str = "vector") -> IntVector:
+    """v as a tuple of ints; a float or Fraction entry raises rather than being truncated."""
+    try:
+        return tuple(map(operator.index, v))
+    except TypeError:
+        raise SubdimensionOutOfRange(f"{what} must have integer entries, got {tuple(v)}") from None
+
+
 def vertex_vector(q: Quiver, v: Sequence[int], what: str = "vector") -> IntVector:
-    """v as a tuple of ints with one entry per vertex of q."""
-    out = tuple(int(x) for x in v)
+    """v as a tuple of ints (`integer_vector`) with one entry per vertex of q."""
+    out = integer_vector(v, what)
     if len(out) != q.n:
         raise SubdimensionOutOfRange(f"{what} must have length {q.n}, got {len(out)}")
     return out

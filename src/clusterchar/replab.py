@@ -350,10 +350,10 @@ def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Represent
             ker_bases.append([])
             im_bases.append([])
             continue
-        red, pivots = linalg.rref(psi[v], field)
-        kb = linalg.rref_kernel(red, pivots, d, field)
+        red = linalg.rref(psi[v], field)
+        kb = linalg.rref_kernel(red, d, field)
         ker_bases.append([[kb[j][i] for j in range(len(kb))] for i in range(d)] if kb else [[] for _ in range(d)])
-        im_bases.append([[row[j] for j in pivots] for row in psi[v]])
+        im_bases.append([[row[j] for j in red] for row in psi[v]])
     ker = _subrep_on_bases(m, ker_bases)
     im = _subrep_on_bases(m, im_bases)
     return ker, im
@@ -426,7 +426,7 @@ def _split_simples(m: Representation) -> tuple[Representation, list[Representati
         ins = [a for a, (_, t) in enumerate(q.arrows) if t == v]
         cols = [row for a in ins for row in zip(*m.maps[a])] + kernel
         cols += [[int(i == j) for i in range(d)] for j in range(d)]
-        pivots = linalg.rref([list(r) for r in zip(*cols)], field)[1]
+        pivots = linalg.rref([list(r) for r in zip(*cols)], field)
         n_in = len(cols) - len(kernel) - d
         keep = [c for c in pivots if not n_in <= c < n_in + len(kernel)]
         bases.append([[cols[c][i] for c in keep] for i in range(d)])
@@ -476,10 +476,10 @@ def _quadratic_split(m: Representation, endos) -> tuple[Representation, Represen
         mats = [list(map(list, mat)) for mat in phi]
         square = [linalg.mat_mul(mat, mat, field) for mat in mats]
         flat = ([x for mat in ms for row in mat for x in row] for ms in (mats, square))
-        red, pivots = linalg.rref([list(r) for r in zip(ident, *flat)], field)
-        if pivots[:2] == [0, 1]:  # phi is not a multiple of id
+        red = linalg.rref([list(r) for r in zip(ident, *flat)], field)
+        if 1 in red:  # the id column is pivot 0, so phi is not a multiple of id
             break
-    b, a = red[0][2], red[1][2]
+    b, a = red[0].get(2, 0), red[1].get(2, 0)
     if p is None:
         disc = Fraction(a * a + 4 * b)
         num, den = isqrt(max(disc.numerator, 0)), isqrt(disc.denominator)
@@ -792,8 +792,8 @@ def count_subreps(m: Representation, e: Sequence[int], cap: int = 5_000_000) -> 
     if field.p is None:
         raise FieldMismatch("count_subreps needs a prime field")
     p = field.p
-    e = tuple(int(x) for x in e)
-    if len(e) != m.quiver.n or any(x < 0 or x > d for x, d in zip(e, m.dims)):
+    e = vertex_vector(m.quiver, e, "e")
+    if any(x < 0 or x > d for x, d in zip(e, m.dims)):
         raise SubdimensionOutOfRange(f"need 0 <= {e} <= {m.dims}")
     q = m.quiver
     dims = m.dims
@@ -973,8 +973,8 @@ def grassmannian_euler(
     """
     if m.field.p is not None:
         raise FieldMismatch("grassmannian_euler expects a rational representation")
-    e = tuple(int(x) for x in e)
-    if len(e) != m.quiver.n or any(x < 0 or x > d for x, d in zip(e, m.dims)):
+    e = vertex_vector(m.quiver, e, "e")
+    if any(x < 0 or x > d for x, d in zip(e, m.dims)):
         raise SubdimensionOutOfRange(f"need 0 <= {e} <= {m.dims}")
     if pool is None:
         pool = ReductionPool(m)

@@ -2,12 +2,14 @@ import ast
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from clusterchar import (
+    GF,
     QQ,
     LaurentPoly,
     CharacterCache,
@@ -15,10 +17,12 @@ from clusterchar import (
     cc_module,
     check_multiplicativity,
     cone_of_proj_map,
+    count_subreps,
     direct_sum,
     generic_character,
     generic_decomposition,
     generic_representation,
+    grassmannian_euler,
     index_of,
     min_proj_decomposition,
     monomial,
@@ -33,7 +37,7 @@ from clusterchar import (
     virtual_generic_decomposition,
     zero_representation,
 )
-from clusterchar import characters, generic, linalg, replab
+from clusterchar import characters, generic, replab
 from clusterchar.characters import ClusterObject, tree_character
 from clusterchar.config import RunConfig
 from clusterchar.errors import CapExceeded, ClusterCharError, GenericityUncertified, SubdimensionOutOfRange
@@ -56,6 +60,7 @@ from clusterchar.replab import (
 )
 from clusterchar.seeds import certify, mix_seed
 from dynkin_oracle import root_search_decomposition
+from linalg_oracle import oracle_rref
 
 QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
@@ -158,7 +163,9 @@ def test_index_of_cone_equals_presentation_index(a2, a3, kronecker):
 
 def _cone_oracle(f):
     """Cone(f) evaluated on the path bases, each arrow's image reduced by the RREF in
-    Fraction arithmetic: the evaluate-then-quotient reference for `cone_of_proj_map`."""
+    Fraction arithmetic: the evaluate-then-quotient reference for `cone_of_proj_map`.
+    The RREF is the oracle Gauss-Jordan of `linalg_oracle`, so the reference shares
+    no elimination code with `cone_of_proj_map`."""
     q, n = f.quiver, f.quiver.n
 
     def bases(g):
@@ -179,7 +186,7 @@ def _cone_oracle(f):
                     for w, coeff in zip(q.paths(i, j), block[c0][c1]):
                         mat[index0[(i, c0, w + p)]][c] += coeff
         image_rows = [[mat[r][c] for r in range(d0)] for c in range(d1)]
-        red, pivots = linalg.rref(image_rows, QQ) if d0 and d1 else ([], [])
+        red, pivots = oracle_rref(image_rows, QQ) if d0 and d1 else ([], [])
         reducers.append((red[:len(pivots)], pivots))
         coker_coords.append([c for c in range(d0) if c not in pivots])
         ker_dims.append(d1 - len(pivots))
@@ -387,6 +394,24 @@ def test_caches_sharing_a_file_keep_every_entry(tmp_path, a2):
     assert reloaded.get(a2, gammas[0]) == values[gammas[1]]
 
 
+@pytest.mark.parametrize("corrupt", [
+    {"nvars": 2, "terms": [{"exp": [-1.9, 0.6], "coef": "3"}]},
+    {"nvars": 2, "terms": [{"exp": [-1, 0], "coef": 3.0}]},
+    {"nvars": 2, "terms": [{"exp": [-1.0, 0], "coef": 3}]},
+    {"nvars": 2.0, "terms": [{"exp": [-1, 0], "coef": 3}]},
+], ids=["float-exp-string-coef", "float-coef", "float-exp", "float-nvars"])
+def test_a_cache_entry_with_non_integral_numbers_is_discarded(tmp_path, a2, corrupt):
+    """Such an entry once loaded truncated, as 3/x1; it is discarded, the value is
+    certified, and a valid entry on the next line of the file still loads."""
+    path = tmp_path / "cache.json"
+    y = generic_character(a2, (0, 1), cache=CharacterCache())
+    path.write_text(json.dumps({CharacterCache.key_for(a2, (1, 0)): corrupt}) + "\n"
+                    + json.dumps({CharacterCache.key_for(a2, (0, 1)): y.to_json()}) + "\n")
+    cache = CharacterCache(str(path))
+    assert cache.get(a2, (1, 0)) is None and cache.get(a2, (0, 1)) == y
+    assert generic_character(a2, (1, 0), cache=cache) == parse_laurent("(x1+1+x2)/(x1*x2)", 2)
+
+
 def _proj_map_blocks_by_every_pair(q, dec, rng_seed, bound):
     """The blocks of `sample_generic_proj_map` as drawn when every pair (i, j)
     looked up its paths first, empty blocks included."""
@@ -449,6 +474,41 @@ def test_generic_decomposition_examples(a2, kronecker):
 def test_wrong_length_vectors_are_rejected(a3, call):
     with pytest.raises(SubdimensionOutOfRange):
         call(a3)
+
+
+def test_non_integral_vectors_are_named_not_truncated(kronecker):
+    """A float once went through int(): X(1.7, -1.2) came out as X(1, -1),
+    et_map(2.5, 1) as (2, -3), and subrepresentations were counted at e = (0, 0)."""
+    m = random_representation(kronecker, (1, 1), GF(5), rng_seed=0)
+    repros = [
+        (lambda: generic_character(kronecker, (1.7, -1.2), cache=CharacterCache()), r"\(1\.7, -1\.2\)"),
+        (lambda: et_map(kronecker, (2.5, 1)), r"\(2\.5, 1\)"),
+        (lambda: count_subreps(m, (0.9, 0)), r"\(0\.9, 0\)"),
+    ]
+    for call, named in repros:
+        with pytest.raises(SubdimensionOutOfRange, match=named):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: grassmannian_euler(random_representation(q, (1, 1), rng_seed=0), (0.5, 0)),
+        lambda q: check_multiplicativity(q, (1, 0.5), cache=CharacterCache()),
+        lambda q: stability_check(q, (1.5, 0), (0, 0), cache=CharacterCache()),
+        lambda q: stability_check(q, (1, 0), (Fraction(1, 2), 0), cache=CharacterCache()),
+        lambda q: min_proj_decomposition((1, 2.0)),
+        lambda q: cc_generic(q, (1.0, 1)),
+        lambda q: generic_decomposition(q, (1, 1.5)),
+        lambda q: virtual_generic_decomposition(q, (0.5, 1)),
+        lambda q: generic_representation(q, (1, 1.0)),
+    ],
+    ids=["grassmannian_euler", "check_multiplicativity", "stability_gamma", "stability_pad",
+         "min_proj_decomposition", "cc_generic", "generic_decomposition", "virtual", "generic_representation"],
+)
+def test_non_integral_vectors_are_rejected(kronecker, call):
+    with pytest.raises(SubdimensionOutOfRange, match="integer entries"):
+        call(kronecker)
 
 
 def test_three_arrow_kronecker_frontier_fails_with_its_name():

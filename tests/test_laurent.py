@@ -155,6 +155,16 @@ def test_json_round_trip():
     assert LaurentPoly.from_json(data) == p
 
 
+@pytest.mark.parametrize("data", [
+    {"nvars": 2, "terms": [{"exp": [-1.9, 0.6], "coef": "3"}]},
+    {"nvars": 2, "terms": [{"exp": [-1, 0], "coef": 3.5}]},
+    {"nvars": 2.0, "terms": [{"exp": [-1, 0], "coef": 3}]},
+])
+def test_from_json_refuses_numbers_that_are_no_integers(data):
+    with pytest.raises(TypeError):
+        LaurentPoly.from_json(data)
+
+
 def test_power():
     assert P("1+x1") ** 2 == P("1+2*x1+x1^2")
     assert P("x2") ** 0 == LaurentPoly.one(2)

@@ -1,11 +1,13 @@
 """The exact kernels against the field-dispatch Gauss-Jordan of `linalg_oracle`.
 
 `linalg` takes dense or sparse ({column: entry}) rows, eliminates on sparse
-integer rows over Q and on sparse reduced rows over F_p, and takes a rank from
-the echelon form alone. The oracle does every entry operation through a
-per-field object. Both must give the same RREF rows (by value) and pivots on
-every input, the rank must be the oracle's pivot count, and every routine built
-on `rref` must give the same result when it runs on the oracle instead.
+integer rows over Q and on sparse reduced rows over F_p, takes a rank from the
+echelon form alone, and returns the RREF as {pivot: sparse row}. The oracle does
+every entry operation through a per-field object on dense rows. Written out
+densely, `rref`'s rows must equal the oracle's pivot rows (by value) on every
+input, with the same pivots; the rank must be the oracle's pivot count, and every
+routine built on `rref` must give the same result when it runs on the oracle
+instead.
 """
 
 import random
@@ -21,10 +23,23 @@ FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7919)]
 SHAPES = [(r, c) for r in range(10) for c in range(11)]
 
 
+def densify(red, ncols):
+    """(rows, pivots) of `rref`'s output red, each row written out as ncols entries."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in red.values()], list(red)
+
+
+def sparse_oracle_rref(mat, field):
+    """`oracle_rref` in the format of `linalg.rref`: {pivot: its row's nonzero entries}.
+    Dict rows are written out up to their last column; a zero column past it is no pivot."""
+    width = max((max(row, default=-1) + 1 if isinstance(row, dict) else len(row) for row in mat), default=0)
+    rows, pivots = oracle_rref(mat, field, width)
+    return {c: {j: x for j, x in enumerate(row) if x} for c, row in zip(pivots, rows)}
+
+
 def on_oracle(monkeypatch, fn, *args):
     """fn(*args) with `linalg.rref` replaced by the oracle."""
     with monkeypatch.context() as mp:
-        mp.setattr(linalg, "rref", oracle_rref)
+        mp.setattr(linalg, "rref", sparse_oracle_rref)
         return fn(*args)
 
 
@@ -89,15 +104,17 @@ def check_against_the_oracle(mat, field, ncols, monkeypatch, meant=None):
     """rref, rank and nullspace of mat (rows dense, or dicts of a matrix with ncols
     columns) against the oracle on `meant`, the dense matrix mat stands for."""
     meant = mat if meant is None else meant
-    rows, pivots = linalg.rref(mat, field, ncols)
-    assert (rows, pivots) == oracle_rref(meant, field)
+    red = linalg.rref(mat, field)
+    rows, pivots = densify(red, ncols)
+    want, want_pivots = oracle_rref(meant, field)
+    assert (rows, pivots) == (want[:len(want_pivots)], want_pivots)
     assert linalg.rank(mat, field) == len(pivots)
     if field.p is None:  # an integral RREF row holds ints, any other row Fractions
-        for row in rows:
-            integral = all(Fraction(x).denominator == 1 for x in row)
-            assert {type(x) for x in row} <= ({int} if integral else {Fraction})
+        for row in red.values():
+            integral = all(Fraction(x).denominator == 1 for x in row.values())
+            assert {type(x) for x in row.values()} == ({int} if integral else {Fraction})
     else:
-        assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+        assert all(type(x) is int and 0 < x < field.p for row in red.values() for x in row.values())
     kernel = linalg.nullspace(mat, field, ncols)
     assert kernel == on_oracle(monkeypatch, linalg.nullspace, mat, field, ncols)
     assert kernel == oracle_kernel(meant, field, ncols)
@@ -112,7 +129,7 @@ def test_rref_rank_nullspace_match_the_oracle(field, monkeypatch):
     for mat in matrices(field, 11):
         ncols = len(mat[0]) if mat else 0
         check_against_the_oracle(mat, field, ncols, monkeypatch)
-        assert linalg.rref(mat, field) == linalg.rref(mat, field, ncols)  # dense rows give their width
+        assert linalg.rref(mat, field) == linalg.rref([dict(enumerate(row)) for row in mat], field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -127,14 +144,31 @@ def test_sparse_rows_match_the_oracle(field, monkeypatch):
 
 def test_rref_over_q_keeps_ints_where_the_pivot_row_is_integral():
     """A row whose primitive integer form has pivot 1 keeps int entries, every other
-    pivot row holds Fractions (zeros too), and the zero rows past the rank are ints;
-    the same for dense and for dict rows."""
-    want = ([[Fraction(1), Fraction(1, 2), Fraction(0)], [0, 0, 1], [0, 0, 0]], [0, 2])
+    pivot row holds Fractions, and a row past the rank leaves no trace; the same for
+    dense and for dict rows."""
+    want = {0: {0: Fraction(1), 1: Fraction(1, 2)}, 2: {2: 1}}
     for mat in ([[2, 1, 0], [0, 0, Fraction(3, 7)], [4, 2, 0]],
                 [{0: 2, 1: 1}, {2: Fraction(3, 7)}, {}]):
-        rows, pivots = linalg.rref(mat, QQ, 3)
-        assert (rows, pivots) == want
-        assert [[type(x) for x in row] for row in rows] == [[Fraction] * 3, [int] * 3, [int] * 3]
+        red = linalg.rref(mat, QQ)
+        assert red == want
+        assert [[type(x) for x in row.values()] for row in red.values()] == [[Fraction] * 2, [int]]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rref_rows_are_sparse_and_reduced(field):
+    """Every row of `rref` holds no zero entry, 1 at its pivot and no entry at another
+    pivot column; the pivots ascend, and a matrix with no rows, or no nonzero entry,
+    gives {}."""
+    assert linalg.rref([], field) == {} and linalg.rref([{}, [0, 0]], field) == {}
+    rng = random.Random(17)
+    for mat in matrices(field, 18):
+        for rows, _ in sparse_variants(mat, field, rng):
+            red = linalg.rref(rows, field)
+            assert list(red) == sorted(red)
+            for c, row in red.items():
+                assert row[c] == 1 and all(row.values())
+                assert not any(k in red for k in row if k != c)
+                assert min(row) == c
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -25,6 +25,8 @@ from clusterchar.errors import (
 )
 from clusterchar.quiver import et_map, is_dynkin
 
+QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
+
 
 def test_validate_a2():
     q = validate_quiver(2, [(1, 2)])
@@ -66,8 +68,15 @@ def test_euler_matrix_a3(a3):
     assert euler_matrix(a3).E == ((1, -1, 0), (0, 1, -1), (0, 0, 1))
 
 
-def test_euler_matrix_inverse_exact(a3, kronecker):
-    for q in (a3, kronecker):
+def test_euler_matrix_inverse_exact():
+    """On every shipped quiver, the affine Ã2, the 3-Kronecker and a chain of double
+    arrows: E·E^{-1} = I, E^{-1}[i][j] is the number of paths i -> j, E^{-t} is its
+    transpose and C = -E^t·E^{-1}."""
+    quivers = [quiver_from_text(p.read_text()) for p in sorted(QUIVERS.glob("*.quiver"))]
+    quivers += [validate_quiver(3, [(1, 2), (2, 3), (1, 3)]), validate_quiver(2, [(1, 2)] * 3),
+                validate_quiver(3, [(1, 2), (1, 2), (2, 3), (2, 3)])]
+    assert len(quivers) == 7
+    for q in quivers:
         ed = euler_matrix(q)
         n = q.n
         prod = [
@@ -75,6 +84,10 @@ def test_euler_matrix_inverse_exact(a3, kronecker):
             for i in range(n)
         ]
         assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        assert ed.Einv == tuple(tuple(len(q.paths(i + 1, j + 1)) for j in range(n)) for i in range(n))
+        assert ed.Etinv == tuple(zip(*ed.Einv))
+        assert ed.C == tuple(tuple(-sum(ed.E[k][i] * ed.Einv[k][j] for k in range(n)) for j in range(n))
+                             for i in range(n))
 
 
 def test_et_map_is_the_euler_matrix_transpose_product(a2, a3, kronecker):
@@ -182,7 +195,7 @@ def _small_quivers():
 
 def test_is_dynkin_matches_the_leading_minors():
     quivers = list(_small_quivers())
-    quivers += [quiver_from_text(f.read_text()) for f in sorted((Path(__file__).resolve().parent.parent / "quivers").glob("*.quiver"))]
+    quivers += [quiver_from_text(f.read_text()) for f in sorted(QUIVERS.glob("*.quiver"))]
     verdicts = [is_dynkin(q) for q in quivers]
     assert verdicts == [_leading_minors_positive(q) for q in quivers]
     assert len(quivers) > 5000 and 0 < sum(verdicts) < len(quivers)
