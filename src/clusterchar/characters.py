@@ -11,16 +11,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import FieldMismatch, SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial
 from .linalg import QQ
-from .quiver import Quiver, et_map, vertex_vector
+from .quiver import Quiver, et_map, euler_data, vertex_vector
 from .replab import (
     BlockPlan,
     ReductionPool,
     Representation,
+    entry_representation,
     generic_representation,
     grassmannian_euler,
     zero_representation,
@@ -123,14 +125,7 @@ Node = tuple[int, int]  # (vertex - 1, basis index there)
 def tree_representation(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> Representation:
     """The representation of dims d whose arrow a sends basis vector i at its source to
     basis vector j at its target for each edge (a, i, j), and every other basis vector to 0."""
-    maps = []
-    for a, (s, t) in enumerate(q.arrows):
-        m = [[0] * d[s - 1] for _ in range(d[t - 1])]
-        for b, i, j in edges:
-            if b == a:
-                m[j][i] = 1
-        maps.append(tuple(map(tuple, m)))
-    return Representation(q, QQ, tuple(d), tuple(maps))
+    return entry_representation(q, QQ, d, [(a, i, j, 1) for a, i, j in edges])
 
 
 def _walk(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> list[tuple[Node, Node | None, int, bool]] | None:
@@ -215,7 +210,6 @@ def subset_counts(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> dict[tu
     return total.terms
 
 
-@lru_cache(maxsize=4096)
 def tree_basis(q: Quiver, d: tuple[int, ...]) -> tuple[Edge, ...] | None:
     """A 0/1 tree basis of the exceptional module of dims d, or None.
 
@@ -225,7 +219,8 @@ def tree_basis(q: Quiver, d: tuple[int, ...]) -> tuple[Edge, ...] | None:
       with |d_s - d_t| = 1, the zigzag string u_{j-1} -a-> v_j, u_j -b-> v_j for
       j = 1..k when (d_s, d_t) = (k+1, k), and u_j -a-> v_{j-1}, u_j -b-> v_j for
       (k, k+1).
-    Built once per (quiver, d). Like a cone plan it is structure and holds no count.
+    Like a cone plan it is structure and holds no count; `tree_character`, its
+    caller, memoizes what is read off it once per (quiver, d).
     """
     support = [v for v in range(q.n) if d[v]]
     inner = [a for a, (s, t) in enumerate(q.arrows) if d[s - 1] and d[t - 1]]
@@ -260,8 +255,8 @@ def tree_character(q: Quiver, d: tuple[int, ...]) -> LaurentPoly | None:
     characteristics of quiver Grassmannians and Ringel-Hall algebras of string
     algebras"). T is a brick with <d, d> = 1, so ext(T, T) = 0: T is the
     exceptional module of dims d, unique up to isomorphism (Kac). No prime is
-    used and nothing is sampled, so the value is structure of (quiver, d), like
-    `tree_basis`, and is built once per pair: finding it again for another value
+    used and nothing is sampled, so the value, tree basis included, is structure
+    of (quiver, d) and is built once per pair: finding it again for another value
     would repeat the same arithmetic and add no independent evidence. None sends
     the caller to `cc_module`, whose counts live for one value.
     """
@@ -288,15 +283,9 @@ def coindex_of(x: ClusterObject) -> tuple[int, ...]:
 
 
 def g_vector_of_index(q: Quiver, gamma: Sequence[int]) -> tuple[int, ...]:
-    """C^{-1}·gamma = -E·E^{-t}·gamma (valid when the generic cone of gamma is a module).
-
-    E = I - A, so (E·v)_s = v_s - sum over arrows s -> t of v_t.
-    """
+    """C^{-1}·gamma = -E·E^{-t}·gamma (valid when the generic cone of gamma is a module)."""
     v = et_map(q, gamma, inverse=True)
-    out = [-x for x in v]
-    for s, t in q.arrows:
-        out[s - 1] += v[t - 1]
-    return tuple(out)
+    return tuple(-sum(map(mul, row, v)) for row in euler_data(q).E)
 
 
 def cc_generic(

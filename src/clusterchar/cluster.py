@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from .errors import BadVertex, NotFiniteType
 from .laurent import LaurentPoly, denominator_vector, exact_divide, monomial, product
-from .quiver import Quiver, is_dynkin
+from .quiver import Quiver, euler_data, is_dynkin
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -26,11 +26,9 @@ class Seed:
 
 
 def exchange_matrix(q: Quiver) -> IntMatrix:
-    b = [[0] * q.n for _ in range(q.n)]
-    for s, t in q.arrows:
-        b[s - 1][t - 1] += 1
-        b[t - 1][s - 1] -= 1
-    return tuple(tuple(row) for row in b)
+    """B = E^t - E: b_ij = #arrows i -> j - #arrows j -> i."""
+    e = euler_data(q).E
+    return tuple(tuple(y - x for x, y in zip(row, col)) for row, col in zip(e, zip(*e)))
 
 
 def initial_seed(q: Quiver) -> Seed:

@@ -362,10 +362,12 @@ class CharacterCache:
     @staticmethod
     def key_for(q: Quiver, gamma: Sequence[int]) -> str:
         h = hashlib.sha256(q.key().encode("utf-8")).hexdigest()[:16]
-        return f"{h}:" + ",".join(str(int(x)) for x in gamma)
+        return f"{h}:" + ",".join(map(str, vertex_vector(q, gamma, "index")))
 
     def get(self, q: Quiver, gamma: Sequence[int]) -> LaurentPoly | None:
-        return self._mem.get(self.key_for(q, gamma))
+        """The value stored for (q, gamma); one in another number of variables is a miss."""
+        hit = self._mem.get(self.key_for(q, gamma))
+        return hit if hit is not None and hit.nvars == q.n else None
 
     def put(self, q: Quiver, gamma: Sequence[int], value: LaurentPoly) -> None:
         key = self.key_for(q, gamma)

@@ -222,12 +222,9 @@ def antisym_form_simple(q: Quiver, i: int, e: Sequence[int]) -> int:
 
 
 def _symmetrized(q: Quiver) -> IntMatrix:
-    n = q.n
-    s = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, b in q.arrows:
-        s[a - 1][b - 1] -= 1
-        s[b - 1][a - 1] -= 1
-    return tuple(tuple(row) for row in s)
+    """E + E^t, the matrix of the symmetrized Euler form."""
+    e = euler_data(q).E
+    return tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(e, zip(*e)))
 
 
 def is_dynkin(q: Quiver) -> bool:

@@ -48,6 +48,8 @@ class Representation:
     def __post_init__(self):
         if len(self.dims) != self.quiver.n:
             raise SubdimensionOutOfRange("dims length must equal vertex count")
+        if any(d < 0 for d in self.dims):
+            raise SubdimensionOutOfRange(f"dims must be nonnegative, got {self.dims}")
         if len(self.maps) != len(self.quiver.arrows):
             raise SubdimensionOutOfRange("one matrix per arrow required")
         for a, (s, t) in enumerate(self.quiver.arrows):
@@ -111,17 +113,26 @@ def make_representation(q: Quiver, field: Field, dims: Sequence[int], maps: Iter
     return Representation(q, field, tuple(operator.index(d) for d in dims), frozen)
 
 
+def entry_representation(q: Quiver, field: Field, dims: Sequence[int], entries: Iterable[tuple]) -> Representation:
+    """The representation of dims whose arrow a sends basis vector i at its source to
+    x times basis vector j at its target for each entry (a, i, j, x), and every other
+    basis vector to 0. Entries must already lie in field. This is the one place that
+    lays out maps[a] as a dims[target] x dims[source] tuple of rows."""
+    dims = tuple(dims)
+    mats = [[[0] * dims[s - 1] for _ in range(dims[t - 1])] for s, t in q.arrows]
+    for a, i, j, x in entries:
+        mats[a][j][i] = x
+    return Representation(q, field, dims, tuple(tuple(map(tuple, m)) for m in mats))
+
+
 def zero_representation(q: Quiver, field: Field = QQ) -> Representation:
-    dims = (0,) * q.n
-    return Representation(q, field, dims, tuple(() for _ in q.arrows))
+    return entry_representation(q, field, (0,) * q.n, ())
 
 
 def random_representation(q: Quiver, d: Sequence[int], field: Field = QQ, rng_seed: int = 0, bound: int = 10) -> Representation:
     """Uniform entries: integers in [-bound, bound] over Q, all of F_p over a prime field."""
     rng = random.Random(rng_seed)
     dims = vertex_vector(q, d, "dimension vector")
-    if any(x < 0 for x in dims):
-        raise SubdimensionOutOfRange("dimension vector must be nonnegative")
     maps = []
     for s, t in q.arrows:
         rows_n, cols_n = dims[t - 1], dims[s - 1]
@@ -134,27 +145,19 @@ def random_representation(q: Quiver, d: Sequence[int], field: Field = QQ, rng_se
 
 
 def simple_representation(q: Quiver, i: int, field: Field = QQ) -> Representation:
-    dims = tuple(1 if v == i else 0 for v in range(1, q.n + 1))
-    maps = []
-    for s, t in q.arrows:
-        maps.append(tuple(tuple(0 for _ in range(dims[s - 1])) for _ in range(dims[t - 1])))
-    return Representation(q, field, dims, tuple(maps))
+    return entry_representation(q, field, [int(v == i) for v in range(1, q.n + 1)], ())
 
 
 def _path_representation(q: Quiver, bases: dict, step, field: Field) -> Representation:
     """Basis at v is bases[v]; arrow a sends a basis path p to step(p, a), or to 0 for None."""
-    dims = tuple(len(bases[v]) for v in range(1, q.n + 1))
-    maps = []
+    entries = []
     for a, (s, t) in enumerate(q.arrows):
-        src, tgt = bases[s], bases[t]
-        index = {p: k for k, p in enumerate(tgt)}
-        m = [[0] * len(src) for _ in range(len(tgt))]
-        for c, p in enumerate(src):
+        index = {p: k for k, p in enumerate(bases[t])}
+        for i, p in enumerate(bases[s]):
             image = step(p, a)
             if image is not None:
-                m[index[image]][c] = 1
-        maps.append(tuple(tuple(r) for r in m))
-    return Representation(q, field, dims, tuple(maps))
+                entries.append((a, i, index[image], 1))
+    return entry_representation(q, field, [len(bases[v]) for v in range(1, q.n + 1)], entries)
 
 
 def projective_representation(q: Quiver, i: int, field: Field = QQ) -> Representation:
@@ -170,29 +173,24 @@ def injective_representation(q: Quiver, i: int, field: Field = QQ) -> Representa
 
 
 def direct_sum(m1: Representation, m2: Representation) -> Representation:
-    if m1.quiver != m2.quiver:
-        raise QuiverMismatch("direct sum over different quivers")
-    if m1.field != m2.field:
-        raise FieldMismatch("direct sum over different fields")
-    dims = tuple(a + b for a, b in zip(m1.dims, m2.dims))
-    maps = []
-    for a, (s, t) in enumerate(m1.quiver.arrows):
-        r1, c1 = m1.dims[t - 1], m1.dims[s - 1]
-        r2, c2 = m2.dims[t - 1], m2.dims[s - 1]
-        block = []
-        for r in range(r1):
-            block.append(tuple(m1.maps[a][r]) + (0,) * c2)
-        for r in range(r2):
-            block.append((0,) * c1 + tuple(m2.maps[a][r]))
-        maps.append(tuple(block))
-    return Representation(m1.quiver, m1.field, dims, tuple(maps))
+    return direct_sum_all((m1, m2), m1.quiver, m1.field)
 
 
 def direct_sum_all(parts: Sequence[Representation], q: Quiver, field: Field = QQ) -> Representation:
-    acc = zero_representation(q, field)
-    for p in parts:
-        acc = direct_sum(acc, p)
-    return acc
+    """The direct sum of the parts, in order: each part's basis at v follows the
+    bases of the parts before it. A part over another quiver or field raises."""
+    offsets = [0] * q.n
+    entries = []
+    for m in parts:
+        if m.quiver != q:
+            raise QuiverMismatch("direct sum over different quivers")
+        if m.field != field:
+            raise FieldMismatch("direct sum over different fields")
+        for a, (s, t) in enumerate(q.arrows):
+            off_s, off_t = offsets[s - 1], offsets[t - 1]
+            entries += [(a, off_s + i, off_t + j, x) for j, row in enumerate(m.maps[a]) for i, x in enumerate(row) if x]
+        offsets = [o + d for o, d in zip(offsets, m.dims)]
+    return entry_representation(q, field, offsets, entries)
 
 
 # --- Hom / Ext ---
@@ -299,19 +297,16 @@ def first_ext_pair(parts: Sequence[Representation]) -> tuple[Representation, Rep
 def _subrep_on_bases(m: Representation, bases: list[list[list]]) -> Representation:
     """The subrepresentation spanned by the given column bases (assumed arrow-stable)."""
     field = m.field
-    dims = tuple(len(b[0]) if b else 0 for b in bases)
-    maps = []
+    dims = [len(b[0]) if b else 0 for b in bases]
+    entries = []
     for a, (s, t) in enumerate(m.quiver.arrows):
-        bs, bt = bases[s - 1], bases[t - 1]
-        if dims[s - 1] == 0 or dims[t - 1] == 0:
-            maps.append(tuple((0,) * dims[s - 1] for _ in range(dims[t - 1])))
-            continue
-        image = linalg.mat_mul(list(map(list, m.maps[a])), bs, field)
-        x = linalg.solve_columns(bt, image, field)
-        if x is None:
-            raise DecompositionUncertified("subspace not arrow-stable (internal)")
-        maps.append(tuple(tuple(row) for row in x))
-    return Representation(m.quiver, field, dims, tuple(maps))
+        if dims[s - 1] and dims[t - 1]:  # an arrow out of or into 0 has no entry
+            image = linalg.mat_mul(list(map(list, m.maps[a])), bases[s - 1], field)
+            x = linalg.solve_columns(bases[t - 1], image, field)
+            if x is None:
+                raise DecompositionUncertified("subspace not arrow-stable (internal)")
+            entries += [(a, i, j, v) for j, row in enumerate(x) for i, v in enumerate(row) if v]
+    return entry_representation(m.quiver, field, dims, entries)
 
 
 def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Representation, Representation] | None:
@@ -342,17 +337,11 @@ def _fitting_split(m: Representation, phi: Sequence[MatrixT]) -> tuple[Represent
     psi = powers
     if prev == 0:  # phi is nilpotent; its rank started below total and cannot rise
         return None
-    ker_bases = []
-    im_bases = []
-    for v in range(q.n):
-        d = m.dims[v]
-        if d == 0:
-            ker_bases.append([])
-            im_bases.append([])
-            continue
+    ker_bases, im_bases = [], []
+    for v, d in enumerate(m.dims):
         red = linalg.rref(psi[v], field)
         kb = linalg.rref_kernel(red, d, field)
-        ker_bases.append([[kb[j][i] for j in range(len(kb))] for i in range(d)] if kb else [[] for _ in range(d)])
+        ker_bases.append([[vec[i] for vec in kb] for i in range(d)])
         im_bases.append([[row[j] for j in red] for row in psi[v]])
     ker = _subrep_on_bases(m, ker_bases)
     im = _subrep_on_bases(m, im_bases)
@@ -371,29 +360,16 @@ def _thin_components(m: Representation) -> list[Representation]:
             x = parent[x]
         return x
 
-    def union(x, y):
-        parent[find(x)] = find(y)
-
     active = []
     for a, (s, t) in enumerate(q.arrows):
         if m.dims[s - 1] == 1 and m.dims[t - 1] == 1 and linalg.to_field(m.maps[a][0][0], field) != 0:
             active.append(a)
-            union(s, t)
-    comps: dict[int, list[int]] = {}
-    for v in range(1, q.n + 1):
-        if m.dims[v - 1] == 1:
-            comps.setdefault(find(v), []).append(v)
+            parent[find(s)] = find(t)
+    roots = [find(v) if d else 0 for v, d in enumerate(m.dims, 1)]  # 0 off the support
     out = []
-    for verts in comps.values():
-        vset = set(verts)
-        dims = tuple(1 if v in vset else 0 for v in range(1, q.n + 1))
-        maps = []
-        for a, (s, t) in enumerate(q.arrows):
-            if s in vset and t in vset:
-                maps.append(((m.maps[a][0][0],),))
-            else:
-                maps.append(tuple((0,) * dims[s - 1] for _ in range(dims[t - 1])))
-        out.append(_known_end(Representation(q, field, dims, tuple(maps)), 1))
+    for root in dict.fromkeys(r for r in roots if r):
+        entries = [(a, 0, 0, m.maps[a][0][0]) for a in active if roots[q.arrows[a][0] - 1] == root]
+        out.append(_known_end(entry_representation(q, field, [int(r == root) for r in roots], entries), 1))
     return out
 
 

@@ -134,7 +134,7 @@ def test_traced_rounds_alternate_sides_on_one_seed(monkeypatch, tmp_path):
     assert set(block["layers"]["op.time_s"]) == {"parent_median", "change_median", "parent_iqr", "change_iqr"}
     assert doc["verdict"]["claimed"] is None
     assert {w["name"] for w in SPEC["workloads"]} == set(doc["verdict"]["bounds"])
-    assert doc["src_lines"] == {"parent": 0, "change": bench_pairs.src_lines(ROOT)}
+    assert doc["src_lines"] == {"parent": {"lines": 0, "code": 0}, "change": bench_pairs.src_lines(ROOT)}
 
 
 def test_src_lines_counts_the_package_modules_only(tmp_path):
@@ -146,8 +146,40 @@ def test_src_lines_counts_the_package_modules_only(tmp_path):
     (tmp_path / "src" / "other.py").write_text("outside\n")
     (package / "sub").mkdir()
     (package / "sub" / "c.py").write_text("nested\n")
-    assert bench_pairs.src_lines(tmp_path) == 3
-    assert bench_pairs.src_lines(tmp_path / "missing") == 0
+    assert bench_pairs.src_lines(tmp_path) == {"lines": 3, "code": 3}
+    assert bench_pairs.src_lines(tmp_path / "missing") == {"lines": 0, "code": 0}
+
+
+CODE_FIXTURE = '''"""Module docstring
+
+over three lines."""
+
+# a comment line
+X = """a string that is
+not a docstring"""
+
+
+class C:
+    """Class docstring."""
+
+    def f(self):  # a trailing comment keeps its line
+        """Function
+        docstring."""
+        return "# not a comment"
+
+
+async def g():
+    'docstring'
+    pass
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    package = tmp_path / "src" / "clusterchar"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(CODE_FIXTURE)
+    # code lines: X = (2 lines), class C, def f, return, async def g, pass
+    assert bench_pairs.src_lines(tmp_path) == {"lines": 21, "code": 7}
 
 
 def _summaries(**pairs):

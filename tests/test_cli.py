@@ -297,6 +297,14 @@ def test_cc_rep_of_another_quiver_exits_1(capsys, a2_file, tmp_path):
     assert code == 1 and out == "" and err.startswith("error: QuiverMismatch:")
 
 
+def test_cc_rep_with_a_negative_dimension_exits_1(capsys, a2_file, tmp_path):
+    # a negative source dimension above an empty target once passed the shape check
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps({"quiver": {"n": 2, "arrows": [[1, 2]]}, "field": "Q", "dims": [-1, 0], "maps": [[]]}))
+    code, out, err = run(capsys, "cc", a2_file, "--rep", str(p))
+    assert code == 1 and out == "" and err.startswith("error: SubdimensionOutOfRange:")
+
+
 @pytest.mark.parametrize(
     "name, text",
     [

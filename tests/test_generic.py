@@ -412,6 +412,22 @@ def test_a_cache_entry_with_non_integral_numbers_is_discarded(tmp_path, a2, corr
     assert generic_character(a2, (1, 0), cache=cache) == parse_laurent("(x1+1+x2)/(x1*x2)", 2)
 
 
+def test_a_cache_entry_in_another_number_of_variables_is_a_miss(tmp_path, a2):
+    path = tmp_path / "cache.json"
+    foreign = {"nvars": 3, "terms": [{"exp": [1, 2, 3], "coef": 5}]}
+    path.write_text(json.dumps({CharacterCache.key_for(a2, (0, 1)): foreign}) + "\n")
+    cache = CharacterCache(str(path))
+    assert cache.get(a2, (0, 1)) is None
+    assert generic_character(a2, (0, 1), cache=cache) == parse_laurent("(x1+1)/x2", 2)
+
+
+def test_cache_keys_are_integer_indices_of_the_quiver(a2):
+    assert CharacterCache.key_for(a2, (1, -1)) == CharacterCache.key_for(a2, [1, -1])
+    for gamma, named in [((1.5, 0), "integer entries"), ((1, 0, 0), "length 2")]:
+        with pytest.raises(SubdimensionOutOfRange, match=named):
+            CharacterCache.key_for(a2, gamma)
+
+
 def _proj_map_blocks_by_every_pair(q, dec, rng_seed, bound):
     """The blocks of `sample_generic_proj_map` as drawn when every pair (i, j)
     looked up its paths first, empty blocks included."""

@@ -30,6 +30,7 @@ from clusterchar.errors import (
     DecompositionUncertified,
     FieldMismatch,
     GenericityUncertified,
+    QuiverMismatch,
     SubdimensionOutOfRange,
 )
 from clusterchar.generic import cone_of_proj_map, min_proj_decomposition, sample_generic_proj_map
@@ -46,6 +47,7 @@ from clusterchar.replab import (
     _subrep_on_bases,
     _thin_components,
     direct_sum_all,
+    entry_representation,
     gaussian_binomial,
     hom_basis,
     make_representation,
@@ -197,6 +199,35 @@ def test_field_mismatch(a2):
     n = random_representation(a2, (1, 1), GF(5), rng_seed=0)
     with pytest.raises(FieldMismatch):
         hom_dim(m, n)
+
+
+def test_direct_sums_refuse_every_part_over_another_quiver_or_field(a2, kronecker):
+    m = random_representation(a2, (1, 1), rng_seed=0)
+    others = [(random_representation(kronecker, (1, 1), rng_seed=0), QuiverMismatch),
+              (random_representation(a2, (1, 1), GF(5), rng_seed=0), FieldMismatch)]
+    for other, error in others:
+        with pytest.raises(error):
+            direct_sum(m, other)
+        with pytest.raises(error):
+            direct_sum(other, m)
+        for k in range(3):
+            parts = [m, m]
+            parts.insert(k, other)
+            with pytest.raises(error):
+                direct_sum_all(parts, a2, QQ)
+
+
+def test_entry_representation_lays_out_one_matrix_per_arrow(kronecker):
+    m = entry_representation(kronecker, QQ, (2, 1), [(1, 1, 0, Fraction(1, 2)), (0, 0, 0, 3)])
+    assert m.maps == (((3, 0),), ((0, Fraction(1, 2)),))
+    assert entry_representation(kronecker, QQ, (0, 2), ()).maps == (((), ()), ((), ()))
+
+
+def test_negative_dimensions_are_refused(a2):
+    with pytest.raises(SubdimensionOutOfRange, match="nonnegative"):
+        Representation(a2, QQ, (-1, 0), ((),))
+    with pytest.raises(SubdimensionOutOfRange):
+        random_representation(a2, (1, -1))
 
 
 def test_indecomposable_for_root(a2, a3):

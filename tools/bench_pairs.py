@@ -27,12 +27,13 @@ which the change is better, in the metric's own direction. The `verdict` block
 (`verdict`) says whether the `--claimed` gain holds, and whether every other
 (workload, metric) median is within that metric's `bound`. `src_lines` gives each
 side's line count of `src/clusterchar/*.py`, the measure of the same behaviour
-from less code.
+from less code, as all lines and as code lines (no docstring, comment or blank line).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -142,10 +143,23 @@ def parse_claimed(text: str, spec: dict) -> dict:
     return {"workload": workload, "metric": metric}
 
 
-def src_lines(checkout: Path) -> int:
-    """Lines of `src/clusterchar/*.py` in a checkout."""
-    return sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in (checkout / "src" / "clusterchar").glob("*.py"))
+def src_lines(checkout: Path) -> dict[str, int]:
+    """Lines of `src/clusterchar/*.py` in a checkout: `lines` counts all of them, and
+    `code` leaves out docstrings (found with `ast`), comment lines and blank lines."""
+    lines = code = 0
+    for path in (checkout / "src" / "clusterchar").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+                first = node.body[0]
+                if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+        rows = text.splitlines()
+        lines += len(rows)
+        code += sum(1 for k, row in enumerate(rows, 1)
+                    if k not in docstrings and row.strip() and not row.lstrip().startswith("#"))
+    return {"lines": lines, "code": code}
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -229,7 +243,8 @@ def main(argv: list[str]) -> int:
             f"`verdict`: whether the claimed metric is better in at least 9 of 10 pairs and by more than "
             f"the parent IQR in the median, and whether every other (workload, metric) median is worse "
             f"than the parent's by at most its BENCHMARK.json bound (a fraction of the parent median). "
-            f"`src_lines`: lines of src/clusterchar/*.py in each checkout. "
+            f"`src_lines`: lines of src/clusterchar/*.py in each checkout, all of them (`lines`) and "
+            f"those left when docstrings, comment lines and blank lines are left out (`code`). "
             f"Written by tools/bench_pairs.py."
         ),
         "parent": args.parent,
@@ -251,7 +266,9 @@ def main(argv: list[str]) -> int:
         print(f"claimed {claimed['workload']}:{claimed['metric']} holds: {checks['claimed']['holds']}")
     outside = [f"{w}:{m}" for w, ms in checks["bounds"].items() for m, c in ms.items() if not c["within"]]
     print(f"outside their bounds: {', '.join(outside) or 'none'}")
-    print(f"src lines: {doc['src_lines']['parent']} -> {doc['src_lines']['change']}")
+    sizes = doc["src_lines"]
+    print(f"src lines: {sizes['parent']['lines']} -> {sizes['change']['lines']}, "
+          f"code lines: {sizes['parent']['code']} -> {sizes['change']['code']}")
     return 0
 
 
