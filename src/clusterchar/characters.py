@@ -61,7 +61,7 @@ def zero_object(q: Quiver) -> ClusterObject:
 
 
 def shifted_object(q: Quiver, shifted: Sequence[int]) -> ClusterObject:
-    return ClusterObject(zero_representation(q), tuple(int(x) for x in shifted))
+    return ClusterObject(zero_representation(q), vertex_vector(q, shifted, "shifted part"))
 
 
 def _character(q: Quiver, d: Sequence[int], chis: Mapping[tuple[int, ...], int]) -> LaurentPoly:
@@ -122,12 +122,6 @@ Edge = tuple[int, int, int]  # (arrow a, basis index at the source of a, basis i
 Node = tuple[int, int]  # (vertex - 1, basis index there)
 
 
-def tree_representation(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> Representation:
-    """The representation of dims d whose arrow a sends basis vector i at its source to
-    basis vector j at its target for each edge (a, i, j), and every other basis vector to 0."""
-    return entry_representation(q, QQ, d, [(a, i, j, 1) for a, i, j in edges])
-
-
 def _walk(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> list[tuple[Node, Node | None, int, bool]] | None:
     """(node, parent, arrow, forward) for every basis vector of a forest, parents first, or
     None when the edges close a cycle. A root has parent None; forward means parent -a-> node."""
@@ -178,7 +172,7 @@ def accepts_tree(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> bool:
             degree[node] = tuple(x + sign * (b == a) for b, x in enumerate(degree[parent]))
     if len({(v, deg) for (v, _), deg in degree.items()}) != len(degree):
         return False
-    return tree_representation(q, d, edges).end_dim == 1
+    return entry_representation(q, QQ, d, [(a, i, j, 1) for a, i, j in edges]).end_dim == 1
 
 
 def subset_counts(q: Quiver, d: Sequence[int], edges: Sequence[Edge]) -> dict[tuple[int, ...], int]:

@@ -45,11 +45,12 @@ that allow it and counted prime by prime at the others, lives for one value.
 An index with no path from supp gamma0 to supp gamma1, every gamma >= 0 or <= 0
 among them, needs no draw: Hom(P_j, P_i) is spanned by the paths i -> j, so the
 only map P(gamma1) -> P(gamma0) is 0 and its cone is P(gamma0) ⊕ P(gamma1)[1] on
-every seed (Caldero-Keller). `_read_off_pattern` reads it off the quiver once per
-(quiver, gamma) and passes it through the pattern certificate. Its parts are the
-shared projectives `_projective_summand`; like a plan, the pattern is structure
-with no sampled coefficient and no count, and the rigid characters above still
-live for one value.
+every seed (Caldero-Keller). The memo `_read_off_pattern` is the one place that
+decides this, once per (quiver, gamma); every sample asks it first, and where no
+path runs it reads the pattern off the quiver through the pattern certificate.
+Its parts are the shared projectives `_projective_summand`; like a plan, the
+pattern is structure with no sampled coefficient and no count, and the rigid
+characters above still live for one value.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .characters import ClusterObject, cc_module, tree_character
@@ -244,30 +245,20 @@ def _projective_summand(q: Quiver, i: int) -> Representation:
     return _known_end(projective_representation(q, i), 1)
 
 
-def _no_path(q: Quiver, dec: ProjDecomposition) -> bool:
-    """Whether no path runs from supp gamma0 to supp gamma1, so Hom(P(gamma1), P(gamma0)) = 0."""
-    return not any(q.paths(i, j) for i, a in enumerate(dec.gamma0, start=1) if a
-                   for j, b in enumerate(dec.gamma1, start=1) if b)
-
-
 @lru_cache(maxsize=4096)
-def _read_off_pattern(q: Quiver, gamma: IntVec) -> tuple[tuple[Representation, ...], IntVec]:
-    """(parts, shifted) of the cone of index gamma when Hom(P(gamma1), P(gamma0)) = 0:
-    P(gamma0) ⊕ P(gamma1)[1], whose parts are `_projective_summand(q, i)`, gamma0_i
-    times each, and E^t·dim P(gamma1) = gamma1. Certified once per (quiver, gamma);
+def _read_off_pattern(q: Quiver, gamma: IntVec) -> tuple[tuple[Representation, ...], IntVec] | None:
+    """(parts, shifted) of the cone of index gamma, or None when a path runs from supp
+    gamma0 to supp gamma1. With none, Hom(P(gamma1), P(gamma0)) = 0 and the cone is
+    P(gamma0) ⊕ P(gamma1)[1]: parts `_projective_summand(q, i)`, gamma0_i times each,
+    and E^t·dim P(gamma1) = gamma1. Decided and certified once per (quiver, gamma);
     like a `_cone_plan`, it holds no sampled coefficient and no count."""
     dec = min_proj_decomposition(gamma)
+    if any(q.paths(i, j) for i, a in enumerate(dec.gamma0, start=1) if a
+           for j, b in enumerate(dec.gamma1, start=1) if b):
+        return None
     parts = [_projective_summand(q, i) for i, g in enumerate(dec.gamma0, start=1) for _ in range(g)]
     _certify_pattern(q, gamma, parts, dec.gamma1)
     return tuple(parts), dec.gamma1
-
-
-def _draw_cone(q: Quiver, dec: ProjDecomposition, rng_seed: int, bound: int) -> tuple[Representation, IntVec]:
-    """(module, shifted) of the cone of one sampled P(gamma1) -> P(gamma0); the seed
-    draws the map. The module is left to the caller to decompose (`decompose`, or
-    `_refine_blocks`' certification by rigidity)."""
-    cone = cone_of_proj_map(sample_generic_proj_map(q, dec, rng_seed, bound))
-    return cone.module, cone.shifted
 
 
 def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
@@ -279,13 +270,14 @@ def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[
 def _cone_pattern_once(
     q: Quiver, gamma: IntVec, rng_seed: int, bound: int = 10, *, plan: BlockPlan
 ) -> tuple[Sequence[Representation], IntVec]:
-    """(parts, shifted) of one cone of index gamma, certified by `_refine_blocks` from `plan`,
-    or read off with no draw when no path runs from supp gamma0 to supp gamma1."""
-    if _no_path(q, min_proj_decomposition(gamma)):
-        return _read_off_pattern(q, gamma)
+    """(parts, shifted) of one cone of index gamma: `_read_off_pattern`'s, with no draw,
+    when it holds one, and otherwise certified by `_refine_blocks` from `plan`."""
+    if (read_off := _read_off_pattern(q, gamma)) is not None:
+        return read_off
 
     def sample(block: IntVec, seed0: int, k: int) -> tuple[Representation, IntVec]:
-        return _draw_cone(q, min_proj_decomposition(block), mix_seed(seed0, k), bound)
+        cone = cone_of_proj_map(sample_generic_proj_map(q, min_proj_decomposition(block), mix_seed(seed0, k), bound))
+        return cone.module, cone.shifted
 
     what = f"no certified cone pattern for index {gamma}"
     return _refine_blocks(q, gamma, sample, rng_seed, what, plan=plan)[1:]
@@ -396,25 +388,26 @@ def generic_character(
     cache: CharacterCache | None = None,
 ) -> LaurentPoly:
     """X(gamma): certified by agreement of five independently seeded evaluations on
-    their value (`_certified_value`), which share the pattern read off the quiver,
-    with no map drawn, where no path runs from supp gamma0 to supp gamma1
+    their value and pattern (`_certified_value`), which share the pattern read off the
+    quiver, with no map drawn, where no path runs from supp gamma0 to supp gamma1
     (`_read_off_pattern`). A cached value is returned as it is."""
     g = vertex_vector(q, gamma, "index")
     store = cache if cache is not None else _DEFAULT_CACHE
     hit = store.get(q, g)
     if hit is not None:
         return hit
-    value = _certified_value(q, g, rng_seed, bound, retries, cap, key=lambda x: x[0])[0]
+    value = _certified_value(q, g, rng_seed, bound, retries, cap)[0]
     store.put(q, g, value)
     return value
 
 
 def _certified_value(
-    q: Quiver, g: IntVec, rng_seed: int, bound: int, retries: int, cap: int, key: Callable[[tuple], object]
+    q: Quiver, g: IntVec, rng_seed: int, bound: int, retries: int, cap: int
 ) -> tuple[LaurentPoly, Sequence[Representation], IntVec]:
     """(value, parts, shifted) of the first sample of the first attempt whose five
-    certified cones of index g agree on `key` (`certify`). The map of rigid
-    characters and the block plan live for this one value."""
+    certified cones of index g agree on value and pattern (`certify`, `cone_signature`);
+    certified cones of one index share their pattern, as Kac's decomposition is unique.
+    The map of rigid characters and the block plan live for this one value."""
     rigid: dict[tuple, LaurentPoly] = {}
     plan = BlockPlan()
 
@@ -422,7 +415,7 @@ def _certified_value(
         parts, shifted = _cone_pattern_once(q, g, mix_seed(rng_seed, attempt, s), bound=bound, plan=plan)
         return _pattern_value(parts, shifted, cap, rigid), parts, shifted
 
-    return certify(draw, retries, f"X({g})", key=key)
+    return certify(draw, retries, f"X({g})", key=lambda x: (x[0], cone_signature(x[1:])))
 
 
 def generic_decomposition(
@@ -503,8 +496,7 @@ def check_multiplicativity(
     """
     a = vertex_vector(q, alpha, "alpha")
     g = et_map(q, a)
-    lhs, parts, shift = _certified_value(q, g, rng_seed, bound, retries, cap,
-                                         key=lambda x: (x[0], cone_signature(x[1:])))
+    lhs, parts, shift = _certified_value(q, g, rng_seed, bound, retries, cap)
     if any(shift) and all(x >= 0 for x in a):
         raise GenericityUncertified(f"multiplicativity of {a}: nonnegative alpha with a shifted part")
     store = cache if cache is not None else _DEFAULT_CACHE
@@ -560,8 +552,8 @@ def stability_check(
     )
 
     def draw(attempt: int, s: int) -> tuple[list[Representation], IntVec]:
-        module, shifted = _draw_cone(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound)
-        return decompose(module), shifted
+        cone = cone_of_proj_map(sample_generic_proj_map(q, padded_dec, mix_seed(rng_seed, 23, attempt, s), bound))
+        return decompose(cone.module), cone.shifted
 
     parts, shift = certify(draw, retries, f"padded character for {g} + {pd}", key=cone_signature)
     _certify_pattern(q, g, parts, shift)

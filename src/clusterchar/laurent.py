@@ -15,6 +15,7 @@ from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 from .errors import NonExactDivision, ParseError, VariableCountMismatch, ZeroPolynomial
+from .quiver import integer_vector
 
 Exponent = tuple[int, ...]
 
@@ -43,7 +44,8 @@ class LaurentPoly:
 
     @staticmethod
     def constant(nvars: int, c: int) -> "LaurentPoly":
-        return LaurentPoly(nvars, {} if c == 0 else {(0,) * nvars: int(c)})
+        (c,) = integer_vector((c,), "constant")
+        return LaurentPoly(nvars, {} if c == 0 else {(0,) * nvars: c})
 
     # -- ring structure --
 
@@ -159,7 +161,7 @@ class LaurentPoly:
 
 def monomial(nvars: int, exponents: Sequence[int]) -> LaurentPoly:
     """The single-term polynomial x^exponents with coefficient 1."""
-    e = tuple(int(x) for x in exponents)
+    e = integer_vector(exponents, "exponents")
     if len(e) != nvars:
         raise VariableCountMismatch(f"expected {nvars} exponents, got {len(e)}")
     return LaurentPoly(nvars, {e: 1})

@@ -86,10 +86,13 @@ def GF(p: int) -> Field:
 
 
 def to_field(x, field: Field):
-    """The int or Fraction x as an entry over field: itself over Q, in [0, p) over F_p."""
+    """The int or Fraction x as an entry over field: itself over Q, in [0, p) over F_p.
+    Any other number, a float among them, raises TypeError rather than being rounded."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"an entry must be an int or a Fraction, got {x!r}")
     p = field.p
     if p is None:
-        return x if isinstance(x, int) else Fraction(x)
+        return x
     if isinstance(x, Fraction):
         den = x.denominator % p
         if den == 0:

@@ -6,6 +6,7 @@ A[i][j] = #arrows i->j, so <d,e> = d^t E e = sum_i d_i e_i - sum_{a:i->j} d_i e_
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,19 +82,15 @@ def _topological_order(n: int, arrows: tuple[tuple[int, int], ...]) -> tuple[int
     for s, t in arrows:
         indeg[t] += 1
         out[s].append(t)
-    ready = sorted(v for v in range(1, n + 1) if indeg[v] == 0)
+    ready = [v for v in range(1, n + 1) if indeg[v] == 0]  # ascending, so a heap
     order: list[int] = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)  # the smallest ready vertex: a deterministic order
         order.append(v)
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                # keep the scan deterministic
-                k = 0
-                while k < len(ready) and ready[k] < w:
-                    k += 1
-                ready.insert(k, w)
+                heapq.heappush(ready, w)
     if len(order) != n:
         raise CycleFound(f"quiver contains a directed cycle among {sorted(set(range(1, n + 1)) - set(order))}")
     return tuple(order)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -107,7 +107,8 @@ def representation_from_json(data: dict) -> Representation:
 def make_representation(q: Quiver, field: Field, dims: Sequence[int], maps: Iterable[Sequence[Sequence]]) -> Representation:
     """A representation with its entries brought into the field (reduced mod p over F_p).
 
-    Dimensions must be integers: a float raises TypeError rather than being truncated.
+    Dimensions must be integers and entries ints or Fractions: a float raises
+    TypeError rather than being truncated or rounded (`linalg.to_field`).
     """
     frozen = tuple(tuple(tuple(linalg.to_field(x, field) for x in row) for row in m) for m in maps)
     return Representation(q, field, tuple(operator.index(d) for d in dims), frozen)
@@ -576,16 +577,17 @@ class BlockPlan:
         self.rigid: tuple | None = None
 
 
-def _round_shape(blocks: list, drawn: list) -> list:
-    """(block, module dims, shifted part) of each block of a round."""
-    return [(b, mod.dims, sh) for b, (mod, sh) in zip(blocks, drawn)]
+def _round_shape(drawn: list) -> list:
+    """(module dims, shifted part) of each block of a round; the block is their
+    index E^t·dims - shifted, so it adds nothing to compare."""
+    return [(mod.dims, sh) for mod, sh in drawn]
 
 
-def _rigid_copy(q: Quiver, rigid: tuple | None, blocks: list, drawn: list) -> bool:
+def _rigid_copy(q: Quiver, rigid: tuple | None, drawn: list) -> bool:
     """Whether the round has the shape of the certified all-rigid round `rigid` and
     every module it drew is rigid. One Hom rank per nonzero module: ext(M, M) =
     dim End M - <d, d> on a hereditary algebra."""
-    if rigid is None or rigid[0] != _round_shape(blocks, drawn):
+    if rigid is None or rigid[0] != _round_shape(drawn):
         return False
     return all(mod.is_zero() or hom_dim(mod, mod) == euler_form(q, mod.dims, mod.dims) for mod, _ in drawn)
 
@@ -622,7 +624,7 @@ def _refine_blocks(q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, *,
     for round_no in range(REFINE_ROUND_LIMIT):
         seed0 = mix_seed(rng_seed, round_no)
         drawn = [sample(b, seed0, k) for k, b in enumerate(blocks)]
-        if _rigid_copy(q, plan.rigid, blocks, drawn):
+        if _rigid_copy(q, plan.rigid, drawn):
             _, parts, shifted = plan.rigid
             return [mod for mod, _ in drawn], parts, shifted
         parts_per_block = [decompose(mod) for mod, _ in drawn]
@@ -643,7 +645,7 @@ def _refine_blocks(q: Quiver, gamma: tuple, sample, rng_seed: int, what: str, *,
             continue
         plan.blocks = blocks
         if plan.rigid is None and all(euler_form(q, x.dims, x.dims) == 1 for x in parts):
-            plan.rigid = (_round_shape(blocks, drawn), parts, shifted)
+            plan.rigid = (_round_shape(drawn), parts, shifted)
         return [mod for mod, _ in drawn], parts, shifted
     raise GenericityUncertified(f"{what} ({last})")
 
@@ -672,8 +674,6 @@ def generic_representation(
     d = vertex_vector(q, d, "dimension vector")
     if any(x < 0 for x in d):
         raise SubdimensionOutOfRange("dimension vector must be nonnegative")
-    if all(x == 0 for x in d):
-        return zero_representation(q), []
     zero = (0,) * q.n
 
     def sample(block: tuple[int, ...], seed0: int, k: int) -> tuple[Representation, tuple[int, ...]]:
@@ -866,16 +866,6 @@ def _primes():
     return filter(linalg.is_prime, itertools.count(2))
 
 
-def _denominator_lcm(m: Representation) -> int:
-    val = 1
-    for mat in m.maps:
-        for row in mat:
-            for x in row:
-                if isinstance(x, Fraction):
-                    val = lcm(val, x.denominator)
-    return val
-
-
 def _newton(points: list[tuple[int, int]]) -> list[int] | None:
     """Newton coefficients over Z of the polynomial through `points`, or None.
 
@@ -912,7 +902,6 @@ class ReductionPool:
 
     def __init__(self, m: Representation):
         self.m = m
-        self._bad = _denominator_lcm(m)
         self._gen = _primes()
         self._reduced: list[tuple[int, Representation]] = []
 
@@ -921,10 +910,12 @@ class ReductionPool:
         m = self.m
         while len(self._reduced) <= k:
             p = next(self._gen)
-            if self._bad % p != 0:
+            try:
                 mp = make_representation(m.quiver, GF(p), m.dims, m.maps)
-                if hom_dim(mp, mp) == m.end_dim:
-                    self._reduced.append((p, mp))
+            except ZeroDivisionError:  # p divides a denominator of M
+                continue
+            if hom_dim(mp, mp) == m.end_dim:
+                self._reduced.append((p, mp))
         return self._reduced[k]
 
 

@@ -36,13 +36,12 @@ from clusterchar.characters import (
     subset_counts,
     tree_basis,
     tree_character,
-    tree_representation,
 )
 from clusterchar.errors import FieldMismatch, SubdimensionOutOfRange
 from clusterchar.laurent import LaurentPoly
 from clusterchar.linalg import GF, QQ
 from clusterchar.quiver import antisym_form_simple, euler_data, quiver_from_text
-from clusterchar.replab import make_representation
+from clusterchar.replab import entry_representation, make_representation
 
 SHIPPED = {
     path.stem: quiver_from_text(path.read_text(encoding="utf-8"))
@@ -72,6 +71,15 @@ def test_cc_object_examples(a2):
 def test_cc_object_rejects_negative_shift(a2):
     with pytest.raises(SubdimensionOutOfRange):
         shifted_object(a2, (-1, 0))
+
+
+def test_shifted_object_refuses_a_non_integral_shifted_part(a2):
+    # once truncated: shifted_object(a2, (1.6, 0)).shifted was (1, 0)
+    with pytest.raises(SubdimensionOutOfRange, match=r"\(1\.6, 0\)"):
+        shifted_object(a2, (1.6, 0))
+    with pytest.raises(SubdimensionOutOfRange, match="length 2"):
+        shifted_object(a2, (1, 0, 0))
+    assert shifted_object(a2, (1, 0)).shifted == (1, 0)
 
 
 def test_multiplicativity_direct(a2, a3):
@@ -220,7 +228,7 @@ def test_unseparated_tree_is_refused():
     # which no successor-closed subset spans
     d, e = (1, 2, 1, 1), (0, 1, 1, 0)
     edges = ((1, 0, 0), (1, 0, 1), (0, 0, 0), (2, 0, 1))
-    t = tree_representation(D4, d, edges)
+    t = entry_representation(D4, QQ, d, [(a, i, j, 1) for a, i, j in edges])
     assert t.end_dim == 1
     assert subset_counts(D4, d, edges).get(e, 0) == 0
     assert grassmannian_euler(t, e).euler == 1

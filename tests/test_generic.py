@@ -49,7 +49,7 @@ from clusterchar.generic import (
     _pattern_value,
     cone_signature,
 )
-from clusterchar.quiver import et_map, euler_form, euler_matrix, quiver_from_text
+from clusterchar.quiver import Quiver, et_map, euler_form, euler_matrix, quiver_from_text
 from clusterchar.replab import (
     BlockPlan,
     Representation,
@@ -264,7 +264,7 @@ def test_d4_cone_summands_with_end_q_x_q_are_split():
     d4 = quiver_from_text((QUIVERS / "d4.quiver").read_text())
     gamma = et_map(d4, (1, 2, 1, 2))
     for seed in range(6):
-        module, _ = generic._draw_cone(d4, min_proj_decomposition(gamma), seed, 10)
+        module = cone_of_proj_map(sample_generic_proj_map(d4, min_proj_decomposition(gamma), seed, 10)).module
         parts = replab.decompose(module)
         for x in parts:
             fresh = Representation(d4, QQ, x.dims, x.maps)  # no End dimension recorded
@@ -294,15 +294,15 @@ def _reached(q, vertices):
 def test_an_index_without_a_path_is_read_off_as_the_drawn_cone(monkeypatch, name):
     # Hom(P(gamma1), P(gamma0)) = 0 exactly when no path runs from supp gamma0 to
     # supp gamma1; then the only map is 0 and the cone is P(gamma0) ⊕ P(gamma1)[1].
-    # The rule reads off exactly those indices, with no draw, and gives the parts
-    # and shifted part that the drawn path gives at three seeds
+    # The memo reads off exactly those indices (None for the others), with no draw,
+    # and gives the parts and shifted part that the drawn path gives at three seeds
     q = quiver_from_text(PROJECTIVE_CONE_QUIVERS[name])
     free = []
     for gamma in product(range(-2, 3), repeat=q.n):
         dec = min_proj_decomposition(gamma)
         support1 = {j for j, b in enumerate(dec.gamma1, start=1) if b}
         no_path = not _reached(q, {i for i, a in enumerate(dec.gamma0, start=1) if a}) & support1
-        assert generic._no_path(q, dec) == no_path, (name, gamma)
+        assert (generic._read_off_pattern(q, gamma) is not None) == no_path, (name, gamma)
         free += [gamma] * no_path
     drawn = []
     _recording(monkeypatch, generic, "sample_generic_proj_map", lambda *args: drawn.append(args))
@@ -314,7 +314,7 @@ def test_an_index_without_a_path_is_read_off_as_the_drawn_cone(monkeypatch, name
 
     read_off = signatures()
     assert not drawn
-    monkeypatch.setattr(generic, "_no_path", lambda q, dec: False)
+    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: None)
     assert signatures() == read_off
     assert drawn
 
@@ -327,7 +327,7 @@ def test_a_read_off_pattern_is_certified_once_per_quiver_and_index(monkeypatch):
     _recording(monkeypatch, generic, "_certify_pattern", lambda q, g, parts, shifted: certified.append(g))
     values = [generic_character(D4, gamma, rng_seed=seed, cache=CharacterCache()) for seed in (0, 1)]
     assert certified == [gamma] and values[0] == values[1]
-    monkeypatch.setattr(generic, "_no_path", lambda q, dec: False)
+    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: None)
     assert generic_character(D4, gamma, cache=CharacterCache()) == values[0]
 
 
@@ -335,6 +335,40 @@ def test_an_index_with_a_path_still_draws_five_cones(monkeypatch):
     # D4 X(1, -1, 1, -1): the paths 1 -> 2 and 3 -> 2 give a map to draw
     value = lambda: generic_character(D4, (1, -1, 1, -1), rng_seed=1, cache=CharacterCache())  # noqa: E731
     assert _work(monkeypatch, value)["cone_of_proj_map"] == 5
+
+
+@pytest.mark.parametrize("gamma, cones", [((1, -1, 1, -1), 5), ((-1, 1, 1, -1), 0)])
+def test_the_path_test_runs_once_per_quiver_and_index(monkeypatch, gamma, cones):
+    # each of a value's five samples asks `_read_off_pattern` first, but only the
+    # first ask runs the path test from supp gamma0 to supp gamma1 (Quiver.paths):
+    # the other four are memo hits, whether a path runs (D4 X(1, -1, 1, -1), five
+    # cones drawn) or not (D4 X(-1, 1, 1, -1), read off with no draw)
+    generic._read_off_pattern.cache_clear()
+    memo, paths = generic._read_off_pattern, Quiver.paths
+    asks, inside, outside, drawn = [], [], [], []  # asks: the paths calls made inside each ask
+
+    def asking(q, g):
+        asks.append(0)
+        inside.append(g)
+        try:
+            return memo(q, g)
+        finally:
+            inside.pop()
+
+    def counting(q, i, j):
+        if inside:
+            asks[-1] += 1
+        else:
+            outside.append((i, j))
+        return paths(q, i, j)
+
+    monkeypatch.setattr(generic, "_read_off_pattern", asking)
+    monkeypatch.setattr(Quiver, "paths", counting)
+    _recording(monkeypatch, generic, "cone_of_proj_map", lambda f: drawn.append(f))
+    generic_character(D4, gamma, rng_seed=1, cache=CharacterCache())
+    assert len(asks) == 5 and asks[0] > 0 and asks[1:] == [0] * 4
+    assert len(drawn) == cones
+    assert bool(outside) == bool(cones)  # only a drawn map looks up paths outside the memo
 
 
 def test_generic_character_frozen_values(a2):
@@ -552,6 +586,17 @@ def test_generic_decomposition_two_algorithms_agree(a2, a3):
             assert sorted(p.dims for p in parts) == by_roots
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.quiver")))
+def test_the_zero_vector_certifies_as_the_zero_module_with_no_parts(name):
+    # the empty index certifies through `_refine_blocks` like any other: no parts,
+    # the zero module and no shifted part; its character is 1
+    q = quiver_from_text((QUIVERS / f"{name}.quiver").read_text())
+    zero = (0,) * q.n
+    module, parts = generic_representation(q, zero)
+    assert module == zero_representation(q) and module.is_zero() and parts == []
+    assert cc_generic(q, zero) == LaurentPoly.one(q.n)
+
+
 def _module_path_decomposition(q, d, rng_seed=0, bound=10, retries=8):
     """Summand dimensions of the certified generic representative (the direct
     sampler behind cc_generic), agreed over five seeds: the module path that the
@@ -646,13 +691,8 @@ def test_padded_sample_of_a_refined_cone_is_uncertified(kronecker, monkeypatch, 
     # names the non-brick: no further attempt is drawn.
     cache = CharacterCache()
     generic_character(kronecker, (2, -2), rng_seed=seed, cache=cache)
-    real, calls = generic._draw_cone, []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(generic, "_draw_cone", counting)
+    calls = []
+    _recording(monkeypatch, generic, "cone_of_proj_map", lambda f: calls.append(f))
     with pytest.raises(GenericityUncertified, match="non-brick summand"):
         stability_check(kronecker, (2, -2), pad, rng_seed=seed, cache=cache)
     if any(pad):
@@ -1134,7 +1174,7 @@ def test_the_rigid_path_draws_the_same_cones_as_before(monkeypatch, kronecker, q
     unplanned = _work(monkeypatch, value)
     assert value() == expected
     assert planned["cone_of_proj_map"] == unplanned["cone_of_proj_map"]
-    if generic._no_path(q, min_proj_decomposition(gamma)):
+    if generic._read_off_pattern(q, gamma) is not None:
         # read off the quiver before any draw, with or without a plan
         assert planned["cone_of_proj_map"] == unplanned["cone_of_proj_map"] == 0
         assert planned["hom_dim"] == unplanned["hom_dim"]

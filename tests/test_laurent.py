@@ -3,7 +3,7 @@ import random
 import pytest
 
 from clusterchar import LaurentPoly, canonical_serialize, denominator_vector, monomial, parse_laurent
-from clusterchar.errors import NonExactDivision, VariableCountMismatch, ZeroPolynomial
+from clusterchar.errors import NonExactDivision, SubdimensionOutOfRange, VariableCountMismatch, ZeroPolynomial
 from clusterchar.laurent import exact_divide
 
 
@@ -15,6 +15,21 @@ def test_monomial_basics():
     assert monomial(2, (0, 0)) == LaurentPoly.one(2)
     assert monomial(2, (1, -1)).to_text() == "x1/x2"
     assert monomial(3, (0, 2, 0)).to_text() == "x2^2"
+
+
+def test_monomial_refuses_non_integral_exponents():
+    # once truncated: monomial(2, (0.5, 1.9)) gave x2
+    with pytest.raises(SubdimensionOutOfRange, match=r"\(0\.5, 1\.9\)"):
+        monomial(2, (0.5, 1.9))
+    assert monomial(2, (True, 2)) == monomial(2, (1, 2))
+
+
+def test_constant_refuses_a_non_integral_number():
+    # once truncated: LaurentPoly.constant(2, 2.7) gave 2
+    with pytest.raises(SubdimensionOutOfRange, match=r"2\.7"):
+        LaurentPoly.constant(2, 2.7)
+    assert LaurentPoly.constant(2, 3) == P("3")
+    assert LaurentPoly.constant(2, 0) == LaurentPoly.zero(2)
 
 
 def test_mul_examples():

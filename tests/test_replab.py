@@ -230,6 +230,17 @@ def test_negative_dimensions_are_refused(a2):
         random_representation(a2, (1, -1))
 
 
+def test_make_representation_refuses_float_entries(a2):
+    # over Q a float once became the Fraction of its binary value, and over F_5 it
+    # stayed a float until hom_dim failed inside linalg; both raise here, naming it
+    for field, x in ((QQ, 0.1), (GF(5), 2.5)):
+        with pytest.raises(TypeError, match=str(x)):
+            make_representation(a2, field, (1, 1), [((x,),)])
+    m = make_representation(a2, GF(5), (1, 1), [((Fraction(1, 2),),)])
+    assert m.maps == (((3,),),) and hom_dim(m, m) == 1
+    assert make_representation(a2, QQ, (1, 1), [((Fraction(1, 2),),)]).maps == (((Fraction(1, 2),),),)
+
+
 def test_indecomposable_for_root(a2, a3):
     m = indecomposable_for_root(a2, (1, 1))
     assert m.dims == (1, 1) and hom_dim(m, m) == 1
