@@ -4,7 +4,9 @@ A generic character of index gamma is the character of the cone of a generic map
 between projectives realizing the minimal decomposition of gamma. Genericity is
 certified operationally: each of five independently seeded samples must exhibit
 the virtual generic decomposition pattern exactly (brick summands, pairwise Ext
-vanishing, shifted part of disjoint support), and their values must agree.
+vanishing, shifted part of disjoint support), and their values must agree. A
+value read off the quiver (below) has no sample: its pattern passes the same
+certificate once per (quiver, gamma), and the value is evaluated once.
 
 Within one value, the character of a rigid brick part (<d, d> = 1) is found on
 the first sample that meets it and reused after that: an exceptional module is
@@ -30,27 +32,32 @@ certified as any other. The map of rigid characters, the plan and its certified
 round never outlive one value, so values compared with each other (cc-agreement,
 multiplicativity) are computed independently. A multiplicativity case is one
 value: X(E^t·alpha) and the decomposition of alpha are read off the same five
-certified cones of E^t·alpha (`_certified_value`), whose parts give the betas
-and whose shifted part gives gamma. `cc_generic` still finds the
-character of each sample's own module with `cc_module`. What does outlive a
-value is the plan of a cone (`_cone_plan`): bases and index tables fixed by
-(quiver, gamma1, gamma0), never a sampled coefficient, so sharing it shares no
-evidence. The same holds for a tree basis (`characters.tree_basis`) and the
-character read off it (`characters.tree_character`), both fixed by (quiver, d)
-with no prime and no sample: computing them again for each value would repeat
-identical arithmetic; so would the pattern read off an index with no path, below.
-Only what `cc_module` finds for a sampled module, read off at the subdimensions
-that allow it and counted prime by prime at the others, lives for one value.
+certified cones of E^t·alpha, or its one read-off pattern (`_certified_value`),
+whose parts give the betas and whose shifted part gives gamma. `cc_generic`
+still finds the character of each sample's own module with `cc_module`. What
+does outlive a value is the plan of a cone (`_cone_plan`): bases and index
+tables fixed by (quiver, gamma1, gamma0), never a sampled coefficient, so
+sharing it shares no evidence. The same holds for a tree basis
+(`characters.tree_basis`) and the character read off it
+(`characters.tree_character`), both fixed by (quiver, d) with no prime and no
+sample: computing them again for each value would repeat identical arithmetic;
+so would the pattern read off an index with no path, below. Only what
+`cc_module` finds for a sampled module, read off at the subdimensions that allow
+it and counted prime by prime at the others, lives for one value.
 
 An index with no path from supp gamma0 to supp gamma1, every gamma >= 0 or <= 0
 among them, needs no draw: Hom(P_j, P_i) is spanned by the paths i -> j, so the
 only map P(gamma1) -> P(gamma0) is 0 and its cone is P(gamma0) ⊕ P(gamma1)[1] on
 every seed (Caldero-Keller). The memo `_read_off_pattern` is the one place that
-decides this, once per (quiver, gamma); every sample asks it first, and where no
-path runs it reads the pattern off the quiver through the pattern certificate.
-Its parts are the shared projectives `_projective_summand`; like a plan, the
-pattern is structure with no sampled coefficient and no count, and the rigid
-characters above still live for one value.
+decides this, once per (quiver, gamma), and where no path runs it reads the
+pattern off the quiver through the pattern certificate. A certified value or
+decomposition asks it once, before any draw; where it holds the pattern, no
+`certify` loop runs, no block plan is made and nothing is drawn: five samples of
+one memo entry would be one object, and their agreement could not fail. The value
+is its pattern evaluated once, with a fresh map of rigid characters; a failed
+count there raises GenericityUncertified at once, as a retry would repeat it. Its
+parts are the shared projectives `_projective_summand`; like a plan, the pattern
+is structure with no sampled coefficient and no count.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from typing import Sequence
 
 from . import linalg
 from .characters import ClusterObject, cc_module, tree_character
-from .errors import GenericityUncertified, KernelNotProjectiveShape, SubdimensionOutOfRange
+from .errors import GenericityUncertified, KernelNotProjectiveShape, NotPolynomialCount, SubdimensionOutOfRange
 from .laurent import LaurentPoly, monomial, product
 from .linalg import QQ
 from .quiver import Quiver, et_map, euler_form, integer_vector, vertex_vector
@@ -270,10 +277,8 @@ def cone_signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[
 def _cone_pattern_once(
     q: Quiver, gamma: IntVec, rng_seed: int, bound: int = 10, *, plan: BlockPlan
 ) -> tuple[Sequence[Representation], IntVec]:
-    """(parts, shifted) of one cone of index gamma: `_read_off_pattern`'s, with no draw,
-    when it holds one, and otherwise certified by `_refine_blocks` from `plan`."""
-    if (read_off := _read_off_pattern(q, gamma)) is not None:
-        return read_off
+    """(parts, shifted) of one drawn cone of index gamma, certified by `_refine_blocks`
+    from `plan`. The certified entry points ask `_read_off_pattern` before they draw."""
 
     def sample(block: IntVec, seed0: int, k: int) -> tuple[Representation, IntVec]:
         cone = cone_of_proj_map(sample_generic_proj_map(q, min_proj_decomposition(block), mix_seed(seed0, k), bound))
@@ -322,6 +327,13 @@ def _pattern_value(
 # --- character cache ---
 
 
+@lru_cache(maxsize=4096)
+def _quiver_digest(q: Quiver) -> str:
+    """The cache-key prefix of a quiver: the first 16 hex digits of SHA-256 of `q.key()`,
+    hashed once per quiver rather than on every `get` and `put`."""
+    return hashlib.sha256(q.key().encode("utf-8")).hexdigest()[:16]
+
+
 class CharacterCache:
     """In-memory map keyed by quiver hash and index, optionally persisted to a file.
 
@@ -353,8 +365,7 @@ class CharacterCache:
 
     @staticmethod
     def key_for(q: Quiver, gamma: Sequence[int]) -> str:
-        h = hashlib.sha256(q.key().encode("utf-8")).hexdigest()[:16]
-        return f"{h}:" + ",".join(map(str, vertex_vector(q, gamma, "index")))
+        return f"{_quiver_digest(q)}:" + ",".join(map(str, vertex_vector(q, gamma, "index")))
 
     def get(self, q: Quiver, gamma: Sequence[int]) -> LaurentPoly | None:
         """The value stored for (q, gamma); one in another number of variables is a miss."""
@@ -388,9 +399,10 @@ def generic_character(
     cache: CharacterCache | None = None,
 ) -> LaurentPoly:
     """X(gamma): certified by agreement of five independently seeded evaluations on
-    their value and pattern (`_certified_value`), which share the pattern read off the
-    quiver, with no map drawn, where no path runs from supp gamma0 to supp gamma1
-    (`_read_off_pattern`). A cached value is returned as it is."""
+    their value and pattern (`_certified_value`), or, where no path runs from supp
+    gamma0 to supp gamma1, the pattern read off the quiver (`_read_off_pattern`),
+    certified once per (quiver, gamma) and evaluated once, with no map drawn. A
+    cached value is returned as it is."""
     g = vertex_vector(q, gamma, "index")
     store = cache if cache is not None else _DEFAULT_CACHE
     hit = store.get(q, g)
@@ -404,10 +416,21 @@ def generic_character(
 def _certified_value(
     q: Quiver, g: IntVec, rng_seed: int, bound: int, retries: int, cap: int
 ) -> tuple[LaurentPoly, Sequence[Representation], IntVec]:
-    """(value, parts, shifted) of the first sample of the first attempt whose five
-    certified cones of index g agree on value and pattern (`certify`, `cone_signature`);
-    certified cones of one index share their pattern, as Kac's decomposition is unique.
-    The map of rigid characters and the block plan live for this one value."""
+    """(value, parts, shifted) of index g.
+
+    A pattern read off the quiver (`_read_off_pattern`) has no sample: it is the
+    same object on every seed, so it is evaluated once, and a count that fails there
+    raises GenericityUncertified at once, as every retry would repeat it. Otherwise
+    the first sample of the first attempt whose five drawn cones agree on value and
+    pattern (`certify`, `cone_signature`); certified cones of one index share their
+    pattern, as Kac's decomposition is unique. The map of rigid characters and the
+    block plan live for this one value."""
+    if (read_off := _read_off_pattern(q, g)) is not None:
+        try:
+            return _pattern_value(*read_off, cap, {}), *read_off
+        except (GenericityUncertified, NotPolynomialCount) as exc:
+            raise GenericityUncertified(
+                f"X({g}) read off the quiver failed to evaluate ({type(exc).__name__}: {exc})") from exc
     rigid: dict[tuple, LaurentPoly] = {}
     plan = BlockPlan()
 
@@ -453,16 +476,23 @@ def virtual_generic_decomposition(
     As E^t is invertible over Z, that is the identity above. For alpha >= 0 a
     sample with a shifted part raises GenericityUncertified and ends its attempt,
     so the betas are Kac's canonical decomposition of alpha (Kac; Schofield).
+    Where `_read_off_pattern` holds the pattern of E^t·alpha, it is the one
+    answer, with nothing drawn; the alpha >= 0 test applies to it all the same.
     """
     a = vertex_vector(q, alpha, "alpha")
     gamma_idx = et_map(q, a)
-    plan = BlockPlan()  # lives for this index only
 
-    def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
-        cone = _cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound, plan=plan)
+    def signature(cone: tuple[Sequence[Representation], IntVec]) -> tuple[list[IntVec], IntVec]:
         if any(cone[1]) and all(x >= 0 for x in a):
             raise GenericityUncertified("nonnegative alpha with a shifted part")
         return cone_signature(cone)
+
+    if (read_off := _read_off_pattern(q, gamma_idx)) is not None:
+        return signature(read_off)
+    plan = BlockPlan()  # lives for this index only
+
+    def draw(attempt: int, s: int) -> tuple[list[IntVec], IntVec]:
+        return signature(_cone_pattern_once(q, gamma_idx, mix_seed(rng_seed, 7, attempt, s), bound, plan=plan))
 
     return certify(draw, retries, f"virtual generic decomposition of {a}")
 
@@ -490,7 +520,8 @@ def check_multiplicativity(
 
     X(E^t·alpha), the betas (its part dims) and gamma (its shifted part) come from
     one certified draw of E^t·alpha whose five cones agree on value and pattern
-    (`_certified_value`, `cone_signature`); alpha >= 0 with a shifted part raises
+    (`_certified_value`, `cone_signature`), or from the pattern read off the quiver
+    where no path runs (`_read_off_pattern`); alpha >= 0 with a shifted part raises
     GenericityUncertified. The lhs is written to the cache, never read from it, so
     a stale entry cannot decide it; the rhs factors are `generic_character` values.
     """

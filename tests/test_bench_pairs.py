@@ -117,7 +117,7 @@ def test_traced_rounds_alternate_sides_on_one_seed(monkeypatch, tmp_path):
         env = {"cpus_usable": 1, "python": "3", "implementation": "CPython", "platform": "test"}
         metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in SPEC["end_to_end"]}
         metrics["op.time_s"] = {"value": float(len(calls)), "unit": "s"}
-        return {"env": env, "result": {"metrics": metrics, "failed": 0}, "failed_ops": {}}
+        return {"env": env, "result": {"metrics": metrics, "attempted": 10, "failed": 0}, "failed_ops": {}}
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run)
     (tmp_path / "p").mkdir()
@@ -134,6 +134,11 @@ def test_traced_rounds_alternate_sides_on_one_seed(monkeypatch, tmp_path):
     assert set(block["layers"]["op.time_s"]) == {"parent_median", "change_median", "parent_iqr", "change_iqr"}
     assert doc["verdict"]["claimed"] is None
     assert {w["name"] for w in SPEC["workloads"]} == set(doc["verdict"]["bounds"])
+    assert {w["name"] for w in SPEC["workloads"]} == set(doc["verdict"]["failures"])
+    for name, f in doc["verdict"]["failures"].items():
+        assert f == {"parent": {"failed": 0, "attempted": 100, "share": 0.0},
+                     "change": {"failed": 0, "attempted": 100, "share": 0.0}, "failures_within": True}
+        assert doc["workloads"][name]["attempted"] == {"parent": 100, "change": 100}
     assert doc["src_lines"] == {"parent": {"lines": 0, "code": 0}, "change": bench_pairs.src_lines(ROOT)}
 
 
@@ -191,6 +196,12 @@ def _summaries(**pairs):
     return out
 
 
+def _ops(*workloads, parent=(0, 100), change=(0, 100)):
+    """{workload: {side: {"failed", "attempted"}}}, the same (failed, attempted) per workload."""
+    return {w: {side: {"failed": f, "attempted": a} for side, (f, a) in (("parent", parent), ("change", change))}
+            for w in workloads}
+
+
 def test_verdict_of_a_claimed_gain():
     parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # median 1.2, IQR 0.2
     ten_wins = [x - 0.3 for x in parent]  # median 0.9: gain 0.3 > 0.2
@@ -200,13 +211,13 @@ def test_verdict_of_a_claimed_gain():
     claim = {"workload": "w", "metric": "wall_s"}
     for change, wins, beats in [(ten_wins, True, True), (nine_wins, True, True),
                                 (eight_wins, False, True), (close, True, False)]:
-        v = bench_pairs.verdict(_summaries(w=(parent, change)), SPEC, claim)["claimed"]
+        v = bench_pairs.verdict(_summaries(w=(parent, change)), SPEC, claim, _ops("w"))["claimed"]
         assert (v["wins_9_of_10"], v["beats_parent_iqr"], v["holds"]) == (wins, beats, wins and beats)
         assert v["parent_iqr"] == pytest.approx(0.2) and v["pairs"] == 10
-    v = bench_pairs.verdict(_summaries(w=(parent, ten_wins)), SPEC, claim)
+    v = bench_pairs.verdict(_summaries(w=(parent, ten_wins)), SPEC, claim, _ops("w"))
     assert v["claimed"]["change_better_pairs"] == 10 and v["claimed"]["gain"] == pytest.approx(0.3)
     assert "wall_s" not in v["bounds"]["w"]  # the claimed pair is judged by the claim rule only
-    assert bench_pairs.verdict(_summaries(w=(parent, ten_wins)), SPEC, None)["claimed"] is None
+    assert bench_pairs.verdict(_summaries(w=(parent, ten_wins)), SPEC, None, _ops("w"))["claimed"] is None
 
 
 def test_verdict_checks_every_other_metric_against_its_bound():
@@ -214,15 +225,16 @@ def test_verdict_checks_every_other_metric_against_its_bound():
     parent = [2.0] * 10
     for change, within in [([2.0] * 10, True), ([2.0 * (1 + bounds["wall_s"])] * 10, True),
                            ([2.0 * (1 + bounds["wall_s"]) + 0.01] * 10, False), ([1.0] * 10, True)]:
-        v = bench_pairs.verdict(_summaries(a=(parent, change), b=(parent, parent)), SPEC, None)
+        v = bench_pairs.verdict(_summaries(a=(parent, change), b=(parent, parent)), SPEC, None, _ops("a", "b"))
         assert v["bounds"]["a"]["wall_s"]["within"] is within
         assert v["bounds"]["a"]["wall_s"]["bound"] == bounds["wall_s"]
         assert all(c["within"] for c in v["bounds"]["b"].values())
-    v = bench_pairs.verdict(_summaries(a=(parent, [2.5] * 10)), SPEC, None)["bounds"]["a"]
+    v = bench_pairs.verdict(_summaries(a=(parent, [2.5] * 10)), SPEC, None, _ops("a"))["bounds"]["a"]
     assert v["wall_s"]["worse_by"] == pytest.approx(0.25) and not v["wall_s"]["within"]  # bound 0.2
     assert v["op_p50_s"]["worse_by"] == pytest.approx(0.25) and v["op_p50_s"]["within"]  # bound 0.25
     # a parent median of 0: any rise is outside the bound, no rise is within it
-    v = bench_pairs.verdict(_summaries(a=([0.0] * 10, [0.1] * 10), b=([0.0] * 10, [0.0] * 10)), SPEC, None)
+    v = bench_pairs.verdict(_summaries(a=([0.0] * 10, [0.1] * 10), b=([0.0] * 10, [0.0] * 10)), SPEC, None,
+                             _ops("a", "b"))
     assert v["bounds"]["a"]["wall_s"] == {"bound": bounds["wall_s"], "worse_by": None, "within": False}
     assert v["bounds"]["b"]["wall_s"]["within"]
 
@@ -231,6 +243,53 @@ def test_verdict_reads_each_metric_in_its_own_direction():
     spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.1}]}
     summaries = {"a": {"ops_per_s": bench_pairs.summarize([10.0] * 10, [8.0] * 10, "higher")},
                  "b": {"ops_per_s": bench_pairs.summarize([10.0] * 10, [12.0] * 10, "higher")}}
-    v = bench_pairs.verdict(summaries, spec, {"workload": "b", "metric": "ops_per_s"})
+    v = bench_pairs.verdict(summaries, spec, {"workload": "b", "metric": "ops_per_s"}, _ops("a", "b"))
     assert v["bounds"] == {"a": {"ops_per_s": {"bound": 0.1, "worse_by": pytest.approx(0.2), "within": False}}}
     assert v["claimed"]["gain"] == pytest.approx(2.0) and v["claimed"]["holds"]
+
+
+def test_verdict_compares_failed_shares():
+    summaries = _summaries(w=([1.0] * 10, [1.0] * 10))
+    for parent, change, within in [
+        ((0, 100), (0, 100), True),
+        ((0, 100), (1, 100), False),  # the change fails one more op
+        ((3, 100), (4, 100), False),
+        ((3, 100), (3, 100), True),
+        ((2, 100), (1, 100), True),
+        ((1, 100), (2, 200), True),  # the same share of more ops
+        ((1, 100), (3, 200), False),
+        ((0, 0), (0, 100), True),  # a side that attempted nothing has share 0
+    ]:
+        v = bench_pairs.verdict(summaries, SPEC, None, _ops("w", parent=parent, change=change))["failures"]["w"]
+        assert v["failures_within"] is within, (parent, change)
+        assert (v["change"]["failed"], v["change"]["attempted"]) == change
+        assert (v["parent"]["failed"], v["parent"]["attempted"]) == parent
+    v = bench_pairs.verdict(summaries, SPEC, None, _ops("w", parent=(1, 4), change=(1, 8)))["failures"]["w"]
+    assert (v["parent"]["share"], v["change"]["share"]) == (0.25, 0.125)
+    # the failed shares do not enter the metric bounds
+    bounds = bench_pairs.verdict(summaries, SPEC, None, _ops("w", change=(5, 100)))["bounds"]["w"]
+    assert all(c["within"] for c in bounds.values())
+
+
+def test_a_larger_failed_share_is_printed_beside_the_bounds(monkeypatch, tmp_path, capsys):
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "parent" if checkout.name == "p" else "change"
+        runs.append(side)
+        env = {"cpus_usable": 1, "python": "3", "implementation": "CPython", "platform": "test"}
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in SPEC["end_to_end"]}
+        failed = int(side == "change" and workload == SPEC["workloads"][0]["name"] and len(runs) == 2 and trace == 0)
+        return {"env": env, "result": {"metrics": metrics, "attempted": 10, "failed": failed}, "failed_ops": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    (tmp_path / "p").mkdir()
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "p"), str(ROOT), "--out", str(out), "--parent", "p", "--change", "c"]) == 0
+    first, *others = [w["name"] for w in SPEC["workloads"]]
+    failures = json.loads(out.read_text(encoding="utf-8"))["verdict"]["failures"]
+    assert failures[first]["change"]["failed"] == 1 and not failures[first]["failures_within"]
+    assert all(failures[w]["failures_within"] for w in others)
+    printed = capsys.readouterr().out
+    assert f"{first} failed ops: 0/100 -> 1/100 (a larger share fails)" in printed
+    assert all(f"{w} failed ops: 0/100 -> 0/100 (within)" in printed for w in others)

@@ -40,7 +40,13 @@ from clusterchar import (
 from clusterchar import characters, generic, replab
 from clusterchar.characters import ClusterObject, tree_character
 from clusterchar.config import RunConfig
-from clusterchar.errors import CapExceeded, ClusterCharError, GenericityUncertified, SubdimensionOutOfRange
+from clusterchar.errors import (
+    CapExceeded,
+    ClusterCharError,
+    GenericityUncertified,
+    NotPolynomialCount,
+    SubdimensionOutOfRange,
+)
 from clusterchar.generic import (
     MultiplicativityReport,
     ProjDecomposition,
@@ -295,27 +301,25 @@ def test_an_index_without_a_path_is_read_off_as_the_drawn_cone(monkeypatch, name
     # Hom(P(gamma1), P(gamma0)) = 0 exactly when no path runs from supp gamma0 to
     # supp gamma1; then the only map is 0 and the cone is P(gamma0) ⊕ P(gamma1)[1].
     # The memo reads off exactly those indices (None for the others), with no draw,
-    # and gives the parts and shifted part that the drawn path gives at three seeds
+    # and gives the parts and shifted part that the drawn cone gives at three seeds
     q = quiver_from_text(PROJECTIVE_CONE_QUIVERS[name])
-    free = []
+    drawn = []
+    _recording(monkeypatch, generic, "sample_generic_proj_map", lambda *args: drawn.append(args))
+    _recording(monkeypatch, generic, "cone_of_proj_map", lambda *args: drawn.append(args))
+    generic._read_off_pattern.cache_clear()
+    read_off = {}
     for gamma in product(range(-2, 3), repeat=q.n):
         dec = min_proj_decomposition(gamma)
         support1 = {j for j, b in enumerate(dec.gamma1, start=1) if b}
         no_path = not _reached(q, {i for i, a in enumerate(dec.gamma0, start=1) if a}) & support1
-        assert (generic._read_off_pattern(q, gamma) is not None) == no_path, (name, gamma)
-        free += [gamma] * no_path
-    drawn = []
-    _recording(monkeypatch, generic, "sample_generic_proj_map", lambda *args: drawn.append(args))
-    _recording(monkeypatch, generic, "cone_of_proj_map", lambda *args: drawn.append(args))
-
-    def signatures():
-        return [generic.cone_signature(_cone_pattern_once(q, g, seed, plan=BlockPlan()))
-                for g in free for seed in (0, 1, 2)]
-
-    read_off = signatures()
-    assert not drawn
-    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: None)
-    assert signatures() == read_off
+        pattern = generic._read_off_pattern(q, gamma)
+        assert (pattern is not None) == no_path, (name, gamma)
+        if no_path:
+            read_off[gamma] = generic.cone_signature(pattern)
+    assert read_off and not drawn
+    for gamma, signature in read_off.items():
+        for seed in (0, 1, 2):
+            assert generic.cone_signature(_cone_pattern_once(q, gamma, seed, plan=BlockPlan())) == signature
     assert drawn
 
 
@@ -339,10 +343,10 @@ def test_an_index_with_a_path_still_draws_five_cones(monkeypatch):
 
 @pytest.mark.parametrize("gamma, cones", [((1, -1, 1, -1), 5), ((-1, 1, 1, -1), 0)])
 def test_the_path_test_runs_once_per_quiver_and_index(monkeypatch, gamma, cones):
-    # each of a value's five samples asks `_read_off_pattern` first, but only the
-    # first ask runs the path test from supp gamma0 to supp gamma1 (Quiver.paths):
-    # the other four are memo hits, whether a path runs (D4 X(1, -1, 1, -1), five
-    # cones drawn) or not (D4 X(-1, 1, 1, -1), read off with no draw)
+    # a value asks `_read_off_pattern` once, before any draw, and the path test from
+    # supp gamma0 to supp gamma1 (Quiver.paths) runs inside that ask, whether a path
+    # runs (D4 X(1, -1, 1, -1), five cones drawn) or not (D4 X(-1, 1, 1, -1), read off
+    # with no draw); a second value of the index is a memo hit
     generic._read_off_pattern.cache_clear()
     memo, paths = generic._read_off_pattern, Quiver.paths
     asks, inside, outside, drawn = [], [], [], []  # asks: the paths calls made inside each ask
@@ -366,9 +370,11 @@ def test_the_path_test_runs_once_per_quiver_and_index(monkeypatch, gamma, cones)
     monkeypatch.setattr(Quiver, "paths", counting)
     _recording(monkeypatch, generic, "cone_of_proj_map", lambda f: drawn.append(f))
     generic_character(D4, gamma, rng_seed=1, cache=CharacterCache())
-    assert len(asks) == 5 and asks[0] > 0 and asks[1:] == [0] * 4
+    assert len(asks) == 1 and asks[0] > 0
     assert len(drawn) == cones
     assert bool(outside) == bool(cones)  # only a drawn map looks up paths outside the memo
+    generic_character(D4, gamma, rng_seed=2, cache=CharacterCache())
+    assert asks[1:] == [0]
 
 
 def test_generic_character_frozen_values(a2):
@@ -453,6 +459,12 @@ def test_a_cache_entry_in_another_number_of_variables_is_a_miss(tmp_path, a2):
     cache = CharacterCache(str(path))
     assert cache.get(a2, (0, 1)) is None
     assert generic_character(a2, (0, 1), cache=cache) == parse_laurent("(x1+1)/x2", 2)
+
+
+def test_a_cache_key_is_pinned_so_existing_cache_files_still_load(a2):
+    # the first 16 hex digits of SHA-256 of the quiver key "2;1-2", then the index
+    assert CharacterCache.key_for(a2, (1, 0)) == "477476347de90c43:1,0"
+    assert CharacterCache.key_for(validate_quiver(2, [(1, 2)]), [1, 0]) == "477476347de90c43:1,0"
 
 
 def test_cache_keys_are_integer_indices_of_the_quiver(a2):
@@ -710,6 +722,16 @@ def test_a_failed_count_in_the_padded_cone_propagates():
 
 
 def test_virtual_generic_decomposition_refuses_a_shifted_pattern_for_nonnegative_alpha(a2, monkeypatch):
+    # a2 alpha = (1, 1) is read off the quiver: a shifted read-off pattern is refused
+    # at once, and on the drawn path a shifted sample ends its attempt
+    read_off = generic._read_off_pattern(a2, et_map(a2, (1, 1)))
+    assert read_off is not None
+    assert virtual_generic_decomposition(a2, (1, 1)) == ([(1, 1)], (0, 0))
+    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: (read_off[0], (0, 1)))
+    with pytest.raises(GenericityUncertified, match="nonnegative alpha with a shifted part"):
+        virtual_generic_decomposition(a2, (1, 1))
+
+    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: None)
     real = generic._cone_pattern_once
     attempt_0 = {mix_seed(0, 7, 0, s) for s in range(5)}
 
@@ -1117,10 +1139,94 @@ def test_a_file_cache_gains_no_line_for_an_lhs_it_holds(tmp_path):
 
 
 def test_multiplicativity_refuses_a_shifted_pattern_for_nonnegative_alpha(monkeypatch, a2):
-    # five agreeing cones with a shifted part contradict Kac's decomposition of alpha >= 0
+    # a pattern with a shifted part contradicts Kac's decomposition of alpha >= 0;
+    # a2 alpha = (1, 1) is read off the quiver, so the pattern comes from the memo
+    assert generic._read_off_pattern(a2, et_map(a2, (1, 1))) is not None
+    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: ((), (0, 1)))
+    with pytest.raises(GenericityUncertified, match="nonnegative alpha with a shifted part"):
+        check_multiplicativity(a2, (1, 1), cache=CharacterCache())
+
+
+def test_multiplicativity_refuses_five_drawn_cones_with_a_shifted_part_for_nonnegative_alpha(monkeypatch, a2):
+    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: None)
     monkeypatch.setattr(generic, "_cone_pattern_once", lambda *args, **kwargs: ([], (0, 1)))
     with pytest.raises(GenericityUncertified, match="nonnegative alpha with a shifted part"):
         check_multiplicativity(a2, (1, 1), cache=CharacterCache())
+
+
+# --- a value read off the quiver has no sample: evaluated once, with nothing drawn ---
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.quiver")))
+def test_a_read_off_value_is_evaluated_once_and_equals_the_drawn_value(monkeypatch, name):
+    q = quiver_from_text((QUIVERS / f"{name}.quiver").read_text(encoding="utf-8"))
+    box = 1 if name == "d4" else 2
+    free = [g for g in product(range(-box, box + 1), repeat=q.n) if generic._read_off_pattern(q, g) is not None]
+    calls = Counter()
+    for fn in ("sample_generic_proj_map", "cone_of_proj_map", "_pattern_value"):
+        _recording(monkeypatch, generic, fn, lambda *args, fn=fn, **kwargs: calls.update([fn]))
+    read_off = {}
+    for gamma in free:
+        calls.clear()
+        read_off[gamma] = generic_character(q, gamma, cache=CharacterCache())
+        assert calls == Counter(_pattern_value=1), (name, gamma)
+    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: None)
+    calls.clear()
+    for gamma in free:
+        assert generic_character(q, gamma, cache=CharacterCache()) == read_off[gamma], (name, gamma)
+    assert len(free) >= 9 and calls["cone_of_proj_map"] == 5 * len(free)
+
+
+@pytest.mark.parametrize("quiver, box", [("d4", 1), ("kronecker", 2), ("a3", 1), ("a2", 2)])
+def test_a_read_off_decomposition_and_multiplicativity_case_draw_nothing(monkeypatch, a2, a3, kronecker,
+                                                                          quiver, box):
+    # the parts of a read-off pattern are projectives P_i, whose indices e_i are read
+    # off too, as is the shifted part's -gamma1 <= 0: the whole case draws nothing
+    q = {"d4": D4, "kronecker": kronecker, "a3": a3, "a2": a2}[quiver]
+    alphas = [a for a in product(range(-box, box + 1), repeat=q.n)
+              if generic._read_off_pattern(q, et_map(q, a)) is not None]
+    drawn = []
+    for fn in ("sample_generic_proj_map", "cone_of_proj_map"):
+        _recording(monkeypatch, generic, fn, lambda *args, **kwargs: drawn.append(args))
+
+    def cases():
+        return [(virtual_generic_decomposition(q, a), check_multiplicativity(q, a, cache=CharacterCache()))
+                for a in alphas]
+
+    read_off = cases()
+    assert len(alphas) >= 4 and not drawn
+    assert all(report.equal for _, report in read_off)
+    monkeypatch.setattr(generic, "_read_off_pattern", lambda q, gamma: None)
+    assert cases() == read_off and drawn
+
+
+@pytest.mark.parametrize("error", [NotPolynomialCount, GenericityUncertified])
+def test_a_read_off_value_that_fails_to_evaluate_is_refused_at_once(monkeypatch, error):
+    # the read-off pattern is the same on every seed, so a retry would repeat the failure
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise error("no count")
+
+    monkeypatch.setattr(generic, "_pattern_value", failing)
+    named = rf"X\(\(-1, 1, 1, -1\)\) read off the quiver failed to evaluate \({error.name}: no count\)"
+    with pytest.raises(GenericityUncertified, match=named):
+        generic_character(D4, (-1, 1, 1, -1), retries=8, cache=CharacterCache())
+    assert len(calls) == 1
+
+
+def test_a_read_off_value_lets_a_cap_error_propagate(monkeypatch):
+    calls = []
+
+    def capped(*args):
+        calls.append(args)
+        raise CapExceeded("exceeds cap 0")
+
+    monkeypatch.setattr(generic, "_pattern_value", capped)
+    with pytest.raises(CapExceeded, match="exceeds cap 0"):
+        generic_character(D4, (-1, 1, 1, -1), cache=CharacterCache())
+    assert len(calls) == 1
 
 
 def _counting_products(monkeypatch):

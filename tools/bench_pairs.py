@@ -25,7 +25,9 @@ parent and change medians, their inclusive quartiles, the ratio of the medians
 (change / parent), the parent's interquartile range and the number of pairs in
 which the change is better, in the metric's own direction. The `verdict` block
 (`verdict`) says whether the `--claimed` gain holds, and whether every other
-(workload, metric) median is within that metric's `bound`. `src_lines` gives each
+(workload, metric) median is within that metric's `bound`, and gives each workload's
+failed / attempted ops on both sides, with `failures_within` when the change's failed
+share is at most the parent's. `src_lines` gives each
 side's line count of `src/clusterchar/*.py`, the measure of the same behaviour
 from less code, as all lines and as code lines (no docstring, comment or blank line).
 """
@@ -38,6 +40,7 @@ import json
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 TRACED_SEED = 3
@@ -98,16 +101,26 @@ def traced_summary(rounds: list[dict]) -> dict:
     return out
 
 
-def verdict(summaries: dict[str, dict[str, dict]], spec: dict, claimed: dict | None) -> dict:
-    """The claim's outcome and every other (workload, metric)'s bound check.
+def verdict(summaries: dict[str, dict[str, dict]], spec: dict, claimed: dict | None,
+            ops: dict[str, dict[str, dict]]) -> dict:
+    """The claim's outcome, every other (workload, metric)'s bound check, and each
+    workload's failed shares.
 
     summaries[workload][metric] is a `summarize` result for an end-to-end metric of
     the BENCHMARK.json `spec`. The claimed gain holds when the change is better in
     at least 9 of 10 pairs and its median beats the parent's by more than the
     parent's IQR. Any other metric is within its bound when the change median is
     worse than the parent's by at most `bound` times the parent median.
+    ops[workload][side] is {"failed", "attempted"} summed over that side's runs; a
+    workload's `failures_within` holds when the change's failed share is at most the
+    parent's (a side that attempted nothing has share 0).
     """
-    out: dict = {"claimed": None, "bounds": {}}
+    out: dict = {"claimed": None, "bounds": {}, "failures": {}}
+    for workload, sides in ops.items():
+        share = {side: Fraction(c["failed"], c["attempted"]) if c["attempted"] else Fraction(0)
+                 for side, c in sides.items()}
+        out["failures"][workload] = {side: {**sides[side], "share": float(share[side])} for side in SIDES}
+        out["failures"][workload]["failures_within"] = share["change"] <= share["parent"]
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         for workload, summary in summaries.items():
@@ -219,8 +232,11 @@ def main(argv: list[str]) -> int:
                       for side in SIDES}
             summary[metric["name"]] = summarize(values["parent"], values["change"], metric["better"])
         failed = {side: sum(p[side]["result"]["failed"] for p in pairs) for side in SIDES}
-        out_workloads[name] = {"summary": summary, "failed": failed, "pairs": pairs}
-    checks = verdict({name: w["summary"] for name, w in out_workloads.items()}, spec, claimed)
+        attempted = {side: sum(p[side]["result"]["attempted"] for p in pairs) for side in SIDES}
+        out_workloads[name] = {"summary": summary, "failed": failed, "attempted": attempted, "pairs": pairs}
+    checks = verdict({name: w["summary"] for name, w in out_workloads.items()}, spec, claimed,
+                     {name: {side: {"failed": w["failed"][side], "attempted": w["attempted"][side]} for side in SIDES}
+                      for name, w in out_workloads.items()})
 
     traced_runs: dict[str, list[dict]] = {name: [] for name in workloads}
     for name, _, first in pair_plan({name: TRACED_ROUNDS for name in workloads}, TRACED_SEED):
@@ -242,7 +258,9 @@ def main(argv: list[str]) -> int:
             f"counts and counters once per side, with those that differ between rounds under `varies`. "
             f"`verdict`: whether the claimed metric is better in at least 9 of 10 pairs and by more than "
             f"the parent IQR in the median, and whether every other (workload, metric) median is worse "
-            f"than the parent's by at most its BENCHMARK.json bound (a fraction of the parent median). "
+            f"than the parent's by at most its BENCHMARK.json bound (a fraction of the parent median), "
+            f"and each workload's failed / attempted ops per side, with `failures_within` when the "
+            f"change's failed share is at most the parent's. "
             f"`src_lines`: lines of src/clusterchar/*.py in each checkout, all of them (`lines`) and "
             f"those left when docstrings, comment lines and blank lines are left out (`code`). "
             f"Written by tools/bench_pairs.py."
@@ -266,6 +284,10 @@ def main(argv: list[str]) -> int:
         print(f"claimed {claimed['workload']}:{claimed['metric']} holds: {checks['claimed']['holds']}")
     outside = [f"{w}:{m}" for w, ms in checks["bounds"].items() for m, c in ms.items() if not c["within"]]
     print(f"outside their bounds: {', '.join(outside) or 'none'}")
+    for name, f in checks["failures"].items():
+        print(f"{name} failed ops: {f['parent']['failed']}/{f['parent']['attempted']} -> "
+              f"{f['change']['failed']}/{f['change']['attempted']} "
+              f"({'within' if f['failures_within'] else 'a larger share fails'})")
     sizes = doc["src_lines"]
     print(f"src lines: {sizes['parent']['lines']} -> {sizes['change']['lines']}, "
           f"code lines: {sizes['parent']['code']} -> {sizes['change']['code']}")
